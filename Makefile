@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify soak chaos-soak bench bench-check experiments snapshot-smoke shard-smoke eval-smoke build-chaos-smoke remote-chaos-smoke
+.PHONY: all build vet test race verify soak chaos-soak bench bench-check experiments snapshot-smoke shard-smoke eval-smoke hidsbench-smoke build-chaos-smoke remote-chaos-smoke
 
 all: verify
 
@@ -106,6 +106,15 @@ eval-smoke:
 	REPRO_SNAPSHOT_DIR=$(EVAL_SMOKE_DIR) REPRO_STREAM_SHARD=7 $(GO) test -count=1 -run 'TestGolden|TestWorkspace|TestFig|TestTable|TestStreaming' .
 	printf '[{"name":"whole-heap","users":40,"seed":1,"run":"fig3a,table3"},{"name":"stream-7","users":40,"seed":1,"streamShard":7,"run":"fig3a,table3"}]' > /tmp/repro-eval-sweep.json
 	/tmp/repro-experiments -snapshot $(EVAL_SMOKE_DIR) -configs /tmp/repro-eval-sweep.json
+
+# hidsbench-smoke runs the benchmark module's smoke test under the race
+# detector: every hidsbench workload at tiny scale, each op's digests
+# checked against its reference (stream against the whole-heap
+# outputs, build against a single-process store, fleet-heal against
+# the fault-free run). bench/ is its own Go module, so `make race`
+# never reaches it. About 10 s. CI runs this as its own job.
+hidsbench-smoke:
+	cd bench && $(GO) test -race -short ./...
 
 # build-chaos-smoke proves the fault-tolerant build coordinator end to
 # end at the process level: for each suite key, a 2-worker coordinated

@@ -16,6 +16,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -546,6 +547,56 @@ func BenchmarkEvaluateSharded100k(b *testing.B) {
 		}
 		if _, err := Table3(ent, cfg); err != nil {
 			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := ent.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(benchPeakRSS(), "peak-rss-bytes")
+}
+
+// BenchmarkStreamRunners1000 times the five streaming runners (Fig 3a,
+// Fig 3b, Table 3, Fig 4a, Fig 4b) over a sealed 1000-user × 2-week
+// store in 128-user shards, the shape of hidsbench's stream workload.
+// Each op maps the store into a fresh enterprise, so no memo carries
+// over between ops. The store is sealed once outside the timed region;
+// peak-rss-bytes is the VmHWM over the timed ops.
+func BenchmarkStreamRunners1000(b *testing.B) {
+	opts := Options{Users: 1000, Weeks: 2, Seed: 1, SnapshotDir: b.TempDir()}
+	build := opts
+	build.SnapshotWorkers = runtime.GOMAXPROCS(0)
+	seed, err := NewEnterprise(build)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seed.Materialize()
+	if err := seed.Close(); err != nil {
+		b.Fatal(err)
+	}
+	opts.StreamShard = 128
+	cfg := DefaultExperimentConfig()
+	runners := []func(*Enterprise, ExperimentConfig) error{
+		func(e *Enterprise, c ExperimentConfig) error { _, err := Fig3a(e, c); return err },
+		func(e *Enterprise, c ExperimentConfig) error { _, err := Fig3b(e, c); return err },
+		func(e *Enterprise, c ExperimentConfig) error { _, err := Table3(e, c); return err },
+		func(e *Enterprise, c ExperimentConfig) error { _, err := Fig4a(e, c); return err },
+		func(e *Enterprise, c ExperimentConfig) error { _, err := Fig4b(e, c); return err },
+	}
+	b.ReportAllocs()
+	benchResetPeakRSS()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ent, err := NewEnterprise(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ent.Materialize()
+		for _, run := range runners {
+			if err := run(ent, cfg); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.StopTimer()
 		if err := ent.Close(); err != nil {

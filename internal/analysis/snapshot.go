@@ -11,9 +11,9 @@ package analysis
 //     sorting the same column yields the same slice).
 //   - Load maps a snapshot and builds a workspace whose matrices,
 //     sorted columns, distributions and day views alias the mapping.
-//     Only the raw time-ordered columns are rebuilt (lazily, per
-//     block): rows interleave the six features, so a raw column is
-//     the one view the file cannot serve as a contiguous run.
+//     Only the raw time-ordered columns are copied, per block and only
+//     when Raw asks: rows interleave the six features, so a raw column
+//     is the one view the file cannot serve as a contiguous run.
 //   - MaterializeSharded streams a population through bounded
 //     user-shards straight into a snapshot writer — generate, derive,
 //     append, release — so peak heap is O(shard × record), not

@@ -122,26 +122,16 @@ func (w *Workspace) StreamShards(workers int, fn func(view *Workspace, lo, hi in
 }
 
 // streamAssignment configures one policy with core.StreamPlan's
-// bounded fold: pass A reads every user's grouping statistic (the
-// training p99, exactly what ConfigureWith derives) off the mapped
-// sorted columns shard by shard; pass B folds each user's training
-// distribution into the plan. Returns ok == false — with no error —
-// when the heuristic has no bounded fold over merged groups
-// (core.MeanSigma under a merging policy); the caller falls back to
-// the whole-heap configure, which reproduces any genuine error too.
+// bounded fold: every user's grouping statistic (the training p99,
+// exactly what ConfigureWith derives) is the memoized TailStats pass
+// that Fig 1, Fig 2 and every other policy share; one further pass
+// folds each user's training distribution into the plan. Returns
+// ok == false — with no error — when the heuristic has no bounded
+// fold over merged groups (core.MeanSigma under a merging policy); the
+// caller falls back to the whole-heap configure, which reproduces any
+// genuine error too.
 func (w *Workspace) streamAssignment(f features.Feature, trainWeek int, pol core.Policy, attack []float64) (*core.Assignment, bool, error) {
-	stat := make([]float64, w.users)
-	err := w.StreamShards(0, func(view *Workspace, lo, hi int) error {
-		dists := view.Dists(f, trainWeek)
-		for u, d := range dists {
-			t, err := d.Quantile(0.99)
-			if err != nil {
-				return fmt.Errorf("analysis: user %d %s: %w", lo+u, f, err)
-			}
-			stat[lo+u] = t
-		}
-		return nil
-	})
+	stat, err := w.TailStats(f, trainWeek, 0.99)
 	if err != nil {
 		return nil, false, err
 	}
@@ -175,8 +165,11 @@ func (w *Workspace) streamAssignment(f features.Feature, trainWeek int, pol core
 // sweep runners use; every user has the same bin count). Results are
 // bit-identical to the whole-heap evaluation: each user's operating
 // point is core.ScorePoint over the same test column, threshold and
-// overlay, written to its own population-indexed slot. workers < 1
-// fans one shard per CPU.
+// overlay, written to its own population-indexed slot. Each shard
+// extracts its users' test columns one at a time into a single
+// binsPerWeek scratch column instead of building the shard's raw
+// block. workers < 1 fans one shard per CPU. Panics on an invalid
+// feature or week, like Raw.
 func (w *Workspace) EvaluateSharded(f features.Feature, testWeek int, asn *core.Assignment, overlay []float64, workers int) (*core.EvalResult, error) {
 	if asn == nil {
 		return nil, fmt.Errorf("analysis: EvaluateSharded needs a configured assignment")
@@ -184,11 +177,14 @@ func (w *Workspace) EvaluateSharded(f features.Feature, testWeek int, asn *core.
 	if len(asn.Thresholds) != w.users {
 		return nil, fmt.Errorf("analysis: assignment covers %d users, population has %d", len(asn.Thresholds), w.users)
 	}
+	w.blockIndex(f, testWeek) // panics on an invalid feature or week
 	res := &core.EvalResult{Assignment: asn, Points: make([]core.OperatingPoint, w.users)}
 	err := w.StreamShards(workers, func(view *Workspace, lo, hi int) error {
-		raw := view.Raw(f, testWeek)
-		for u := range raw {
-			pt, err := core.ScorePoint(lo+u, raw[u], overlay, asn.Thresholds[lo+u])
+		col := make([]float64, w.binsPerWeek)
+		for u, m := range view.matrices {
+			wlo, whi := m.WeekRange(testWeek)
+			m.ColumnInto(col, f, wlo, whi)
+			pt, err := core.ScorePoint(lo+u, col, overlay, asn.Thresholds[lo+u])
 			if err != nil {
 				return err
 			}

@@ -2,8 +2,10 @@ package analysis
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -44,8 +46,10 @@ func streamedPair(t *testing.T, users int, seed uint64, shardUsers int) (whole, 
 // every population-wide artifact computed through bounded shards must
 // be bit-identical — not close — to the whole-heap computation, for
 // shard sizes bracketing the geometry (single user, odd size that
-// leaves a ragged tail, larger than the population) and for a
-// heavy-tail seed on each.
+// leaves a ragged tail, larger than the population, exactly the
+// population) and for a heavy-tail seed on each. The shared p99 pass
+// that groups every streamed policy is therefore pinned
+// shard-size-invariant too.
 func TestStreamingMatchesWholeHeap(t *testing.T) {
 	const users = 37
 	policies := []core.Policy{
@@ -61,7 +65,7 @@ func TestStreamingMatchesWholeHeap(t *testing.T) {
 		seed  uint64
 		shard int
 	}{
-		{53, 1}, {53, 7}, {87, 7}, {87, 128},
+		{53, 1}, {53, 7}, {87, 7}, {87, 128}, {53, users}, {87, users},
 	} {
 		whole, streamed := streamedPair(t, users, tc.seed, tc.shard)
 		f, trainWeek, testWeek := features.TCP, 0, 1
@@ -203,4 +207,137 @@ func TestStreamShardsCoversEveryUserConcurrently(t *testing.T) {
 func TestStreamingWorkspaceServesIdenticalViews(t *testing.T) {
 	whole, streamed := streamedPair(t, 16, 53, 3)
 	requireEqualWorkspaces(t, streamed, whole)
+}
+
+// sortedOnlyPasses runs every analysis that needs sorted columns only
+// over w: tail statistics, the sweep, a percentile and a utility
+// assignment each scored by the streaming evaluation, and the
+// distributions.
+func sortedOnlyPasses(t *testing.T, w *Workspace) {
+	t.Helper()
+	f := features.TCP
+	if _, err := w.TailStats(f, 0, 0.99); err != nil {
+		t.Fatal(err)
+	}
+	sweep := w.Sweep(f, 0, 8)
+	for _, pol := range []core.Policy{
+		{Heuristic: core.Percentile{Q: 0.99}, Grouping: core.Homogeneous{}},
+		{Heuristic: core.UtilityOptimal{W: 0.4}, Grouping: core.PartialDiversity{NumGroups: 4}},
+	} {
+		asn, err := w.Assignment(f, 0, pol, sweep, "sp8")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.EvaluateSharded(f, 1, asn, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Dists(f, 1)
+}
+
+// requireNoRaw fails if any block w has built holds raw columns.
+func requireNoRaw(t *testing.T, name string, w *Workspace) {
+	t.Helper()
+	built := 0
+	for idx, b := range w.blocks {
+		if b == nil {
+			continue
+		}
+		built++
+		if b.raw != nil {
+			t.Fatalf("%s: block %d copied its raw columns", name, idx)
+		}
+	}
+	if built == 0 {
+		t.Fatalf("%s: no block was built", name)
+	}
+}
+
+// TestSnapshotRawColumnsAreLazy pins that on a mapped store the passes
+// reading sorted columns never copy a raw column out of the mapping —
+// on the full workspace, whole-heap or streaming, and on every shard
+// view — that a later Raw still serves the in-memory workspace's
+// columns bit for bit, and that a streaming TailStats pass allocates
+// well under one raw block.
+func TestSnapshotRawColumnsAreLazy(t *testing.T) {
+	const users, shard = 64, 16
+	pop, key := popAndKey(t, users, 2, 53, 15*time.Minute)
+	dir := t.TempDir()
+	whole, err := MaterializeSharded(context.Background(), dir, key, 0, func(u int, rows [][features.NumFeatures]float64) {
+		pop.Users[u].FillSeries(rows)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { whole.Close() })
+	load := func() *Workspace {
+		t.Helper()
+		w, err := Load(dir, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		w.SetStreamShard(shard)
+		return w
+	}
+	streamed := load()
+	sortedOnlyPasses(t, whole)
+	requireNoRaw(t, "whole-heap", whole)
+	sortedOnlyPasses(t, streamed)
+	requireNoRaw(t, "streaming", streamed)
+
+	matrices := make([]*features.Matrix, users)
+	for u := range matrices {
+		matrices[u] = pop.Users[u].Series()
+	}
+	ref := New(matrices)
+	// One worker runs every shard on this goroutine, so the callback
+	// may fail the test directly.
+	err = streamed.StreamShards(1, func(view *Workspace, lo, hi int) error {
+		sortedOnlyPasses(t, view)
+		requireNoRaw(t, fmt.Sprintf("view [%d, %d)", lo, hi), view)
+		got, want := view.Raw(features.TCP, 1), ref.Raw(features.TCP, 1)[lo:hi]
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("view [%d, %d): raw columns diverge from the in-memory workspace", lo, hi)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Concurrent first calls share one extraction.
+	cols := make([][][]float64, 4)
+	var wg sync.WaitGroup
+	for i := range cols {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cols[i] = streamed.Raw(features.UDP, 0)
+		}()
+	}
+	wg.Wait()
+	for i := range cols {
+		if &cols[i][0][0] != &cols[0][0][0] {
+			t.Fatal("concurrent Raw calls extracted the block more than once")
+		}
+	}
+	for week := 0; week < ref.Weeks(); week++ {
+		for _, f := range features.All() {
+			if !reflect.DeepEqual(streamed.Raw(f, week), ref.Raw(f, week)) {
+				t.Fatalf("%s week %d: raw columns diverge from the in-memory workspace", f, week)
+			}
+		}
+	}
+
+	fresh := load()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := fresh.TailStats(features.UDP, 0, 0.99); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	budget := uint64(users*fresh.BinsPerWeek()*8) / 4
+	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+		t.Fatalf("streaming TailStats allocated %d bytes, want < %d (a quarter of one raw block)", got, budget)
+	}
 }

@@ -56,9 +56,9 @@ type Workspace struct {
 
 	// blocks[w*NumFeatures+f] is the lazily built columnar view of
 	// one (feature, week); blockOnce guards each build (NewGenerated
-	// fills every block eagerly and burns the onces; Load leaves them
-	// all unfired and ensureBlock wires each block from the mapped
-	// snapshot on first use).
+	// fills every block eagerly and burns the onces; Load and ViewRange
+	// leave them all unfired and ensureBlock wires each block's sorted
+	// columns from the mapped snapshot on first use).
 	blocks    []*block
 	blockOnce []sync.Once
 
@@ -86,15 +86,22 @@ type Workspace struct {
 }
 
 // block is the columnar view of one (feature, week): every user's
-// time-ordered column, the sorted counterpart, and an Empirical
-// adopting the sorted slice. The per-user slices are carved out of
-// two block-wide slabs (or, for a snapshot-backed workspace, point
-// straight into the mapped file), so building a block costs O(1)
-// allocations instead of O(users).
+// sorted column, an Empirical adopting it, and the time-ordered
+// column. The per-user slices are carved out of block-wide slabs (or,
+// for a snapshot-backed workspace, the sorted ones point straight into
+// the mapped file), so building a block costs O(1) allocations instead
+// of O(users).
 type block struct {
-	raw    [][]float64
 	sorted [][]float64
 	dists  []*stats.Empirical
+
+	// raw holds the time-ordered columns. In-memory blocks extract them
+	// together with the sorted ones; snapshot-backed blocks leave raw
+	// nil until Raw or RawUser fires rawOnce, because rows interleave
+	// the six features and a raw column is the one view the file cannot
+	// serve without copying.
+	raw     [][]float64
+	rawOnce sync.Once
 
 	// rawBuf/sortedBuf back the per-user slices; emp backs dists.
 	// sortedBuf is nil when sorted views alias a snapshot mapping.
@@ -268,12 +275,12 @@ func (b *block) fillUser(m *features.Matrix, u int, f features.Feature, week int
 }
 
 // ensureBlock builds the columnar view of one (feature, week) on
-// first use, fanning the per-user extract-and-sort over all CPUs. On
-// a snapshot-backed workspace the sorted columns (and the
-// distributions adopting them) are zero-copy views of the mapping —
-// only the raw time-ordered columns are materialized here, because
-// rows interleave the six features so a raw column is the one view
-// the file cannot serve as a contiguous run.
+// first use, fanning the per-user work over all CPUs. On an in-memory
+// workspace that is the extract-and-sort of fillUser, raw columns
+// included. On a snapshot-backed workspace, full or ViewRange alike,
+// it only wires the sorted columns and the distributions adopting
+// them as zero-copy views of the mapping; the raw columns wait for
+// Raw, so a pass that reads only sorted data copies nothing.
 func (w *Workspace) ensureBlock(f features.Feature, week int) *block {
 	idx := w.blockIndex(f, week)
 	w.blockOnce[idx].Do(func() {
@@ -281,10 +288,8 @@ func (w *Workspace) ensureBlock(f features.Feature, week int) *block {
 		var b *block
 		if w.snap != nil {
 			b = &block{
-				raw:    make([][]float64, w.users),
 				sorted: make([][]float64, w.users),
 				dists:  make([]*stats.Empirical, w.users),
-				rawBuf: make([]float64, w.users*bpw),
 				emp:    make([]stats.Empirical, w.users),
 			}
 			par.ForEach(w.users, 0, func(u int) {
@@ -296,11 +301,6 @@ func (w *Workspace) ensureBlock(f features.Feature, week int) *block {
 				}
 				b.sorted[u] = s
 				b.dists[u] = &b.emp[u]
-				m := w.matrices[u]
-				lo, hi := m.WeekRange(week)
-				raw := b.rawBuf[u*bpw : (u+1)*bpw : (u+1)*bpw]
-				m.ColumnInto(raw, f, lo, hi)
-				b.raw[u] = raw
 			})
 		} else {
 			b = newBlock(w.users, bpw)
@@ -314,14 +314,35 @@ func (w *Workspace) ensureBlock(f features.Feature, week int) *block {
 }
 
 // Raw returns every user's time-ordered column of one feature-week.
-// The slices are shared: callers must not modify them.
+// On a snapshot-backed workspace the first call copies the columns
+// out of the mapped rows into one users×binsPerWeek slab; nothing else
+// the workspace serves needs them. The slices are shared: callers
+// must not modify them.
 func (w *Workspace) Raw(f features.Feature, week int) [][]float64 {
-	return w.ensureBlock(f, week).raw
+	b := w.ensureBlock(f, week)
+	b.rawOnce.Do(func() {
+		if b.raw != nil {
+			return // in-memory blocks extract raw with sorted
+		}
+		bpw := w.binsPerWeek
+		raw := make([][]float64, w.users)
+		buf := make([]float64, w.users*bpw)
+		par.ForEach(w.users, 0, func(u int) {
+			m := w.matrices[u]
+			lo, hi := m.WeekRange(week)
+			col := buf[u*bpw : (u+1)*bpw : (u+1)*bpw]
+			m.ColumnInto(col, f, lo, hi)
+			raw[u] = col
+		})
+		b.raw = raw
+	})
+	return b.raw
 }
 
-// RawUser returns one user's time-ordered column (shared, read-only).
+// RawUser returns one user's time-ordered column (shared, read-only),
+// with Raw's cost on first use.
 func (w *Workspace) RawUser(u int, f features.Feature, week int) []float64 {
-	return w.ensureBlock(f, week).raw[u]
+	return w.Raw(f, week)[u]
 }
 
 // Sorted returns every user's pre-sorted column of one feature-week
@@ -468,13 +489,19 @@ func (w *Workspace) Sweep(f features.Feature, trainWeek, n int) []float64 {
 // Assignment returns the memoized threshold configuration of one
 // policy on one feature's training week. sweepKey must uniquely
 // identify the attack-magnitude input (use "" for nil magnitudes):
-// the cache key is (feature, week, policy name, sweepKey). When the
-// policy's heuristic optimizes an objective over the threshold
-// frontier, the configuration reuses the workspace's memoized
-// per-user frontiers, so every frontier-scoring heuristic under the
-// same sweep shares one frontier build per user. The returned
-// assignment is shared and must not be modified.
+// the cache key is (feature, week, policy name, sweepKey). Percentile
+// and MeanSigma thresholds ignore attack magnitudes, so for them
+// attack and sweepKey are dropped and every sweep shares the nil-sweep
+// entry. When the policy's heuristic optimizes an objective over the
+// threshold frontier, the configuration reuses the workspace's
+// memoized per-user frontiers, so every frontier-scoring heuristic
+// under the same sweep shares one frontier build per user. The
+// returned assignment is shared and must not be modified.
 func (w *Workspace) Assignment(f features.Feature, trainWeek int, pol core.Policy, attack []float64, sweepKey string) (*core.Assignment, error) {
+	switch pol.Heuristic.(type) {
+	case core.Percentile, core.MeanSigma:
+		attack, sweepKey = nil, ""
+	}
 	key := fmt.Sprintf("asn/%d/%d/%s/%s", int(f), trainWeek, pol.Name(), sweepKey)
 	v, err := w.Memo(key, func() (any, error) {
 		if w.Streaming() {

@@ -147,6 +147,41 @@ func TestWorkspaceAssignmentMemoized(t *testing.T) {
 	}
 }
 
+// TestAssignmentAttackFreeHeuristicsShareOneEntry pins that a
+// heuristic ignoring attack magnitudes configures once per policy
+// whatever sweep it is asked under, while an objective heuristic keeps
+// one entry per sweep.
+func TestAssignmentAttackFreeHeuristicsShareOneEntry(t *testing.T) {
+	ws := New(testMatrices(6, 1))
+	sweep := ws.Sweep(features.TCP, 0, 10)
+	for _, h := range []core.Heuristic{core.Percentile{Q: 0.99}, core.MeanSigma{K: 3}} {
+		pol := core.Policy{Heuristic: h, Grouping: core.PartialDiversity{NumGroups: 2}}
+		swept, err := ws.Assignment(features.TCP, 0, pol, sweep, "sp10")
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := ws.Assignment(features.TCP, 0, pol, nil, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if swept != plain {
+			t.Fatalf("%s: the sp10 and nil-sweep requests configured twice", h.Name())
+		}
+	}
+	pol := core.Policy{Heuristic: core.UtilityOptimal{W: 0.4}, Grouping: core.FullDiversity{}}
+	a, err := ws.Assignment(features.TCP, 0, pol, sweep, "sp10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ws.Assignment(features.TCP, 0, pol, sweep[:5], "sp5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatal("utility assignments under two sweeps share a cache entry")
+	}
+}
+
 func TestMemoSingleFlight(t *testing.T) {
 	ws := New(testMatrices(2, 1))
 	var calls int

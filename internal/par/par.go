@@ -34,6 +34,12 @@ func Workers(requested, n int) int {
 // work distribution is dynamic: cheap items don't stall behind
 // expensive ones. fn must be safe for concurrent invocation on
 // distinct indices.
+//
+// A panic in fn behaves as in the serial loop: it surfaces on the
+// calling goroutine, so the caller's recover sees it. The worker's
+// panic is recovered, no further indices are handed out, and once the
+// in-flight calls have returned the first recovered value is
+// re-panicked.
 func ForEach(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -45,12 +51,22 @@ func ForEach(n, workers int, fn func(i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	var (
+		next      atomic.Int64
+		wg        sync.WaitGroup
+		panicOnce sync.Once
+		panicVal  any // non-nil once a worker panicked: recover never returns nil for a panic
+	)
 	wg.Add(w)
 	for g := 0; g < w; g++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicOnce.Do(func() { panicVal = r })
+					next.Store(int64(n))
+				}
+			}()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -61,6 +77,9 @@ func ForEach(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+	if panicVal != nil {
+		panic(panicVal)
+	}
 }
 
 // ForEachErr is ForEach for fallible work: it runs fn(i) for every i

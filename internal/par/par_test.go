@@ -47,6 +47,47 @@ func TestForEachErrReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
+// TestForEachRepanicsOnCaller pins that a panic inside fn reaches the
+// caller's recover on both the serial and the multi-worker path, with
+// its original value, and that the pool stops handing out indices once
+// a worker has panicked.
+func TestForEachRepanicsOnCaller(t *testing.T) {
+	const n = 10_000
+	for _, workers := range []int{1, 4} {
+		var calls atomic.Int64
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			ForEach(n, workers, func(i int) {
+				calls.Add(1)
+				if i == 3 {
+					panic("boom")
+				}
+			})
+			return nil
+		}()
+		if got != "boom" {
+			t.Fatalf("workers=%d: recovered %v, want the worker's panic value", workers, got)
+		}
+		if c := calls.Load(); c >= n {
+			t.Fatalf("workers=%d: %d calls after the panic, want the pool to stop early", workers, c)
+		}
+	}
+	// The error variant runs through the same pool.
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		ForEachErr(64, 4, func(i int) error {
+			if i == 63 {
+				panic(errors.New("late"))
+			}
+			return nil
+		})
+		return nil
+	}()
+	if err, ok := got.(error); !ok || err.Error() != "late" {
+		t.Fatalf("ForEachErr: recovered %v, want the worker's panic value", got)
+	}
+}
+
 func TestWorkersClamping(t *testing.T) {
 	if w := Workers(8, 3); w != 3 {
 		t.Fatalf("Workers(8,3) = %d", w)
