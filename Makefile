@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify soak chaos-soak bench bench-check experiments snapshot-smoke shard-smoke eval-smoke hidsbench-smoke build-chaos-smoke remote-chaos-smoke
+.PHONY: all build vet test race verify soak chaos-soak fuzz bench bench-check experiments snapshot-smoke shard-smoke eval-smoke hidsbench-smoke build-chaos-smoke remote-chaos-smoke
 
 all: verify
 
@@ -39,13 +39,26 @@ soak:
 chaos-soak:
 	$(GO) test -race -run TestChaos ./internal/fleet -timeout 15m -v
 
-# bench runs the per-experiment benchmarks — root package plus the
-# generation-path microbenches in internal/trace and internal/xrand —
-# and records them as BENCH_repro.json, the perf trajectory checked
-# in with each PR.
+# fuzz runs each native fuzz target for a bounded time: the console
+# frame reader and its two binary payload codecs. Seed corpora live in
+# internal/console/testdata/fuzz; go test runs them as plain tests
+# too. CI runs this as its own job.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadMsg$$' -fuzztime 10s ./internal/console
+	$(GO) test -run '^$$' -fuzz '^FuzzDistUpload$$' -fuzztime 10s ./internal/console
+	$(GO) test -run '^$$' -fuzz '^FuzzAlertBatch$$' -fuzztime 10s ./internal/console
+
+# bench runs the per-experiment benchmarks — root package, the
+# generation-path microbenches in internal/trace and internal/xrand,
+# and the detection loop's wire codec (internal/console) and 250-agent
+# fleet run (internal/fleet) — and records them as BENCH_repro.json,
+# the perf trajectory checked in with each PR. The hand-recorded
+# before_after section of the old file is carried over.
+BENCH_PKGS = . ./internal/trace ./internal/xrand ./internal/console ./internal/fleet
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -timeout 60m . ./internal/trace ./internal/xrand | tee /tmp/bench_repro.txt
-	./scripts/bench_json.sh /tmp/bench_repro.txt scripts/seed_baseline.bench > BENCH_repro.json
+	$(GO) test -run '^$$' -bench . -benchmem -timeout 60m $(BENCH_PKGS) | tee /tmp/bench_repro.txt
+	./scripts/bench_json.sh /tmp/bench_repro.txt scripts/seed_baseline.bench BENCH_repro.json > /tmp/bench_repro.json
+	mv /tmp/bench_repro.json BENCH_repro.json
 	@echo wrote BENCH_repro.json
 
 # bench-check re-measures the suite and fails if any benchmark
@@ -53,7 +66,7 @@ bench:
 # BENCH_repro.json. Run it before a perf PR; `make bench` afterwards
 # to refresh the baseline.
 bench-check:
-	$(GO) test -run '^$$' -bench . -benchmem -timeout 60m . ./internal/trace ./internal/xrand | tee /tmp/bench_check.txt
+	$(GO) test -run '^$$' -bench . -benchmem -timeout 60m $(BENCH_PKGS) | tee /tmp/bench_check.txt
 	./scripts/bench_json.sh -check /tmp/bench_check.txt BENCH_repro.json
 
 # snapshot-smoke proves the on-disk workspace store end to end: the

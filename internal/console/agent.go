@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -247,7 +249,7 @@ func Connect(cfg AgentConfig) (*Agent, error) {
 func (a *Agent) handshake(conn net.Conn, resume bool) (*link, error) {
 	l := &link{conn: conn, ackCh: make(chan Ack, 16), done: make(chan struct{})}
 	go a.readLoop(l)
-	if err := a.writeTo(l, MsgHello, Hello{HostID: a.hostID, Hostname: a.hostname, Resume: resume}); err != nil {
+	if err := a.writeTo(l, MsgHello, Hello{HostID: a.hostID, Hostname: a.hostname, Resume: resume, Proto: ProtoVersion}); err != nil {
 		l.fail(err)
 		return nil, err
 	}
@@ -536,17 +538,21 @@ func (a *Agent) targetUploadEpoch() int {
 	return a.thresholds.Epoch + 1
 }
 
-// UploadDistribution ships one feature's training samples.
+// UploadDistribution ships one feature's training samples. It sorts a
+// copy; samples is left as it is.
 func (a *Agent) UploadDistribution(f features.Feature, samples []float64) error {
 	if !f.Valid() {
 		return fmt.Errorf("console: invalid feature %d", int(f))
 	}
-	return a.uploadDistribution(f, samples, a.targetUploadEpoch())
+	sorted := slices.Clone(samples)
+	sort.Float64s(sorted)
+	return a.uploadDistribution(f, sorted, a.targetUploadEpoch())
 }
 
-func (a *Agent) uploadDistribution(f features.Feature, samples []float64, epoch int) error {
+// uploadDistribution ships one feature's sorted training samples.
+func (a *Agent) uploadDistribution(f features.Feature, sorted []float64, epoch int) error {
 	return a.rpc(MsgDistUpload, DistUpload{
-		HostID: a.hostID, Feature: int(f), Samples: samples, Epoch: epoch,
+		HostID: a.hostID, Feature: int(f), Samples: sorted, Epoch: epoch,
 	})
 }
 
@@ -556,7 +562,9 @@ func (a *Agent) uploadDistribution(f features.Feature, samples []float64, epoch 
 func (a *Agent) UploadMatrix(m *features.Matrix, lo, hi int) error {
 	epoch := a.targetUploadEpoch()
 	for _, f := range features.All() {
-		if err := a.uploadDistribution(f, m.ColumnSlice(f, lo, hi), epoch); err != nil {
+		col := m.ColumnSlice(f, lo, hi) // a fresh copy, ours to sort
+		sort.Float64s(col)
+		if err := a.uploadDistribution(f, col, epoch); err != nil {
 			return fmt.Errorf("console: uploading %s: %w", f, err)
 		}
 	}

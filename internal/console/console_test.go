@@ -3,6 +3,7 @@ package console
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -15,25 +16,29 @@ import (
 	"repro/internal/trace"
 )
 
+// TestWriteReadMsgRoundTrip sends a week of 5-minute bins with awkward
+// values through the frame codec: every sample must come back with the
+// same bits, in a body of exactly 20+8n bytes.
 func TestWriteReadMsgRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	in := DistUpload{HostID: 9, Feature: int(features.UDP), Samples: []float64{1, 2, 3.5}}
-	if err := WriteMsg(&buf, MsgDistUpload, in); err != nil {
-		t.Fatal(err)
+	samples := make([]float64, 2016)
+	specials := []float64{math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, -math.MaxFloat64, math.MaxFloat64, 1e-310, 0.1 + 0.2}
+	for i := range samples {
+		samples[i] = float64(i)/3 - 300
 	}
-	typ, body, err := ReadMsg(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != MsgDistUpload {
-		t.Fatalf("type = %v", typ)
-	}
+	copy(samples, specials)
+	in := DistUpload{HostID: math.MaxUint32, Feature: int(features.Distinct), Epoch: -7, Samples: samples}
 	var out DistUpload
-	if err := decode(typ, body, &out); err != nil {
-		t.Fatal(err)
+	body := roundTrip(t, MsgDistUpload, in, &out)
+	if len(body) != distUploadHeader+sampleSize*len(samples) {
+		t.Fatalf("body is %d bytes, want %d", len(body), distUploadHeader+sampleSize*len(samples))
 	}
-	if out.HostID != 9 || out.Feature != int(features.UDP) || len(out.Samples) != 3 {
-		t.Fatalf("round trip: %+v", out)
+	if out.HostID != in.HostID || out.Feature != in.Feature || out.Epoch != in.Epoch || len(out.Samples) != len(samples) {
+		t.Fatalf("header round trip: got host %d feature %d epoch %d n %d", out.HostID, out.Feature, out.Epoch, len(out.Samples))
+	}
+	for i, v := range samples {
+		if math.Float64bits(out.Samples[i]) != math.Float64bits(v) {
+			t.Fatalf("sample %d: %x, want %x", i, math.Float64bits(out.Samples[i]), math.Float64bits(v))
+		}
 	}
 }
 

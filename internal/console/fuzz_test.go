@@ -2,8 +2,11 @@ package console
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding"
+	"math"
 	"net"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -148,11 +151,11 @@ func TestFrameStreamThroughFaults(t *testing.T) {
 					}
 					payload = DistUpload{HostID: 3, Feature: rng.Intn(6), Samples: samples}
 				}
-				body, err := json.Marshal(payload)
-				if err != nil {
+				var enc bytes.Buffer
+				if err := WriteMsg(&enc, typ, payload); err != nil {
 					t.Fatal(err)
 				}
-				sent = append(sent, frame{typ, body})
+				sent = append(sent, frame{typ, enc.Bytes()[5:]})
 				if err := WriteMsg(conn, typ, payload); err != nil {
 					// The frame errored mid-transport; it may have been
 					// partially delivered, so it cannot count as sent
@@ -220,4 +223,255 @@ func TestServerSurvivesSlowHello(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("accept loop wedged by a stalled connection")
 	}
+}
+
+// The native fuzz targets below check three properties of the wire
+// codec: no input panics; a body is either rejected or round-trips
+// exactly; and decoding allocates in proportion to the body, never to
+// a count the body declares. Their seed corpora live in
+// testdata/fuzz/<target>; `make fuzz` runs each target for a bounded
+// time.
+
+// allocated returns the heap bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// allocSlack covers what a codec call allocates beyond its payload:
+// the allocator's rounding up to size classes and 8 KiB pages, and an
+// error value.
+const allocSlack = 16 << 10
+
+// checkDecodeAlloc fails when decoding an n-byte body allocated more
+// than the body carries. The limit is twice the body plus allocSlack,
+// since an in-memory Alert takes 32 bytes to its 24 on the wire. A
+// decoder that allocated by a declared count before checking it
+// against the length (up to 32 GiB for a 20-byte body) is far past it.
+func checkDecodeAlloc(t *testing.T, n int, got uint64) {
+	t.Helper()
+	if limit := 2*uint64(n) + allocSlack; got > limit {
+		t.Fatalf("decoding a %d-byte body allocated %d bytes (limit %d)", n, got, limit)
+	}
+}
+
+func mustBinary(tb testing.TB, v encoding.BinaryMarshaler) []byte {
+	tb.Helper()
+	b, err := v.MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+func FuzzDistUpload(f *testing.F) {
+	for _, u := range []DistUpload{
+		{},
+		{HostID: 3, Feature: 2, Epoch: 1, Samples: []float64{0, 1.5, 2}},
+		{HostID: math.MaxUint32, Feature: 5, Epoch: -1, Samples: []float64{math.Copysign(0, -1), math.MaxFloat64}},
+	} {
+		f.Add(mustBinary(f, u))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var (
+			u   DistUpload
+			err error
+		)
+		checkDecodeAlloc(t, len(body), allocated(func() { err = u.UnmarshalBinary(body) }))
+		if err == nil {
+			if again, err := u.MarshalBinary(); err != nil || !bytes.Equal(again, body) {
+				t.Fatalf("accepted body does not re-encode to itself (err %v)", err)
+			}
+		}
+		// Encode side: the body's bytes as sample bits. Encoding fails
+		// exactly when a sample is not finite, and otherwise decodes
+		// back bit for bit.
+		in := DistUpload{HostID: 1, Feature: 2, Epoch: 3, Samples: make([]float64, len(body)/sampleSize)}
+		allFinite := true
+		for i := range in.Samples {
+			in.Samples[i] = math.Float64frombits(le.Uint64(body[sampleSize*i:]))
+			allFinite = allFinite && finite(in.Samples[i])
+		}
+		enc, err := in.MarshalBinary()
+		if (err == nil) != allFinite {
+			t.Fatalf("encode err %v with all samples finite = %v", err, allFinite)
+		}
+		if err != nil {
+			return
+		}
+		var back DistUpload
+		if err := back.UnmarshalBinary(enc); err != nil {
+			t.Fatalf("own encoding rejected: %v", err)
+		}
+		for i, v := range in.Samples {
+			if math.Float64bits(back.Samples[i]) != math.Float64bits(v) {
+				t.Fatalf("sample %d: %x, want %x", i, math.Float64bits(back.Samples[i]), math.Float64bits(v))
+			}
+		}
+	})
+}
+
+func FuzzAlertBatch(f *testing.F) {
+	for _, ab := range []AlertBatch{
+		{},
+		{HostID: 3, Seq: 9, Alerts: []Alert{{Feature: 1, Bin: 40, Value: 12, Threshold: 7.5}}},
+		{HostID: math.MaxUint32, Seq: math.MaxUint64, Alerts: []Alert{
+			{Feature: -1, Bin: math.MinInt32, Value: math.Copysign(0, -1), Threshold: math.MaxFloat64},
+			{Feature: 5, Bin: math.MaxInt32, Value: 1, Threshold: 0},
+		}},
+	} {
+		f.Add(mustBinary(f, ab))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var (
+			ab  AlertBatch
+			err error
+		)
+		checkDecodeAlloc(t, len(body), allocated(func() { err = ab.UnmarshalBinary(body) }))
+		if err == nil {
+			if again, err := ab.MarshalBinary(); err != nil || !bytes.Equal(again, body) {
+				t.Fatalf("accepted body does not re-encode to itself (err %v)", err)
+			}
+		}
+		// Encode side: the body's bytes as alert records.
+		in := AlertBatch{HostID: 1, Seq: 2, Alerts: make([]Alert, len(body)/alertSize)}
+		allFinite := true
+		for i := range in.Alerts {
+			p := body[alertSize*i:]
+			a := Alert{
+				Feature:   int(int32(le.Uint32(p[0:]))),
+				Bin:       int(int32(le.Uint32(p[4:]))),
+				Value:     math.Float64frombits(le.Uint64(p[8:])),
+				Threshold: math.Float64frombits(le.Uint64(p[16:])),
+			}
+			in.Alerts[i] = a
+			allFinite = allFinite && finite(a.Value) && finite(a.Threshold)
+		}
+		enc, err := in.MarshalBinary()
+		if (err == nil) != allFinite {
+			t.Fatalf("encode err %v with all values finite = %v", err, allFinite)
+		}
+		if err != nil {
+			return
+		}
+		var back AlertBatch
+		if err := back.UnmarshalBinary(enc); err != nil {
+			t.Fatalf("own encoding rejected: %v", err)
+		}
+		for i, a := range in.Alerts {
+			b := back.Alerts[i]
+			if a.Feature != b.Feature || a.Bin != b.Bin ||
+				math.Float64bits(a.Value) != math.Float64bits(b.Value) ||
+				math.Float64bits(a.Threshold) != math.Float64bits(b.Threshold) {
+				t.Fatalf("alert %d: %+v, want %+v", i, b, a)
+			}
+		}
+	})
+}
+
+// payloadFor returns a fresh payload value for a message type, or nil
+// for an unknown type.
+func payloadFor(t MsgType) any {
+	switch t {
+	case MsgHello:
+		return new(Hello)
+	case MsgDistUpload:
+		return new(DistUpload)
+	case MsgThresholds:
+		return new(Thresholds)
+	case MsgAlertBatch:
+		return new(AlertBatch)
+	case MsgAck:
+		return new(Ack)
+	case MsgError:
+		return new(ProtoError)
+	case MsgPing:
+		return new(Ping)
+	}
+	return nil
+}
+
+func FuzzReadMsg(f *testing.F) {
+	frame := func(t MsgType, payload any) []byte {
+		var buf bytes.Buffer
+		if err := WriteMsg(&buf, t, payload); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var thr Thresholds
+	for i := range thr.Values {
+		thr.Values[i] = float64(10 * i)
+	}
+	thr.Policy, thr.Group, thr.Epoch = "percentile(99)/8-partial", 3, 1
+	upload := frame(MsgDistUpload, DistUpload{HostID: 2, Feature: 1, Samples: []float64{1, 2, 4}})
+	for _, seed := range [][]byte{
+		frame(MsgHello, Hello{HostID: 7, Hostname: "host-7", Resume: true, Proto: ProtoVersion}),
+		upload,
+		frame(MsgThresholds, thr),
+		frame(MsgAlertBatch, AlertBatch{HostID: 2, Seq: 1, Alerts: []Alert{{Feature: 1, Bin: 3, Value: 9, Threshold: 4}}}),
+		frame(MsgAck, Ack{Seq: 1}),
+		frame(MsgError, ProtoError{Message: "expected hello"}),
+		frame(MsgPing, Ping{HostID: 2}),
+		upload[:len(upload)-1],                 // truncated body
+		{0xff, 0xff, 0xff, 0xff, byte(MsgAck)}, // over MaxFrame
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var (
+			typ  MsgType
+			body []byte
+			err  error
+		)
+		got := allocated(func() { typ, body, err = ReadMsg(bytes.NewReader(data)) })
+		// ReadMsg allocates the declared body, capped by MaxFrame.
+		if len(data) >= 5 {
+			if limit := uint64(min(le.Uint32(data), MaxFrame)) + allocSlack; got > limit {
+				t.Fatalf("ReadMsg allocated %d bytes (limit %d)", got, limit)
+			}
+		}
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(data[:5+len(body)], append([]byte{data[0], data[1], data[2], data[3], byte(typ)}, body...)) {
+			t.Fatalf("ReadMsg returned a body that is not the frame's")
+		}
+		v := payloadFor(typ)
+		if v == nil {
+			return
+		}
+		_, binary := v.(encoding.BinaryUnmarshaler)
+		if binary {
+			checkDecodeAlloc(t, len(body), allocated(func() { err = decode(typ, body, v) }))
+		} else {
+			err = decode(typ, body, v)
+		}
+		if err != nil {
+			return
+		}
+		// An accepted payload survives a second trip through the frame
+		// codec: byte for byte when binary, value for value when JSON.
+		var buf bytes.Buffer
+		if err := WriteMsg(&buf, typ, v); err != nil {
+			t.Fatalf("re-encoding an accepted %s: %v", typ, err)
+		}
+		typ2, body2, err := ReadMsg(&buf)
+		if err != nil || typ2 != typ {
+			t.Fatalf("re-read %s as %s: %v", typ, typ2, err)
+		}
+		if binary {
+			if !bytes.Equal(body2, body) {
+				t.Fatalf("%s body does not re-encode to itself", typ)
+			}
+			return
+		}
+		v2 := payloadFor(typ)
+		if err := decode(typ, body2, v2); err != nil || !reflect.DeepEqual(v, v2) {
+			t.Fatalf("%s round trip: %+v -> %+v (err %v)", typ, v, v2, err)
+		}
+	})
 }

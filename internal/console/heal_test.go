@@ -25,7 +25,7 @@ func rawDial(t *testing.T, network *netsim.MemNetwork, host uint32, resume bool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteMsg(conn, MsgHello, Hello{HostID: host, Resume: resume}); err != nil {
+	if err := WriteMsg(conn, MsgHello, Hello{HostID: host, Resume: resume, Proto: ProtoVersion}); err != nil {
 		t.Fatal(err)
 	}
 	expectFrame(t, conn, MsgAck)

@@ -15,18 +15,36 @@
 //
 //	uint32 little-endian payload length
 //	uint8  message type
-//	JSON payload
+//	payload
 //
-// JSON keeps the protocol debuggable (this is a management plane, not
-// a data plane; the per-message rate is tiny). The length prefix is
-// capped to protect both sides from corrupt or hostile peers.
+// The two bulk messages have fixed-width little-endian binary payloads
+// (MarshalBinary/UnmarshalBinary):
+//
+//	dist-upload  u32 host | u32 feature | i64 epoch | u32 n | n×f64           (20+8n bytes)
+//	alert-batch  u32 host | u64 seq | u32 n | n×{i32 feature, i32 bin,
+//	             f64 value, f64 threshold}                                 (16+24n bytes)
+//
+// They carry the fleet's training distributions and alert reports,
+// hundreds of floats per message and thousands of messages per
+// configuration round, so they are copied as raw IEEE-754 bits: exact,
+// and an order of magnitude cheaper than decimal text. Both reject
+// non-finite values and a count the length does not match, on encode
+// and on decode. Every other (control) message is JSON, which keeps
+// the rare ones debuggable. The hello carries ProtoVersion; the
+// console answers any other version with an error frame. The length
+// prefix is capped to protect both sides from corrupt or hostile
+// peers.
 package console
 
 import (
+	"encoding"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 
 	"repro/internal/features"
 )
@@ -80,9 +98,14 @@ func (t MsgType) String() string {
 }
 
 // MaxFrame is the largest accepted payload. A full week of 5-minute
-// bins is ~2016 float64 samples ≈ 40 KiB of JSON; 8 MiB leaves two
-// orders of magnitude of headroom.
+// bins is 2016 samples, a 16 KiB dist-upload; 8 MiB leaves two orders
+// of magnitude of headroom.
 const MaxFrame = 8 << 20
+
+// ProtoVersion is the wire protocol revision. A hello must carry it:
+// version 2 made the bulk payloads binary, so a version-1 agent's JSON
+// uploads would only fail to decode later, less clearly.
+const ProtoVersion = 2
 
 // Hello is the agent's introduction.
 type Hello struct {
@@ -96,17 +119,21 @@ type Hello struct {
 	// watermark. A fresh hello (Resume false) restarts the stream and
 	// resets the watermark — a restarted agent process begins at 1.
 	Resume bool `json:"resume,omitempty"`
+	// Proto is the sender's protocol revision; it must equal
+	// ProtoVersion.
+	Proto int `json:"proto"`
 }
 
 // DistUpload is one feature's training distribution. Samples are the
-// raw per-window feature values; the console builds the empirical
-// distribution (and, for homogeneous/partial policies, merges them
+// host's per-window feature values in ascending order (the agent sorts
+// them); the console adopts them as the host's empirical distribution
+// without copying (and, for homogeneous/partial policies, merges them
 // across hosts — "all the individual distributions are collapsed
 // into a single global distribution", §4).
 type DistUpload struct {
-	HostID  uint32    `json:"host_id"`
-	Feature int       `json:"feature"`
-	Samples []float64 `json:"samples"`
+	HostID  uint32
+	Feature int
+	Samples []float64
 	// Epoch is the configuration epoch this upload targets: the epoch
 	// the host expects its thresholds to carry. The console stores
 	// uploads for the current open epoch, opens epoch e+1 when a host
@@ -114,7 +141,7 @@ type DistUpload struct {
 	// and idempotently acknowledges-and-drops stale epochs — which is
 	// what makes a reconnecting agent's re-sent upload harmless
 	// instead of wiping the fleet's training state.
-	Epoch int `json:"epoch,omitempty"`
+	Epoch int
 }
 
 // Thresholds is the console's configuration push: one threshold per
@@ -136,23 +163,23 @@ type Thresholds struct {
 
 // Alert is one threshold exceedance on one host.
 type Alert struct {
-	Feature   int     `json:"feature"`
-	Bin       int     `json:"bin"`
-	Value     float64 `json:"value"`
-	Threshold float64 `json:"threshold"`
+	Feature   int
+	Bin       int
+	Value     float64
+	Threshold float64
 }
 
 // AlertBatch is the periodic alert report (§3: "alerts are generated
 // and periodically sent to a central console").
 type AlertBatch struct {
-	HostID uint32  `json:"host_id"`
-	Alerts []Alert `json:"alerts"`
+	HostID uint32
+	Alerts []Alert
 	// Seq is the agent-assigned batch sequence number, starting at 1
 	// and stable across re-sends of the same batch; the console drops
 	// (but still acknowledges) a sequence it has already tallied, so a
 	// batch whose ack was lost in transit is never double-counted.
 	// Zero means unsequenced (legacy senders) and always passes.
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64
 }
 
 // Ack acknowledges receipt; Seq echoes the sender's sequence number
@@ -171,22 +198,153 @@ type ProtoError struct {
 	Message string `json:"message"`
 }
 
-// WriteMsg frames and writes one message.
+// Binary payload sizes: fixed header, then fixed-width records.
+const (
+	distUploadHeader = 20 // u32 host, u32 feature, i64 epoch, u32 n
+	sampleSize       = 8
+	alertBatchHeader = 16 // u32 host, u64 seq, u32 n
+	alertSize        = 24 // i32 feature, i32 bin, f64 value, f64 threshold
+)
+
+var le = binary.LittleEndian
+
+// errNonFinite rejects NaN and ±Inf on the wire, as JSON did.
+var errNonFinite = errors.New("non-finite value")
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// AppendBinary appends the upload's binary payload to b.
+func (u DistUpload) AppendBinary(b []byte) ([]byte, error) {
+	if u.Feature < 0 || int64(u.Feature) > math.MaxUint32 {
+		return b, fmt.Errorf("feature %d does not fit u32", u.Feature)
+	}
+	if uint64(len(u.Samples)) > math.MaxUint32 {
+		return b, fmt.Errorf("%d samples do not fit u32", len(u.Samples))
+	}
+	b = slices.Grow(b, distUploadHeader+sampleSize*len(u.Samples))
+	b = le.AppendUint32(b, u.HostID)
+	b = le.AppendUint32(b, uint32(u.Feature))
+	b = le.AppendUint64(b, uint64(int64(u.Epoch)))
+	b = le.AppendUint32(b, uint32(len(u.Samples)))
+	for i, v := range u.Samples {
+		if !finite(v) {
+			return b, fmt.Errorf("sample %d: %w", i, errNonFinite)
+		}
+		b = le.AppendUint64(b, math.Float64bits(v))
+	}
+	return b, nil
+}
+
+// MarshalBinary encodes the upload as its binary payload.
+func (u DistUpload) MarshalBinary() ([]byte, error) { return u.AppendBinary(nil) }
+
+// UnmarshalBinary decodes a binary upload payload into u. It rejects a
+// sample count the body length does not match before allocating, so
+// it never allocates more than the body carries.
+func (u *DistUpload) UnmarshalBinary(b []byte) error {
+	if len(b) < distUploadHeader {
+		return fmt.Errorf("dist-upload of %d bytes is shorter than its header", len(b))
+	}
+	n := le.Uint32(b[16:20])
+	if uint64(len(b)) != distUploadHeader+sampleSize*uint64(n) {
+		return fmt.Errorf("dist-upload of %d bytes declares %d samples", len(b), n)
+	}
+	epoch := int64(le.Uint64(b[8:16]))
+	if int64(int(epoch)) != epoch {
+		return fmt.Errorf("epoch %d does not fit int", epoch)
+	}
+	samples := make([]float64, n)
+	for i, p := 0, b[distUploadHeader:]; i < len(samples); i, p = i+1, p[sampleSize:] {
+		v := math.Float64frombits(le.Uint64(p))
+		if !finite(v) {
+			return fmt.Errorf("sample %d: %w", i, errNonFinite)
+		}
+		samples[i] = v
+	}
+	*u = DistUpload{HostID: le.Uint32(b[0:4]), Feature: int(le.Uint32(b[4:8])), Epoch: int(epoch), Samples: samples}
+	return nil
+}
+
+// AppendBinary appends the batch's binary payload to b.
+func (ab AlertBatch) AppendBinary(b []byte) ([]byte, error) {
+	if uint64(len(ab.Alerts)) > math.MaxUint32 {
+		return b, fmt.Errorf("%d alerts do not fit u32", len(ab.Alerts))
+	}
+	b = slices.Grow(b, alertBatchHeader+alertSize*len(ab.Alerts))
+	b = le.AppendUint32(b, ab.HostID)
+	b = le.AppendUint64(b, ab.Seq)
+	b = le.AppendUint32(b, uint32(len(ab.Alerts)))
+	for i, a := range ab.Alerts {
+		if int(int32(a.Feature)) != a.Feature || int(int32(a.Bin)) != a.Bin {
+			return b, fmt.Errorf("alert %d: feature %d or bin %d does not fit i32", i, a.Feature, a.Bin)
+		}
+		if !finite(a.Value) || !finite(a.Threshold) {
+			return b, fmt.Errorf("alert %d: %w", i, errNonFinite)
+		}
+		b = le.AppendUint32(b, uint32(int32(a.Feature)))
+		b = le.AppendUint32(b, uint32(int32(a.Bin)))
+		b = le.AppendUint64(b, math.Float64bits(a.Value))
+		b = le.AppendUint64(b, math.Float64bits(a.Threshold))
+	}
+	return b, nil
+}
+
+// MarshalBinary encodes the batch as its binary payload.
+func (ab AlertBatch) MarshalBinary() ([]byte, error) { return ab.AppendBinary(nil) }
+
+// UnmarshalBinary decodes a binary alert-batch payload into ab, with
+// the same length-before-allocation rule as DistUpload.
+func (ab *AlertBatch) UnmarshalBinary(b []byte) error {
+	if len(b) < alertBatchHeader {
+		return fmt.Errorf("alert-batch of %d bytes is shorter than its header", len(b))
+	}
+	n := le.Uint32(b[12:16])
+	if uint64(len(b)) != alertBatchHeader+alertSize*uint64(n) {
+		return fmt.Errorf("alert-batch of %d bytes declares %d alerts", len(b), n)
+	}
+	alerts := make([]Alert, n)
+	for i, p := 0, b[alertBatchHeader:]; i < len(alerts); i, p = i+1, p[alertSize:] {
+		a := Alert{
+			Feature:   int(int32(le.Uint32(p[0:4]))),
+			Bin:       int(int32(le.Uint32(p[4:8]))),
+			Value:     math.Float64frombits(le.Uint64(p[8:16])),
+			Threshold: math.Float64frombits(le.Uint64(p[16:24])),
+		}
+		if !finite(a.Value) || !finite(a.Threshold) {
+			return fmt.Errorf("alert %d: %w", i, errNonFinite)
+		}
+		alerts[i] = a
+	}
+	*ab = AlertBatch{HostID: le.Uint32(b[0:4]), Seq: le.Uint64(b[4:12]), Alerts: alerts}
+	return nil
+}
+
+// WriteMsg frames and writes one message. A payload with a binary
+// encoding (encoding.BinaryAppender) is sent as such; any other is
+// JSON.
 func WriteMsg(w io.Writer, t MsgType, payload any) error {
-	body, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("console: marshaling %s: %w", t, err)
-	}
-	if len(body) > MaxFrame {
-		return fmt.Errorf("console: %s payload %d exceeds MaxFrame", t, len(body))
-	}
 	// One frame, one write: a fault-injected transport (and a real
 	// kernel's send path) then fails or delivers the frame as a unit,
 	// never a header without its body.
-	frame := make([]byte, 5+len(body))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
+	var frame []byte
+	var err error
+	if p, ok := payload.(encoding.BinaryAppender); ok {
+		frame, err = p.AppendBinary(make([]byte, 5))
+	} else {
+		var body []byte
+		if body, err = json.Marshal(payload); err == nil {
+			frame = append(make([]byte, 5, 5+len(body)), body...)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("console: marshaling %s: %w", t, err)
+	}
+	n := len(frame) - 5
+	if n > MaxFrame {
+		return fmt.Errorf("console: %s payload %d exceeds MaxFrame", t, n)
+	}
+	le.PutUint32(frame[0:4], uint32(n))
 	frame[4] = byte(t)
-	copy(frame[5:], body)
 	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("console: writing %s frame: %w", t, err)
 	}
@@ -199,7 +357,7 @@ func ReadMsg(r io.Reader) (MsgType, []byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err // io.EOF propagates cleanly for shutdown
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
+	n := le.Uint32(hdr[0:4])
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("console: frame of %d bytes exceeds MaxFrame", n)
 	}
@@ -210,9 +368,17 @@ func ReadMsg(r io.Reader) (MsgType, []byte, error) {
 	return MsgType(hdr[4]), body, nil
 }
 
-// decode unmarshals a payload into v with a console-flavored error.
+// decode unmarshals a payload into v — binary for the bulk payloads
+// (encoding.BinaryUnmarshaler), JSON otherwise — with a
+// console-flavored error.
 func decode(t MsgType, body []byte, v any) error {
-	if err := json.Unmarshal(body, v); err != nil {
+	var err error
+	if u, ok := v.(encoding.BinaryUnmarshaler); ok {
+		err = u.UnmarshalBinary(body)
+	} else {
+		err = json.Unmarshal(body, v)
+	}
+	if err != nil {
 		return fmt.Errorf("console: decoding %s: %w", t, err)
 	}
 	return nil

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/features"
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -49,7 +50,7 @@ type Server struct {
 	configuring bool
 	epoch       int
 	conns       map[uint32]*serverConn
-	dists       map[uint32]*[features.NumFeatures][]float64
+	dists       map[uint32]*hostDists
 	complete    map[uint32]bool
 	pushed      bool
 	alertTally  map[uint32]int
@@ -63,6 +64,10 @@ type Server struct {
 	closing  bool
 	listener net.Listener
 }
+
+// hostDists is one host's training distributions for the open epoch,
+// indexed by feature; nil until uploaded.
+type hostDists [features.NumFeatures]*stats.Empirical
 
 type serverConn struct {
 	hostID       uint32
@@ -109,7 +114,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	return &Server{
 		cfg:        cfg,
 		conns:      make(map[uint32]*serverConn),
-		dists:      make(map[uint32]*[features.NumFeatures][]float64),
+		dists:      make(map[uint32]*hostDists),
 		complete:   make(map[uint32]bool),
 		alertTally: make(map[uint32]int),
 		alertSeq:   make(map[uint32]uint64),
@@ -168,6 +173,11 @@ func (s *Server) handle(conn net.Conn) error {
 	var hello Hello
 	if err := decode(t, body, &hello); err != nil {
 		return err
+	}
+	if hello.Proto != ProtoVersion {
+		msg := fmt.Sprintf("protocol version %d, console speaks %d", hello.Proto, ProtoVersion)
+		_ = WriteMsg(conn, MsgError, ProtoError{Message: msg})
+		return fmt.Errorf("host %d: %s", hello.HostID, msg)
 	}
 	sc := &serverConn{hostID: hello.HostID, conn: conn, writeTimeout: s.cfg.WriteTimeout}
 	if err := s.register(sc, hello.Resume); err != nil {
@@ -274,7 +284,7 @@ func (s *Server) register(sc *serverConn, resume bool) error {
 		if _, dup := s.conns[sc.hostID]; !dup {
 			s.conns[sc.hostID] = sc
 			if _, ok := s.dists[sc.hostID]; !ok {
-				s.dists[sc.hostID] = &[features.NumFeatures][]float64{}
+				s.dists[sc.hostID] = &hostDists{}
 				s.hostOrder = append(s.hostOrder, sc.hostID)
 			}
 			if !resume {
@@ -324,6 +334,13 @@ func (s *Server) acceptUpload(sc *serverConn, up DistUpload) error {
 	if len(up.Samples) == 0 {
 		return fmt.Errorf("empty distribution for %s", f)
 	}
+	// The upload is the host's sorted distribution: adopting it costs
+	// one validation pass, and a bad one is refused here, on the
+	// sender's connection, instead of aborting the fleet's configure.
+	dist, err := stats.NewEmpiricalFromSorted(up.Samples)
+	if err != nil {
+		return fmt.Errorf("%s distribution: %w", f, err)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Epoch guard. An upload targets the epoch the sender expects its
@@ -345,17 +362,17 @@ func (s *Server) acceptUpload(sc *serverConn, up DistUpload) error {
 		s.pushed = false
 		s.epoch++
 		for id := range s.dists {
-			s.dists[id] = &[features.NumFeatures][]float64{}
+			s.dists[id] = &hostDists{}
 		}
 		for id := range s.complete {
 			s.complete[id] = false
 		}
 		s.cfg.Logf("console: epoch %d opened by host %d", s.epoch, sc.hostID)
 	}
-	s.dists[sc.hostID][f] = up.Samples
+	s.dists[sc.hostID][f] = dist
 	all := true
-	for _, samples := range s.dists[sc.hostID] {
-		if len(samples) == 0 {
+	for _, d := range s.dists[sc.hostID] {
+		if d == nil {
 			all = false
 			break
 		}
@@ -384,36 +401,37 @@ func (s *Server) maybeConfigure() {
 	}
 	s.configuring = true
 	hostOrder := append([]uint32(nil), s.hostOrder...)
-	dists := make(map[uint32]*[features.NumFeatures][]float64, len(s.dists))
-	for id, d := range s.dists {
-		dists[id] = d
+	var train [features.NumFeatures][]*stats.Empirical
+	for _, f := range features.All() {
+		train[f] = make([]*stats.Empirical, len(hostOrder))
+		for i, id := range hostOrder {
+			// A host that connected but never uploaded leaves a hole.
+			if train[f][i] = s.dists[id][f]; train[f][i] == nil {
+				s.configuring = false
+				s.mu.Unlock()
+				s.cfg.Logf("console: host %d feature %s: %v", id, f, stats.ErrNoSamples)
+				return
+			}
+		}
 	}
 	s.mu.Unlock()
 
+	// The six features configure independently.
+	var (
+		asns [features.NumFeatures]*core.Assignment
+		errs [features.NumFeatures]error
+	)
+	par.ForEach(features.NumFeatures, 0, func(f int) {
+		asns[f], errs[f] = core.Configure(train[f], s.cfg.Policy, s.cfg.AttackMagnitudes)
+	})
 	assignment := make(map[features.Feature]*core.Assignment, features.NumFeatures)
 	for _, f := range features.All() {
-		train := make([]*stats.Empirical, len(hostOrder))
-		ok := true
-		for i, id := range hostOrder {
-			e, err := stats.NewEmpirical(dists[id][f])
-			if err != nil {
-				s.cfg.Logf("console: host %d feature %s: %v", id, f, err)
-				ok = false
-				break
-			}
-			train[i] = e
-		}
-		if !ok {
+		if errs[f] != nil {
+			s.cfg.Logf("console: configuring %s: %v", f, errs[f])
 			s.abortConfigure()
 			return
 		}
-		asn, err := core.Configure(train, s.cfg.Policy, s.cfg.AttackMagnitudes)
-		if err != nil {
-			s.cfg.Logf("console: configuring %s: %v", f, err)
-			s.abortConfigure()
-			return
-		}
-		assignment[f] = asn
+		assignment[f] = asns[f]
 	}
 
 	s.mu.Lock()

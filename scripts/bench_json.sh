@@ -3,9 +3,12 @@
 # BENCH_repro.json format: one record per benchmark with ns/op, B/op
 # and allocs/op. An optional second file (the frozen seed baseline,
 # scripts/seed_baseline.bench) is emitted as "seed_baseline" so the
-# speedup vs. the pre-workspace implementation stays on record.
+# speedup vs. the pre-workspace implementation stays on record. An
+# optional third file, the previous BENCH_repro.json, contributes its
+# hand-recorded "before_after" section, copied over verbatim, so
+# regenerating the file never drops a recorded comparison.
 #
-# Usage: scripts/bench_json.sh current.txt [seed-baseline.txt]
+# Usage: scripts/bench_json.sh current.txt [seed-baseline.txt [previous-BENCH_repro.json]]
 #        scripts/bench_json.sh -check current.txt BENCH_repro.json
 #
 # Check mode compares a fresh measured run against the committed
@@ -101,8 +104,9 @@ if [ "${1:-}" = "-check" ]; then
     exit $status
 fi
 
-in="${1:?usage: bench_json.sh <current-bench-output> [seed-baseline-output]}"
+in="${1:?usage: bench_json.sh <current-bench-output> [seed-baseline-output [previous-BENCH_repro.json]]}"
 base="${2:-}"
+prev="${3:-}"
 
 emit_array() {
     awk '
@@ -145,6 +149,16 @@ if [ -n "$base" ]; then
     printf '  "seed_baseline": [\n'
     emit_array "$base"
     printf '  ],\n'
+fi
+if [ -n "$prev" ] && [ -f "$prev" ]; then
+    # The section runs from its key line to the first line closing a
+    # top-level array; the closing line always gets its comma, since
+    # the metadata follows.
+    awk '
+    /^  "before_after": \[/ { on = 1 }
+    on && /^  \],?$/       { print "  ],"; exit }
+    on                      { print }
+    ' "$prev"
 fi
 meta "$in"
 printf '}\n'
