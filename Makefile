@@ -106,17 +106,19 @@ shard-smoke:
 # weighted two-worker tracegen build seals the store through the
 # splice merge (exercising CutRanges + part concatenation), the golden
 # and equivalence suites then run warm with streaming armed
-# (REPRO_STREAM_SHARD) — so every pinned output certifies the
-# shard-by-shard path — and the sweep CLI runs a whole-heap and a
-# streaming trial against the same store, printing the aggregate
-# wall-clock/peak-RSS table. CI runs this as its own job.
+# (REPRO_STREAM_SHARD) — so every pinned output certifies the bounded
+# shard-by-shard path — together with the shard-size-invariance suite
+# and the REPRO_STREAM_SHARD plumbing test, and the sweep CLI runs an
+# unbounded (whole-heap) and a bounded trial against the same store,
+# printing the aggregate wall-clock/peak-RSS table. CI runs this as
+# its own job.
 EVAL_SMOKE_DIR ?= /tmp/repro-eval-smoke
 eval-smoke:
 	rm -rf $(EVAL_SMOKE_DIR)
 	$(GO) build -o /tmp/repro-tracegen ./cmd/tracegen
 	$(GO) build -o /tmp/repro-experiments ./cmd/experiments
 	/tmp/repro-tracegen -snapshot $(EVAL_SMOKE_DIR) -users 40 -weeks 2 -seed 1 -workers 2
-	REPRO_SNAPSHOT_DIR=$(EVAL_SMOKE_DIR) REPRO_STREAM_SHARD=7 $(GO) test -count=1 -run 'TestGolden|TestWorkspace|TestFig|TestTable|TestStreaming' .
+	REPRO_SNAPSHOT_DIR=$(EVAL_SMOKE_DIR) REPRO_STREAM_SHARD=7 $(GO) test -count=1 -run 'TestGolden|TestWorkspace|TestFig|TestTable|ShardSizeInvariance|TestStreamShardEnvArmsStreaming' .
 	printf '[{"name":"whole-heap","users":40,"seed":1,"run":"fig3a,table3"},{"name":"stream-7","users":40,"seed":1,"streamShard":7,"run":"fig3a,table3"}]' > /tmp/repro-eval-sweep.json
 	/tmp/repro-experiments -snapshot $(EVAL_SMOKE_DIR) -configs /tmp/repro-eval-sweep.json
 

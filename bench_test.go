@@ -557,13 +557,23 @@ func BenchmarkEvaluateSharded100k(b *testing.B) {
 	b.ReportMetric(benchPeakRSS(), "peak-rss-bytes")
 }
 
-// BenchmarkStreamRunners1000 times the five streaming runners (Fig 3a,
-// Fig 3b, Table 3, Fig 4a, Fig 4b) over a sealed 1000-user × 2-week
-// store in 128-user shards, the shape of hidsbench's stream workload.
-// Each op maps the store into a fresh enterprise, so no memo carries
-// over between ops. The store is sealed once outside the timed region;
+// BenchmarkStreamRunners1000 times the five shard-routed runners (Fig
+// 3a, Fig 3b, Table 3, Fig 4a, Fig 4b) over a sealed 1000-user ×
+// 2-week store bounded to 128-user shards, the shape of hidsbench's
+// stream workload.
+func BenchmarkStreamRunners1000(b *testing.B) { benchShardRunners1000(b, 128) }
+
+// BenchmarkWholeHeapRunners1000 is BenchmarkStreamRunners1000 over the
+// same store unarmed: unbounded, one shard per CPU, no pages released.
+// Together they guard both sides of the bounded/unbounded choice.
+func BenchmarkWholeHeapRunners1000(b *testing.B) { benchShardRunners1000(b, 0) }
+
+// benchShardRunners1000 times the five shard-routed runners over a
+// sealed 1000-user × 2-week store with the given StreamShard. Each op
+// maps the store into a fresh enterprise, so no memo carries over
+// between ops. The store is sealed once outside the timed region;
 // peak-rss-bytes is the VmHWM over the timed ops.
-func BenchmarkStreamRunners1000(b *testing.B) {
+func benchShardRunners1000(b *testing.B, streamShard int) {
 	opts := Options{Users: 1000, Weeks: 2, Seed: 1, SnapshotDir: b.TempDir()}
 	build := opts
 	build.SnapshotWorkers = runtime.GOMAXPROCS(0)
@@ -575,7 +585,7 @@ func BenchmarkStreamRunners1000(b *testing.B) {
 	if err := seed.Close(); err != nil {
 		b.Fatal(err)
 	}
-	opts.StreamShard = 128
+	opts.StreamShard = streamShard
 	cfg := DefaultExperimentConfig()
 	runners := []func(*Enterprise, ExperimentConfig) error{
 		func(e *Enterprise, c ExperimentConfig) error { _, err := Fig3a(e, c); return err },

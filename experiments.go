@@ -269,13 +269,6 @@ func evalPoliciesWS(e *Enterprise, cfg ExperimentConfig, h core.Heuristic, withA
 	key := fmt.Sprintf("evalPolicies/%d/%d/%d/%s/%d/%t",
 		int(cfg.Feature), cfg.TrainWeek, cfg.TestWeek, h.Name(), cfg.SweepPoints, withAttack)
 	v, err := ws.Memo(key, func() (any, error) {
-		// Streaming workspaces never materialize the whole test
-		// population: EvaluateSharded scores the mapped columns shard
-		// by shard instead.
-		var test [][]float64
-		if !ws.Streaming() {
-			test = ws.Raw(cfg.Feature, cfg.TestWeek)
-		}
 		sweep := ws.Sweep(cfg.Feature, cfg.TrainWeek, cfg.SweepPoints)
 		var shared []float64
 		if withAttack {
@@ -292,25 +285,7 @@ func evalPoliciesWS(e *Enterprise, cfg ExperimentConfig, h core.Heuristic, withA
 			if err != nil {
 				return fmt.Errorf("repro: policy %s: %w", pol.Name(), err)
 			}
-			var res *core.EvalResult
-			if ws.Streaming() {
-				res, err = ws.EvaluateSharded(cfg.Feature, cfg.TestWeek, asn, shared, 0)
-			} else {
-				var overlay [][]float64
-				if shared != nil {
-					overlay = make([][]float64, len(test))
-					for u := range overlay {
-						overlay[u] = shared
-					}
-				}
-				res, err = core.EvaluatePolicy(core.EvalInput{
-					Test:             test,
-					Attack:           overlay,
-					AttackMagnitudes: sweep,
-					Policy:           pol,
-					Assignment:       asn,
-				})
-			}
+			res, err := ws.EvaluateSharded(cfg.Feature, cfg.TestWeek, asn, shared, 0)
 			if err != nil {
 				return fmt.Errorf("repro: policy %s: %w", pol.Name(), err)
 			}
@@ -532,24 +507,17 @@ func Fig4a(e *Enterprise, cfg ExperimentConfig) (*Fig4aResult, error) {
 			for d := range perDay {
 				perDay[d] = make([]float64, users)
 			}
-			fill := func(days [][][]float64, base int) {
-				for u, userDays := range days {
+			err := ws.StreamShards(0, func(view *analysis.Workspace, lo, hi int) error {
+				for u, userDays := range view.DaySorted(cfg.Feature, cfg.TestWeek) {
 					for d, day := range attackDays {
 						col := userDays[day]
-						perDay[d][base+u] = minAlarmSize(col[len(col)-1], asn.Thresholds[base+u])
+						perDay[d][lo+u] = minAlarmSize(col[len(col)-1], asn.Thresholds[lo+u])
 					}
 				}
-			}
-			if ws.Streaming() {
-				err := ws.StreamShards(0, func(view *analysis.Workspace, lo, hi int) error {
-					fill(view.DaySorted(cfg.Feature, cfg.TestWeek), lo)
-					return nil
-				})
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				fill(ws.DaySorted(cfg.Feature, cfg.TestWeek), 0)
+				return nil
+			})
+			if err != nil {
+				return nil, err
 			}
 			for d := range perDay {
 				sort.Float64s(perDay[d])
@@ -654,10 +622,6 @@ type Fig4bResult struct {
 // evades detection with probability EvadeProb.
 func Fig4b(e *Enterprise, cfg ExperimentConfig) (*Fig4bResult, error) {
 	ws := e.workspace()
-	var testDists []*stats.Empirical
-	if !ws.Streaming() {
-		testDists = ws.Dists(cfg.Feature, cfg.TestWeek)
-	}
 	res := &Fig4bResult{}
 	for _, pol := range Policies(core.Percentile{Q: 0.99}) {
 		asn, err := ws.Assignment(cfg.Feature, cfg.TrainWeek, pol, nil, "")
@@ -665,27 +629,16 @@ func Fig4b(e *Enterprise, cfg ExperimentConfig) (*Fig4bResult, error) {
 			return nil, err
 		}
 		hidden := make([]float64, ws.Users())
-		if ws.Streaming() {
-			err = ws.StreamShards(0, func(view *analysis.Workspace, lo, hi int) error {
-				for u, d := range view.Dists(cfg.Feature, cfg.TestWeek) {
-					h, err := attack.HiddenTraffic(d, asn.Thresholds[lo+u], cfg.EvadeProb)
-					if err != nil {
-						return err
-					}
-					hidden[lo+u] = h
-				}
-				return nil
-			})
-		} else {
-			err = par.ForEachErr(len(hidden), 0, func(u int) error {
-				h, err := attack.HiddenTraffic(testDists[u], asn.Thresholds[u], cfg.EvadeProb)
+		err = ws.StreamShards(0, func(view *analysis.Workspace, lo, hi int) error {
+			for u, d := range view.Dists(cfg.Feature, cfg.TestWeek) {
+				h, err := attack.HiddenTraffic(d, asn.Thresholds[lo+u], cfg.EvadeProb)
 				if err != nil {
 					return err
 				}
-				hidden[u] = h
-				return nil
-			})
-		}
+				hidden[lo+u] = h
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}

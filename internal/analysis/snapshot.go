@@ -99,7 +99,6 @@ func Load(dir string, key snapshot.Key) (*Workspace, error) {
 		binWidth:    key.BinWidth,
 		blocks:      make([]*block, nBlocks),
 		blockOnce:   make([]sync.Once, nBlocks),
-		memo:        make(map[string]*memoCell),
 		snap:        snap,
 	}
 	matSlab := make([]features.Matrix, users)

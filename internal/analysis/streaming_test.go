@@ -12,12 +12,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/features"
+	"repro/internal/snapshot"
 )
 
-// streamedPair materializes one sharded store and maps it twice: a
-// whole-heap workspace and a streaming one armed with shardUsers.
-// Both read the same sealed bytes, so any divergence is the streaming
-// layer's fault alone.
+// streamedPair materializes one sharded store and maps it twice: an
+// unarmed (unbounded) workspace and a bounded one armed with
+// shardUsers. Both read the same sealed bytes, so any divergence is
+// the bounded layer's fault alone.
 func streamedPair(t *testing.T, users int, seed uint64, shardUsers int) (whole, streamed *Workspace) {
 	t.Helper()
 	pop, key := popAndKey(t, users, 2, seed, 6*time.Hour)
@@ -30,104 +31,158 @@ func streamedPair(t *testing.T, users int, seed uint64, shardUsers int) (whole, 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ws.Close() })
-	streamed, err = Load(dir, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { streamed.Close() })
-	streamed.SetStreamShard(shardUsers)
-	if !streamed.Streaming() {
-		t.Fatal("SetStreamShard did not arm streaming on a mapped workspace")
-	}
+	streamed = loadArmed(t, dir, key, shardUsers)
 	return ws, streamed
 }
 
-// TestStreamingMatchesWholeHeap is the tentpole's equivalence pin:
-// every population-wide artifact computed through bounded shards must
-// be bit-identical — not close — to the whole-heap computation, for
-// shard sizes bracketing the geometry (single user, odd size that
-// leaves a ragged tail, larger than the population, exactly the
-// population) and for a heavy-tail seed on each. The shared p99 pass
-// that groups every streamed policy is therefore pinned
-// shard-size-invariant too.
-func TestStreamingMatchesWholeHeap(t *testing.T) {
+// loadArmed maps the store under dir and arms it with shardUsers.
+func loadArmed(t *testing.T, dir string, key snapshot.Key, shardUsers int) *Workspace {
+	t.Helper()
+	w, err := Load(dir, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	w.SetStreamShard(shardUsers)
+	if !w.bounded() {
+		t.Fatal("SetStreamShard did not bound a mapped workspace")
+	}
+	return w
+}
+
+// TestShardSizeInvariance pins the fold contract: every
+// population-wide artifact must be bit-identical — not close — however
+// the population is cut. The inputs are one mapped store read at shard
+// sizes bracketing the geometry (single user, an odd size that leaves
+// a ragged tail, larger than the population, exactly the population),
+// the same store unarmed (one shard per worker), and an in-memory
+// workspace over the same matrices, for a heavy-tail seed on each.
+// Evaluations are also pinned to core.EvaluatePolicy over the
+// population's raw test columns.
+func TestShardSizeInvariance(t *testing.T) {
 	const users = 37
 	policies := []core.Policy{
 		{Heuristic: core.Percentile{Q: 0.99}, Grouping: core.Homogeneous{}},
 		{Heuristic: core.Percentile{Q: 0.99}, Grouping: core.FullDiversity{}},
 		{Heuristic: core.UtilityOptimal{W: 0.4}, Grouping: core.PartialDiversity{NumGroups: 8}},
-		// No bounded fold for MeanSigma over merged groups: the
-		// streaming path must fall back to the whole-heap configure
-		// and still agree.
+		// No fold for MeanSigma over merged groups: every input takes
+		// the population-wide configure fallback and must still agree.
 		{Heuristic: core.MeanSigma{K: 3}, Grouping: core.Homogeneous{}},
 	}
-	for _, tc := range []struct {
-		seed  uint64
-		shard int
-	}{
-		{53, 1}, {53, 7}, {87, 7}, {87, 128}, {53, users}, {87, users},
-	} {
-		whole, streamed := streamedPair(t, users, tc.seed, tc.shard)
-		f, trainWeek, testWeek := features.TCP, 0, 1
+	f, trainWeek, testWeek := features.TCP, 0, 1
+	for _, seed := range []uint64{53, 87} {
+		pop, key := popAndKey(t, users, 2, seed, 6*time.Hour)
+		dir := t.TempDir()
+		unarmed, err := MaterializeSharded(context.Background(), dir, key, 0, func(u int, rows [][features.NumFeatures]float64) {
+			pop.Users[u].FillSeries(rows)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { unarmed.Close() })
+		names := []string{"in-memory", "unarmed"}
+		inputs := []*Workspace{New(unarmed.Matrices()), unarmed}
+		for _, shard := range []int{1, 7, 128, users} {
+			names = append(names, fmt.Sprintf("shard %d", shard))
+			inputs = append(inputs, loadArmed(t, dir, key, shard))
+		}
+		test := inputs[0].Raw(f, testWeek)
 
-		wt, err := whole.TailStats(f, trainWeek, 0.99)
+		wantTail, err := inputs[0].TailStats(f, trainWeek, 0.99)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := streamed.TailStats(f, trainWeek, 0.99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(wt, st) {
-			t.Fatalf("seed %d shard %d: tail stats diverge", tc.seed, tc.shard)
-		}
-		wsw, ssw := whole.Sweep(f, trainWeek, 24), streamed.Sweep(f, trainWeek, 24)
-		for i := range wsw {
-			if math.Float64bits(wsw[i]) != math.Float64bits(ssw[i]) {
-				t.Fatalf("seed %d shard %d: sweep[%d] %v != %v", tc.seed, tc.shard, i, ssw[i], wsw[i])
+		wantSweep := inputs[0].Sweep(f, trainWeek, 24)
+		shared := make([]float64, inputs[0].BinsPerWeek())
+		for i := range shared {
+			if i%4 == 3 {
+				shared[i] = wantSweep[i%len(wantSweep)]
 			}
 		}
-		for _, pol := range policies {
-			wa, err := whole.Assignment(f, trainWeek, pol, wsw, "sp24")
+		for i, w := range inputs {
+			name := fmt.Sprintf("seed %d %s", seed, names[i])
+			tail, err := w.TailStats(f, trainWeek, 0.99)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sa, err := streamed.Assignment(f, trainWeek, pol, ssw, "sp24")
-			if err != nil {
-				t.Fatal(err)
+			if !reflect.DeepEqual(tail, wantTail) {
+				t.Fatalf("%s: tail stats diverge", name)
 			}
-			if !reflect.DeepEqual(wa, sa) {
-				t.Fatalf("seed %d shard %d %s: assignments diverge", tc.seed, tc.shard, pol.Name())
-			}
-			shared := make([]float64, whole.BinsPerWeek())
-			for i := range shared {
-				if i%4 == 3 {
-					shared[i] = wsw[i%len(wsw)]
+			sweep := w.Sweep(f, trainWeek, 24)
+			for k := range wantSweep {
+				if math.Float64bits(sweep[k]) != math.Float64bits(wantSweep[k]) {
+					t.Fatalf("%s: sweep[%d] %v != %v", name, k, sweep[k], wantSweep[k])
 				}
 			}
-			for _, overlay := range [][]float64{nil, shared} {
-				attack := make([][]float64, users)
-				if overlay != nil {
-					for u := range attack {
-						attack[u] = overlay
+			for _, pol := range policies {
+				asn, err := w.Assignment(f, trainWeek, pol, sweep, "sp24")
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := core.Configure(inputs[0].Dists(f, trainWeek), pol, wantSweep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(asn, want) {
+					t.Fatalf("%s %s: assignment diverges from core.Configure", name, pol.Name())
+				}
+				for _, overlay := range [][]float64{nil, shared} {
+					attack := make([][]float64, users)
+					if overlay != nil {
+						for u := range attack {
+							attack[u] = overlay
+						}
+					}
+					wantEval, err := core.EvaluatePolicy(core.EvalInput{
+						Test: test, Attack: attack, Policy: pol, Assignment: asn,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := w.EvaluateSharded(f, testWeek, asn, overlay, 4)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, wantEval) {
+						t.Fatalf("%s %s overlay=%v: evaluation diverges from core.EvaluatePolicy",
+							name, pol.Name(), overlay != nil)
 					}
 				}
-				want, err := core.EvaluatePolicy(core.EvalInput{
-					Test:       whole.Raw(f, testWeek),
-					Attack:     attack,
-					Policy:     pol,
-					Assignment: wa,
-				})
-				if err != nil {
-					t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestUnboundedViewsAliasParent pins the two view kinds apart: a view
+// of an unbounded workspace (in-memory or unarmed mapped) serves the
+// parent's own sorted columns and distributions, not copies, while a
+// bounded view wires fresh ones from the mapping.
+func TestUnboundedViewsAliasParent(t *testing.T) {
+	const lo, hi = 3, 9
+	unarmed, bounded := streamedPair(t, 13, 53, 4)
+	for _, tc := range []struct {
+		name  string
+		w     *Workspace
+		alias bool
+	}{
+		{"in-memory", New(unarmed.Matrices()), true},
+		{"unarmed", unarmed, true},
+		{"bounded", bounded, false},
+	} {
+		view := tc.w.ViewRange(lo, hi)
+		for week := 0; week < tc.w.Weeks(); week++ {
+			f := features.UDP
+			vs, ps := view.Sorted(f, week), tc.w.Sorted(f, week)
+			vd, pd := view.Dists(f, week), tc.w.Dists(f, week)
+			for u := range vs {
+				if got := &vs[u] == &ps[lo+u]; got != tc.alias {
+					t.Fatalf("%s week %d user %d: sorted column aliases parent = %v, want %v", tc.name, week, u, got, tc.alias)
 				}
-				got, err := streamed.EvaluateSharded(f, testWeek, sa, overlay, 4)
-				if err != nil {
-					t.Fatal(err)
+				if got := vd[u] == pd[lo+u]; got != tc.alias {
+					t.Fatalf("%s week %d user %d: distribution aliases parent = %v, want %v", tc.name, week, u, got, tc.alias)
 				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("seed %d shard %d %s overlay=%v: evaluations diverge",
-						tc.seed, tc.shard, pol.Name(), overlay != nil)
+				if !reflect.DeepEqual(vs[u], ps[lo+u]) {
+					t.Fatalf("%s week %d user %d: sorted column diverges from parent", tc.name, week, u)
 				}
 			}
 		}
@@ -175,28 +230,32 @@ func TestViewRangeIsBitIdenticalWindow(t *testing.T) {
 
 // TestStreamShardsCoversEveryUserConcurrently runs the fold with more
 // workers than shards on shared state — the -race guard for the
-// parallel fan-out — and checks exact disjoint tiling of [0, users).
+// parallel fan-out — and checks exact disjoint tiling of [0, users),
+// for a bounded workspace and an in-memory one.
 func TestStreamShardsCoversEveryUserConcurrently(t *testing.T) {
-	_, streamed := streamedPair(t, 23, 87, 5)
-	seen := make([]int, 23)
-	var mu sync.Mutex
-	err := streamed.StreamShards(8, func(view *Workspace, lo, hi int) error {
-		if view.Users() != hi-lo {
-			t.Errorf("view covers %d users for range [%d, %d)", view.Users(), lo, hi)
+	const users = 23
+	unarmed, streamed := streamedPair(t, users, 87, 5)
+	for name, w := range map[string]*Workspace{"bounded": streamed, "in-memory": New(unarmed.Matrices())} {
+		seen := make([]int, users)
+		var mu sync.Mutex
+		err := w.StreamShards(8, func(view *Workspace, lo, hi int) error {
+			if view.Users() != hi-lo {
+				t.Errorf("%s: view covers %d users for range [%d, %d)", name, view.Users(), lo, hi)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for u := lo; u < hi; u++ {
+				seen[u]++
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		for u := lo; u < hi; u++ {
-			seen[u]++
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u, n := range seen {
-		if n != 1 {
-			t.Fatalf("user %d visited %d times", u, n)
+		for u, n := range seen {
+			if n != 1 {
+				t.Fatalf("%s: user %d visited %d times", name, u, n)
+			}
 		}
 	}
 }

@@ -19,12 +19,13 @@
 //     stats fast path with no per-call allocation;
 //   - TailStats / Sweep / Assignment / Memo: memoized quantile
 //     vectors, attack sweeps, threshold configurations and arbitrary
-//     derived artifacts keyed by their parameters;
-//   - Frontiers / DaySorted / SplitOverlay: the threshold-frontier
-//     engine's memoized per-user frontiers (shared by every
-//     objective-optimizing heuristic under one attack sweep) and the
-//     pre-sorted attacked-window views that turn the Fig 4a/5a/5b
-//     attack sweeps into binary-search counting.
+//     derived artifacts keyed by their parameters — the
+//     population-wide ones computed shard by shard through
+//     StreamShards (streaming.go), the single path whether or not the
+//     pass bounds the heap;
+//   - DaySorted / SplitOverlay: the pre-sorted attacked-window views
+//     that turn the Fig 4a/5a/5b attack sweeps into binary-search
+//     counting.
 //
 // Everything returned by a Workspace is shared and must be treated
 // as read-only; all methods are safe for concurrent use.
@@ -56,14 +57,15 @@ type Workspace struct {
 
 	// blocks[w*NumFeatures+f] is the lazily built columnar view of
 	// one (feature, week); blockOnce guards each build (NewGenerated
-	// fills every block eagerly and burns the onces; Load and ViewRange
-	// leave them all unfired and ensureBlock wires each block's sorted
-	// columns from the mapped snapshot on first use).
+	// fills every block eagerly and burns the onces; Load and a bounded
+	// ViewRange leave them all unfired and ensureBlock wires each
+	// block's sorted columns from the mapped snapshot on first use).
+	// Nil on a view of an unbounded workspace, which reads the parent's.
 	blocks    []*block
 	blockOnce []sync.Once
 
 	mu   sync.Mutex
-	memo map[string]*memoCell
+	memo map[string]*memoCell // created on first Memo
 
 	// snap is the backing store of a snapshot-loaded workspace (nil
 	// for in-memory ones): ensureBlock adopts its mapped sorted
@@ -72,17 +74,24 @@ type Workspace struct {
 	snap *snapshot.Snapshot
 
 	// userBase offsets this workspace's local user indices into snap:
-	// a ViewRange shard over users [lo, hi) has userBase == lo and
-	// users == hi-lo, so local user u is snapshot record userBase+u.
+	// a bounded ViewRange shard over users [lo, hi) has userBase == lo
+	// and users == hi-lo, so local user u is snapshot record
+	// userBase+u.
 	// Zero for full workspaces.
 	userBase int
 
-	// streamShard > 0 turns the population-wide analyses (TailStats,
-	// Sweep, Assignment, EvaluateSharded and the runners above them)
-	// into shard-by-shard streams over ViewRange views of at most this
-	// many users, releasing each shard's mapped pages after use. Only
-	// meaningful on snapshot-backed workspaces; see streaming.go.
+	// streamShard > 0 bounds the shards of the population-wide
+	// analyses (TailStats, Sweep, Assignment, EvaluateSharded and the
+	// runners above them) to this many users and releases each shard's
+	// mapped pages after use. Only meaningful on snapshot-backed
+	// workspaces; see streaming.go.
 	streamShard int
+
+	// parent is set on a ViewRange view of an unbounded workspace: the
+	// view's local user u is parent's user parentLo+u, and every column
+	// it serves is a window onto parent's memoized ones.
+	parent   *Workspace
+	parentLo int
 }
 
 // block is the columnar view of one (feature, week): every user's
@@ -155,7 +164,6 @@ func New(matrices []*features.Matrix) *Workspace {
 		binWidth:    m0.BinWidth,
 		blocks:      make([]*block, nBlocks),
 		blockOnce:   make([]sync.Once, nBlocks),
-		memo:        make(map[string]*memoCell),
 	}
 }
 
@@ -190,7 +198,6 @@ func NewGenerated(users int, matrixOf func(u int) *features.Matrix) *Workspace {
 		binWidth:    m0.BinWidth,
 		blocks:      make([]*block, nBlocks),
 		blockOnce:   make([]sync.Once, nBlocks),
-		memo:        make(map[string]*memoCell),
 	}
 	for idx := range w.blocks {
 		w.blocks[idx] = newBlock(users, w.binsPerWeek)
@@ -239,7 +246,7 @@ func (w *Workspace) BinWidth() time.Duration { return w.binWidth }
 func (w *Workspace) Warm() {
 	for week := 0; week < w.weeks; week++ {
 		for _, f := range features.All() {
-			w.ensureBlock(f, week)
+			w.Sorted(f, week)
 		}
 	}
 }
@@ -277,10 +284,12 @@ func (b *block) fillUser(m *features.Matrix, u int, f features.Feature, week int
 // ensureBlock builds the columnar view of one (feature, week) on
 // first use, fanning the per-user work over all CPUs. On an in-memory
 // workspace that is the extract-and-sort of fillUser, raw columns
-// included. On a snapshot-backed workspace, full or ViewRange alike,
-// it only wires the sorted columns and the distributions adopting
-// them as zero-copy views of the mapping; the raw columns wait for
-// Raw, so a pass that reads only sorted data copies nothing.
+// included. On a snapshot-backed workspace, full or bounded view
+// alike, it only wires the sorted columns and the distributions
+// adopting them as zero-copy views of the mapping; the raw columns
+// wait for Raw, so a pass that reads only sorted data copies nothing.
+// A view of an unbounded workspace has no blocks: its column accessors
+// window the parent's instead.
 func (w *Workspace) ensureBlock(f features.Feature, week int) *block {
 	idx := w.blockIndex(f, week)
 	w.blockOnce[idx].Do(func() {
@@ -316,9 +325,13 @@ func (w *Workspace) ensureBlock(f features.Feature, week int) *block {
 // Raw returns every user's time-ordered column of one feature-week.
 // On a snapshot-backed workspace the first call copies the columns
 // out of the mapped rows into one users×binsPerWeek slab; nothing else
-// the workspace serves needs them. The slices are shared: callers
-// must not modify them.
+// the workspace serves needs them. A view of an unbounded workspace
+// windows the parent's. The slices are shared: callers must not
+// modify them.
 func (w *Workspace) Raw(f features.Feature, week int) [][]float64 {
+	if w.parent != nil {
+		return window(w.parent.Raw(f, week), w.parentLo, w.users)
+	}
 	b := w.ensureBlock(f, week)
 	b.rawOnce.Do(func() {
 		if b.raw != nil {
@@ -348,6 +361,9 @@ func (w *Workspace) RawUser(u int, f features.Feature, week int) []float64 {
 // Sorted returns every user's pre-sorted column of one feature-week
 // (shared, read-only) — the input shape of the stats fast path.
 func (w *Workspace) Sorted(f features.Feature, week int) [][]float64 {
+	if w.parent != nil {
+		return window(w.parent.Sorted(f, week), w.parentLo, w.users)
+	}
 	return w.ensureBlock(f, week).sorted
 }
 
@@ -355,12 +371,21 @@ func (w *Workspace) Sorted(f features.Feature, week int) [][]float64 {
 // feature-week. The distributions share the workspace's sorted
 // columns (zero-copy) and are safe for concurrent use.
 func (w *Workspace) Dists(f features.Feature, week int) []*stats.Empirical {
+	if w.parent != nil {
+		return window(w.parent.Dists(f, week), w.parentLo, w.users)
+	}
 	return w.ensureBlock(f, week).dists
 }
 
 // Dist returns one user's memoized distribution.
 func (w *Workspace) Dist(u int, f features.Feature, week int) *stats.Empirical {
-	return w.ensureBlock(f, week).dists[u]
+	return w.Dists(f, week)[u]
+}
+
+// window returns the n-element window of a parent-indexed slice that
+// starts at lo, capped so appends cannot reach the parent's elements.
+func window[T any](s []T, lo, n int) []T {
+	return s[lo : lo+n : lo+n]
 }
 
 // Memo returns the value of fn memoized under key. The first caller
@@ -371,6 +396,9 @@ func (w *Workspace) Memo(key string, fn func() (any, error)) (any, error) {
 	w.mu.Lock()
 	cell, ok := w.memo[key]
 	if !ok {
+		if w.memo == nil {
+			w.memo = make(map[string]*memoCell)
+		}
 		cell = &memoCell{}
 		w.memo[key] = cell
 	}
@@ -400,30 +428,14 @@ func (w *Workspace) TailStats(f features.Feature, week int, q float64) ([]float6
 	key := fmt.Sprintf("tail/%d/%d/%g", int(f), week, q)
 	v, err := w.Memo(key, func() (any, error) {
 		out := make([]float64, w.users)
-		if w.Streaming() {
-			err := w.StreamShards(0, func(view *Workspace, lo, hi int) error {
-				sorted := view.Sorted(f, week)
-				for u := range sorted {
-					t, err := stats.QuantileSorted(sorted[u], q)
-					if err != nil {
-						return fmt.Errorf("analysis: user %d %s: %w", lo+u, f, err)
-					}
-					out[lo+u] = t
+		err := w.StreamShards(0, func(view *Workspace, lo, hi int) error {
+			for u, col := range view.Sorted(f, week) {
+				t, err := stats.QuantileSorted(col, q)
+				if err != nil {
+					return fmt.Errorf("analysis: user %d %s: %w", lo+u, f, err)
 				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
+				out[lo+u] = t
 			}
-			return out, nil
-		}
-		sorted := w.Sorted(f, week)
-		err := par.ForEachErr(w.users, 0, func(u int) error {
-			t, err := stats.QuantileSorted(sorted[u], q)
-			if err != nil {
-				return fmt.Errorf("analysis: user %d %s: %w", u, f, err)
-			}
-			out[u] = t
 			return nil
 		})
 		if err != nil {
@@ -445,38 +457,28 @@ func (w *Workspace) TailStats(f features.Feature, week int, q float64) ([]float6
 func (w *Workspace) Sweep(f features.Feature, trainWeek, n int) []float64 {
 	key := fmt.Sprintf("sweep/%d/%d/%d", int(f), trainWeek, n)
 	v, _ := w.Memo(key, func() (any, error) {
-		var max float64
-		if w.Streaming() {
-			// Max is a fold over disjoint shard maxima; the mutex only
-			// orders the per-shard folds, the result is order-free.
-			var mu sync.Mutex
-			err := w.StreamShards(0, func(view *Workspace, lo, hi int) error {
-				sorted := view.Sorted(f, trainWeek)
-				local := 0.0
-				for _, col := range sorted {
-					if len(col) > 0 && col[len(col)-1] > local {
-						local = col[len(col)-1]
-					}
-				}
-				mu.Lock()
-				if local > max {
-					max = local
-				}
-				mu.Unlock()
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			sorted := w.Sorted(f, trainWeek)
-			for u := 0; u < w.users; u++ {
-				if col := sorted[u]; len(col) > 0 {
-					if v := col[len(col)-1]; v > max {
-						max = v
-					}
+		// Max is a fold over disjoint shard maxima; the mutex only
+		// orders the per-shard folds, the result is order-free.
+		var (
+			max float64
+			mu  sync.Mutex
+		)
+		err := w.StreamShards(0, func(view *Workspace, lo, hi int) error {
+			local := 0.0
+			for _, col := range view.Sorted(f, trainWeek) {
+				if len(col) > 0 && col[len(col)-1] > local {
+					local = col[len(col)-1]
 				}
 			}
+			mu.Lock()
+			if local > max {
+				max = local
+			}
+			mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		if max < 2 {
 			max = 2
@@ -487,16 +489,13 @@ func (w *Workspace) Sweep(f features.Feature, trainWeek, n int) []float64 {
 }
 
 // Assignment returns the memoized threshold configuration of one
-// policy on one feature's training week. sweepKey must uniquely
-// identify the attack-magnitude input (use "" for nil magnitudes):
-// the cache key is (feature, week, policy name, sweepKey). Percentile
-// and MeanSigma thresholds ignore attack magnitudes, so for them
-// attack and sweepKey are dropped and every sweep shares the nil-sweep
-// entry. When the policy's heuristic optimizes an objective over the
-// threshold frontier, the configuration reuses the workspace's
-// memoized per-user frontiers, so every frontier-scoring heuristic
-// under the same sweep shares one frontier build per user. The
-// returned assignment is shared and must not be modified.
+// policy on one feature's training week, folded shard by shard through
+// core.StreamPlan (see configure). sweepKey must uniquely identify the
+// attack-magnitude input (use "" for nil magnitudes): the cache key is
+// (feature, week, policy name, sweepKey). Percentile and MeanSigma
+// thresholds ignore attack magnitudes, so for them attack and sweepKey
+// are dropped and every sweep shares the nil-sweep entry. The returned
+// assignment is shared and must not be modified.
 func (w *Workspace) Assignment(f features.Feature, trainWeek int, pol core.Policy, attack []float64, sweepKey string) (*core.Assignment, error) {
 	switch pol.Heuristic.(type) {
 	case core.Percentile, core.MeanSigma:
@@ -504,26 +503,7 @@ func (w *Workspace) Assignment(f features.Feature, trainWeek int, pol core.Polic
 	}
 	key := fmt.Sprintf("asn/%d/%d/%s/%s", int(f), trainWeek, pol.Name(), sweepKey)
 	v, err := w.Memo(key, func() (any, error) {
-		if w.Streaming() {
-			asn, ok, err := w.streamAssignment(f, trainWeek, pol, attack)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return asn, nil
-			}
-			// Not streamable (the heuristic has no bounded fold over
-			// merged groups): fall through to the whole-heap configure.
-		}
-		in := core.ConfigureInput{Train: w.Dists(f, trainWeek), Policy: pol, Attack: attack}
-		if _, ok := pol.Heuristic.(core.FrontierScorer); ok && len(attack) > 0 {
-			fronts, err := w.Frontiers(f, trainWeek, attack, sweepKey)
-			if err != nil {
-				return nil, err
-			}
-			in.UserFrontiers = fronts
-		}
-		return core.ConfigureWith(in)
+		return w.configure(f, trainWeek, pol, attack)
 	})
 	if err != nil {
 		return nil, err
@@ -531,48 +511,17 @@ func (w *Workspace) Assignment(f features.Feature, trainWeek int, pol core.Polic
 	return v.(*core.Assignment), nil
 }
 
-// Frontiers returns every user's memoized threshold frontier of one
-// feature's training week for one attack-magnitude set — the shared
-// substrate of all objective-optimizing heuristics (utility for any
-// weight, F-measure) under that sweep. sweepKey must uniquely
-// identify attack, exactly as for Assignment: the cache key is
-// (user, feature, week, sweepKey) with the user as the slice index.
-// Each frontier compresses its user's sorted column into unique
-// values plus a precomputed CDF and owns only that plus its sweep
-// scratch; the returned slice and frontiers are shared and must be
-// treated as read-only.
-func (w *Workspace) Frontiers(f features.Feature, week int, attack []float64, sweepKey string) ([]*stats.Frontier, error) {
-	key := fmt.Sprintf("frontier/%d/%d/%s", int(f), week, sweepKey)
-	v, err := w.Memo(key, func() (any, error) {
-		dists := w.Dists(f, week)
-		out := make([]*stats.Frontier, w.users)
-		err := par.ForEachErr(w.users, 0, func(u int) error {
-			fr, err := stats.NewFrontier(dists[u], attack)
-			if err != nil {
-				return fmt.Errorf("analysis: user %d %s week %d frontier: %w", u, f, week, err)
-			}
-			out[u] = fr
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]*stats.Frontier), nil
-}
-
 // DaySorted returns, for every user, the per-day sorted window values
 // of one feature-week: out[u][d] holds day d's windows of user u's
 // column, sorted ascending. Fig 4a's day-long constant-overlay attack
 // sweeps read their TP counts off these columns with one binary
 // search per (policy, size, day, user) instead of re-walking every
-// window per magnitude. The result is memoized; slices are shared and
-// read-only.
+// window per magnitude. The result is memoized (a view of an unbounded
+// workspace windows the parent's); slices are shared and read-only.
 func (w *Workspace) DaySorted(f features.Feature, week int) [][][]float64 {
+	if w.parent != nil {
+		return window(w.parent.DaySorted(f, week), w.parentLo, w.users)
+	}
 	key := fmt.Sprintf("daysorted/%d/%d", int(f), week)
 	v, _ := w.Memo(key, func() (any, error) {
 		if w.snap != nil {

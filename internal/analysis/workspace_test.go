@@ -233,34 +233,13 @@ func TestGeomSpaceGuards(t *testing.T) {
 	}
 }
 
-// TestFrontiersMemoizedAndIdentical pins the workspace's per-user
-// frontiers to fresh builds from the same distributions, and the
-// frontier-backed Assignment to a frontier-free core.Configure.
-func TestFrontiersMemoizedAndIdentical(t *testing.T) {
+// TestFrontierAssignmentMatchesConfigure pins the folded Assignment
+// of every frontier-scoring heuristic to a plain core.Configure over
+// the same distributions.
+func TestFrontierAssignmentMatchesConfigure(t *testing.T) {
 	ws := New(testMatrices(9, 2))
 	attack := GeomSpace(1, 500, 6)
-	fronts, err := ws.Frontiers(features.TCP, 0, attack, "sp6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := ws.Frontiers(features.TCP, 0, attack, "sp6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &fronts[0] != &again[0] {
-		t.Fatal("frontiers not memoized: second call rebuilt the slice")
-	}
-	u := core.UtilityOptimal{W: 0.4}
 	dists := ws.Dists(features.TCP, 0)
-	for i, fr := range fronts {
-		fresh, err := stats.NewFrontier(dists[i], attack)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := fr.Maximize(u.Score), fresh.Maximize(u.Score); got != want {
-			t.Fatalf("user %d: memoized frontier threshold %v != fresh %v", i, got, want)
-		}
-	}
 	for _, h := range []core.Heuristic{core.UtilityOptimal{W: 0.4}, core.FMeasureOptimal{}} {
 		pol := core.Policy{Heuristic: h, Grouping: core.FullDiversity{}}
 		asn, err := ws.Assignment(features.TCP, 0, pol, attack, "sp6")
@@ -273,7 +252,7 @@ func TestFrontiersMemoizedAndIdentical(t *testing.T) {
 		}
 		for i := range ref.Thresholds {
 			if asn.Thresholds[i] != ref.Thresholds[i] {
-				t.Fatalf("%s: user %d cached-frontier threshold %v != plain Configure %v",
+				t.Fatalf("%s: user %d folded threshold %v != plain Configure %v",
 					pol.Name(), i, asn.Thresholds[i], ref.Thresholds[i])
 			}
 		}

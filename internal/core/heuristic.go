@@ -58,9 +58,8 @@ func (m MeanSigma) Threshold(train *stats.Empirical, _ []float64) (float64, erro
 // FrontierScorer is a Heuristic that selects its threshold by
 // maximizing an objective over the threshold frontier (stats.Frontier
 // — the exact ⟨threshold, fp, fn⟩ triples of every candidate
-// threshold). Implementations live in this package; external callers
-// may type-assert on it to share one frontier build across several
-// objective heuristics (see analysis.Workspace.Frontiers).
+// threshold). Implementations live in this package; StreamPlan
+// type-asserts on it to score a group's compressed frontier.
 type FrontierScorer interface {
 	Heuristic
 	// Score evaluates the objective at one frontier operating point;

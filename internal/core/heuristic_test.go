@@ -117,67 +117,6 @@ func TestFrontierThresholdsMatchBruteForce(t *testing.T) {
 	}
 }
 
-// TestConfigureFrontierFastPathIdentical pins ConfigureWith's cached
-// per-user-frontier fast path to plain Configure for every grouping,
-// including the invalid-parameter fallback.
-func TestConfigureFrontierFastPathIdentical(t *testing.T) {
-	r := xrand.New(99)
-	n := 24
-	dists := make([]*stats.Empirical, n)
-	for u := range dists {
-		v := make([]float64, 120)
-		for i := range v {
-			v[i] = math.Floor(r.LogNormal(2+float64(u)*0.1, 1))
-		}
-		dists[u] = stats.MustEmpirical(v)
-	}
-	attack := []float64{3, 40, 900}
-	fronts := make([]*stats.Frontier, n)
-	for u := range fronts {
-		fr, err := stats.NewFrontier(dists[u], attack)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fronts[u] = fr
-	}
-	for _, h := range []Heuristic{UtilityOptimal{W: 0.4}, FMeasureOptimal{}} {
-		for _, g := range []Grouping{FullDiversity{}, Homogeneous{}, PartialDiversity{NumGroups: 4}} {
-			pol := Policy{Heuristic: h, Grouping: g}
-			plain, err := Configure(dists, pol, attack)
-			if err != nil {
-				t.Fatalf("%s: %v", pol.Name(), err)
-			}
-			fast, err := ConfigureWith(ConfigureInput{
-				Train: dists, Policy: pol, Attack: attack, UserFrontiers: fronts,
-			})
-			if err != nil {
-				t.Fatalf("%s fast path: %v", pol.Name(), err)
-			}
-			for u := range plain.Thresholds {
-				if plain.Thresholds[u] != fast.Thresholds[u] {
-					t.Fatalf("%s: user %d threshold %v != %v with cached frontiers",
-						pol.Name(), u, plain.Thresholds[u], fast.Thresholds[u])
-				}
-			}
-		}
-	}
-	// Invalid scorer parameters must still surface the slow path's
-	// error, not silently take the fast path.
-	bad := Policy{Heuristic: UtilityOptimal{W: 2}, Grouping: FullDiversity{}}
-	if _, err := ConfigureWith(ConfigureInput{
-		Train: dists, Policy: bad, Attack: attack, UserFrontiers: fronts,
-	}); err == nil {
-		t.Fatal("invalid utility weight accepted via cached frontiers")
-	}
-	// Frontier slice misaligned with the population is rejected.
-	if _, err := ConfigureWith(ConfigureInput{
-		Train: dists, Policy: Policy{Heuristic: UtilityOptimal{W: 0.4}, Grouping: FullDiversity{}},
-		Attack: attack, UserFrontiers: fronts[:3],
-	}); err == nil {
-		t.Fatal("misaligned UserFrontiers accepted")
-	}
-}
-
 func trainDist(seed uint64, n int) *stats.Empirical {
 	r := xrand.New(seed)
 	v := make([]float64, n)

@@ -57,41 +57,9 @@ func (a *Assignment) GroupOf(u int) int {
 // objective-optimizing heuristics; nil is fine for Percentile and
 // MeanSigma.
 func Configure(train []*stats.Empirical, policy Policy, attack []float64) (*Assignment, error) {
-	return ConfigureWith(ConfigureInput{Train: train, Policy: policy, Attack: attack})
-}
-
-// ConfigureInput bundles the inputs of ConfigureWith.
-type ConfigureInput struct {
-	// Train holds one training distribution per user.
-	Train []*stats.Empirical
-	// Policy is the heuristic × grouping under configuration.
-	Policy Policy
-	// Attack supplies representative attack magnitudes to
-	// objective-optimizing heuristics; nil is fine for Percentile and
-	// MeanSigma.
-	Attack []float64
-	// UserFrontiers optionally supplies pre-built threshold frontiers
-	// aligned with Train — each built from that user's training
-	// distribution and the same Attack magnitudes. When the policy's
-	// heuristic is a FrontierScorer, singleton groups take their
-	// threshold straight from the cached frontier instead of
-	// re-deriving the candidate set; merged groups (and non-scorer
-	// heuristics) are unaffected. The analysis workspace passes its
-	// memoized per-user frontiers here. Thresholds are identical with
-	// or without frontiers — this is purely a fast path.
-	UserFrontiers []*stats.Frontier
-}
-
-// ConfigureWith is Configure with optional cached inputs; see
-// ConfigureInput.
-func ConfigureWith(in ConfigureInput) (*Assignment, error) {
-	train, policy := in.Train, in.Policy
 	n := len(train)
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty population")
-	}
-	if in.UserFrontiers != nil && len(in.UserFrontiers) != n {
-		return nil, fmt.Errorf("core: %d user frontiers for %d users", len(in.UserFrontiers), n)
 	}
 	stat := make([]float64, n)
 	for i, tr := range train {
@@ -107,36 +75,23 @@ func ConfigureWith(in ConfigureInput) (*Assignment, error) {
 	if err := ValidatePartition(groups, n); err != nil {
 		return nil, err
 	}
-	// The cached-frontier fast path only engages when it cannot change
-	// behavior: valid scorer parameters and non-empty attack set (so
-	// the slow path could not have errored).
-	scorer, _ := policy.Heuristic.(FrontierScorer)
-	useFrontiers := scorer != nil && in.UserFrontiers != nil &&
-		len(in.Attack) > 0 && scorer.validateScorer() == nil
 	asn := &Assignment{
 		Thresholds:     make([]float64, n),
 		Groups:         groups,
 		GroupThreshold: make([]float64, len(groups)),
 	}
 	for g, grp := range groups {
-		var t float64
-		if useFrontiers && len(grp) == 1 && in.UserFrontiers[grp[0]] != nil {
-			// A singleton group's merged distribution is a copy of the
-			// member's own, so the member's frontier yields the exact
-			// same threshold without re-merging or re-enumerating.
-			t = in.UserFrontiers[grp[0]].Maximize(scorer.Score)
-		} else {
-			members := make([]*stats.Empirical, len(grp))
-			for i, u := range grp {
-				members[i] = train[u]
-			}
-			merged, err := stats.MergeEmpiricals(members)
-			if err != nil {
-				return nil, err
-			}
-			if t, err = policy.Heuristic.Threshold(merged, in.Attack); err != nil {
-				return nil, fmt.Errorf("core: heuristic %s on group %d: %w", policy.Heuristic.Name(), g, err)
-			}
+		members := make([]*stats.Empirical, len(grp))
+		for i, u := range grp {
+			members[i] = train[u]
+		}
+		merged, err := stats.MergeEmpiricals(members)
+		if err != nil {
+			return nil, err
+		}
+		t, err := policy.Heuristic.Threshold(merged, attack)
+		if err != nil {
+			return nil, fmt.Errorf("core: heuristic %s on group %d: %w", policy.Heuristic.Name(), g, err)
 		}
 		asn.GroupThreshold[g] = t
 		for _, u := range grp {

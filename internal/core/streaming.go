@@ -8,7 +8,7 @@ import (
 	"repro/internal/stats"
 )
 
-// StreamPlan is the streaming counterpart of ConfigureWith: it derives
+// StreamPlan is the streaming counterpart of Configure: it derives
 // a policy's Assignment from per-user training distributions that are
 // presented one at a time (in any order, from any goroutine) instead
 // of all resident at once. The protocol is
@@ -17,13 +17,13 @@ import (
 //	// fan FoldUser(u, dist) over shards/workers, each user exactly once
 //	asn, _ := plan.Finish()
 //
-// and the resulting Assignment is bit-identical to
-// ConfigureWith(ConfigureInput{...}) over the same distributions:
-// singleton groups take their threshold straight from the member's own
-// distribution (whose samples are exactly the merged copy ConfigureWith
-// would build), and multi-user groups fold members into a
-// stats.Compressed accumulator whose quantiles and threshold frontier
-// reproduce the merged sorted column operand for operand. The fold is
+// and the resulting Assignment is bit-identical to Configure over the
+// same distributions: singleton groups take their threshold straight
+// from the member's own distribution (whose samples are exactly the
+// merged copy Configure would build), and multi-user groups fold
+// members into a stats.Compressed accumulator whose quantiles and
+// threshold frontier reproduce the merged sorted column operand for
+// operand. The fold is
 // associative and commutative — the accumulator state depends only on
 // the multiset of samples — so worker scheduling cannot change the
 // result.
@@ -51,7 +51,7 @@ type StreamPlan struct {
 
 // NewStreamPlan partitions the population with the policy's grouping
 // over the per-user tail statistic (stat[u] must be user u's training
-// 0.99-quantile, exactly what ConfigureWith computes internally) and
+// 0.99-quantile, exactly what Configure computes internally) and
 // prepares per-group accumulators for the fold.
 func NewStreamPlan(policy Policy, stat []float64, attack []float64) (*StreamPlan, error) {
 	n := len(stat)
@@ -117,7 +117,7 @@ func (p *StreamPlan) FoldUser(u int, dist *stats.Empirical) error {
 	if len(p.groups[g]) == 1 {
 		// A singleton group's merged distribution is a copy of the
 		// member's own, so Threshold on the member's distribution is
-		// the exact ConfigureWith result without the copy.
+		// the exact Configure result without the copy.
 		t, err := p.policy.Heuristic.Threshold(dist, p.attack)
 		if err != nil {
 			return fmt.Errorf("core: heuristic %s on group %d: %w", p.policy.Heuristic.Name(), g, err)

@@ -58,7 +58,7 @@ func foldPlan(t *testing.T, policy Policy, dists []*stats.Empirical, attack []fl
 }
 
 // TestStreamPlanMatchesConfigure pins the streaming assignment
-// DeepEqual to ConfigureWith for every policy shape the experiment
+// DeepEqual to Configure for every policy shape the experiment
 // runners use, across fold orders and a parallel fold. Run under
 // -race this is also the fold's race guard: workers is forced above 1
 // even on single-CPU hosts.
@@ -81,7 +81,7 @@ func TestStreamPlanMatchesConfigure(t *testing.T) {
 		for _, h := range heuristics {
 			for _, grp := range groupings {
 				policy := Policy{Heuristic: h, Grouping: grp}
-				want, err := ConfigureWith(ConfigureInput{Train: dists, Policy: policy, Attack: attack})
+				want, err := Configure(dists, policy, attack)
 				if err != nil {
 					t.Fatalf("%s: %v", policy.Name(), err)
 				}
@@ -89,7 +89,7 @@ func TestStreamPlanMatchesConfigure(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					got := foldPlan(t, policy, dists, attack, order, workers)
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d %s workers=%d: streaming assignment diverges from ConfigureWith",
+						t.Fatalf("seed %d %s workers=%d: streaming assignment diverges from Configure",
 							seed, policy.Name(), workers)
 					}
 					for i := range got.Thresholds {

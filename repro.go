@@ -74,19 +74,21 @@ type Options struct {
 	// processes. <= 1 keeps the single streaming build. Ignored
 	// without a snapshot directory.
 	SnapshotWorkers int
-	// StreamShard arms bounded-heap streaming evaluation on a mapped
-	// snapshot workspace: population-wide analyses iterate the store
-	// in shards of at most this many users, releasing each shard's
-	// pages as they finish, so peak RSS tracks the shard size instead
-	// of the population. Results are bit-identical to the whole-heap
-	// path. Zero means the REPRO_STREAM_SHARD environment variable,
-	// then (still zero) whole-heap evaluation. Ignored without a
-	// snapshot-backed workspace.
+	// StreamShard bounds the heap of a mapped snapshot workspace:
+	// population-wide analyses, which always run shard by shard, cut
+	// shards of at most this many users and release each shard's pages
+	// as they finish, so peak RSS tracks the shard size instead of the
+	// population. Results are bit-identical to unbounded evaluation,
+	// which cuts one shard per CPU and keeps every page. Zero means the
+	// REPRO_STREAM_SHARD environment variable, then (still zero)
+	// unbounded; a negative or malformed value is reported through
+	// Warnf and also runs unbounded. Ignored without a snapshot-backed
+	// workspace.
 	StreamShard int
-	// Warnf receives non-fatal operational warnings — today, snapshot
-	// store fallbacks (stale/corrupt file rejected, unwritable
-	// directory) that would otherwise regenerate silently. Default:
-	// stderr.
+	// Warnf receives non-fatal operational warnings — snapshot store
+	// fallbacks (stale/corrupt file rejected, unwritable directory)
+	// that would otherwise regenerate silently, and an unusable stream
+	// shard size. Default: stderr.
 	Warnf func(format string, args ...any)
 }
 
@@ -132,17 +134,23 @@ func NewEnterprise(opts Options) (*Enterprise, error) {
 	if dir == "" {
 		dir = os.Getenv("REPRO_SNAPSHOT_DIR")
 	}
-	streamShard := opts.StreamShard
-	if streamShard == 0 {
-		if n, err := strconv.Atoi(os.Getenv("REPRO_STREAM_SHARD")); err == nil {
-			streamShard = n
-		}
-	}
 	warnf := opts.Warnf
 	if warnf == nil {
 		warnf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "repro: "+format+"\n", args...)
 		}
+	}
+	streamShard := opts.StreamShard
+	if env := os.Getenv("REPRO_STREAM_SHARD"); streamShard == 0 && env != "" {
+		if n, err := strconv.Atoi(env); err != nil {
+			warnf("REPRO_STREAM_SHARD=%q is not a user count; evaluating unbounded", env)
+		} else {
+			streamShard = n
+		}
+	}
+	if streamShard < 0 {
+		warnf("stream shard %d is negative; evaluating unbounded", streamShard)
+		streamShard = 0
 	}
 	return &Enterprise{
 		Pop:         pop,

@@ -1,13 +1,14 @@
 package repro
 
-// End-to-end guard for bounded-heap streaming evaluation: every
-// experiment that routes through the streaming iterator must produce
-// results bit-identical to the whole-heap path over the same sealed
-// snapshot — across shard sizes bracketing the population (one user,
-// an odd size leaving a ragged tail, larger than everyone) and across
-// heavy-tail seeds.
+// End-to-end guard for shard-by-shard evaluation: every experiment
+// that routes through the shard iterator must produce bit-identical
+// results however the population is cut — in memory, over an unarmed
+// mapped snapshot, and over the same snapshot bounded at shard sizes
+// bracketing the population (one user, an odd size leaving a ragged
+// tail, larger than everyone) — across heavy-tail seeds.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -43,51 +44,47 @@ func runStreamedSet(t *testing.T, e *Enterprise) []any {
 	return []any{f1, f3a, f3b, t3, f4a, f4b}
 }
 
-func TestStreamingExperimentsMatchWholeHeap(t *testing.T) {
+func TestExperimentsShardSizeInvariance(t *testing.T) {
 	t.Setenv("REPRO_SNAPSHOT_DIR", "")
 	t.Setenv("REPRO_STREAM_SHARD", "")
 	names := []string{"Fig1", "Fig3a", "Fig3b", "Table3", "Fig4a", "Fig4b"}
 	for _, seed := range []uint64{53, 87} {
-		dir := t.TempDir()
-		opts := Options{Users: 26, Weeks: 2, Seed: seed, SnapshotDir: dir}
-		whole, err := NewEnterprise(opts)
+		opts := Options{Users: 26, Weeks: 2, Seed: seed}
+		mem, err := NewEnterprise(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		whole.Materialize() // seeds the store; maps it whole-heap
-		want := runStreamedSet(t, whole)
-		for _, shard := range []int{1, 7, 128} {
+		want := runStreamedSet(t, mem)
+		opts.SnapshotDir = t.TempDir()
+		for _, shard := range []int{0, 1, 7, 128} {
 			sopts := opts
 			sopts.StreamShard = shard
-			streamed, err := NewEnterprise(sopts)
+			ent, err := NewEnterprise(sopts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := runStreamedSet(t, streamed)
+			got := runStreamedSet(t, ent) // shard 0 seeds the store, unarmed
 			for i := range want {
 				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("seed %d shard %d: %s diverges from the whole-heap path", seed, shard, names[i])
+					t.Fatalf("seed %d shard %d: %s diverges from the in-memory run", seed, shard, names[i])
 				}
 			}
-			if err := streamed.Close(); err != nil {
+			if err := ent.Close(); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := whole.Close(); err != nil {
-			t.Fatal(err)
 		}
 	}
 }
 
 // TestStreamShardEnvArmsStreaming pins the REPRO_STREAM_SHARD
-// plumbing: the env-armed enterprise must agree with an
-// Options-armed one (and with the whole-heap path).
+// plumbing: the env-armed enterprise must agree with the unbounded
+// run, and a malformed or negative shard size must run unbounded with
+// a warning rather than be dropped silently.
 func TestStreamShardEnvArmsStreaming(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv("REPRO_SNAPSHOT_DIR", dir)
 	t.Setenv("REPRO_STREAM_SHARD", "")
-	opts := Options{Users: 11, Weeks: 2, Seed: 5}
-	whole, err := NewEnterprise(opts)
+	whole, err := NewEnterprise(Options{Users: 11, Weeks: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,19 +94,41 @@ func TestStreamShardEnvArmsStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Setenv("REPRO_STREAM_SHARD", "4")
-	streamed, err := NewEnterprise(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed.streamShard != 4 {
-		t.Fatalf("REPRO_STREAM_SHARD=4 armed shard %d", streamed.streamShard)
-	}
-	got, err := Fig3a(streamed, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("env-armed streaming run diverges from the whole-heap run")
+	for _, tc := range []struct {
+		env       string
+		opt       int
+		wantShard int
+		warns     bool
+	}{
+		{env: "4", wantShard: 4},
+		{env: "128k", warns: true},
+		{env: "-3", warns: true},
+		{opt: -2, warns: true},
+		{env: "4", opt: -2, warns: true}, // Options win over the environment
+	} {
+		name := fmt.Sprintf("env %q opt %d", tc.env, tc.opt)
+		t.Setenv("REPRO_STREAM_SHARD", tc.env)
+		var warnings []string
+		ent, err := NewEnterprise(Options{Users: 11, Weeks: 2, Seed: 5, StreamShard: tc.opt,
+			Warnf: func(format string, args ...any) { warnings = append(warnings, fmt.Sprintf(format, args...)) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ent.streamShard != tc.wantShard {
+			t.Fatalf("%s: armed shard %d, want %d", name, ent.streamShard, tc.wantShard)
+		}
+		if got := len(warnings) > 0; got != tc.warns {
+			t.Fatalf("%s: warnings %q, want any = %v", name, warnings, tc.warns)
+		}
+		got, err := Fig3a(ent, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: run diverges from the unbounded run", name)
+		}
+		if err := ent.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

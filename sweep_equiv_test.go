@@ -156,9 +156,8 @@ func TestFig5MatchesSeedComputation(t *testing.T) {
 }
 
 // TestFig3aFrontierVsUncachedConfigure additionally pins the
-// workspace's cached-frontier assignments against a frontier-free
-// Configure on the same memoized distributions — the exact seam the
-// ConfigureWith fast path introduces.
+// workspace's folded frontier-heuristic assignments against a plain
+// whole-population Configure on the same memoized distributions.
 func TestFig3aFrontierVsUncachedConfigure(t *testing.T) {
 	e := equivEnterprise(t)
 	cfg := DefaultExperimentConfig()
