@@ -50,11 +50,12 @@ fuzz:
 
 # bench runs the per-experiment benchmarks — root package, the
 # generation-path microbenches in internal/trace and internal/xrand,
-# and the detection loop's wire codec (internal/console) and 250-agent
-# fleet run (internal/fleet) — and records them as BENCH_repro.json,
-# the perf trajectory checked in with each PR. The hand-recorded
-# before_after section of the old file is carried over.
-BENCH_PKGS = . ./internal/trace ./internal/xrand ./internal/console ./internal/fleet
+# the verified store open (internal/snapshot), and the detection
+# loop's wire codec (internal/console) and 250-agent fleet run
+# (internal/fleet) — and records them as BENCH_repro.json, the perf
+# trajectory checked in with each PR. The hand-recorded before_after
+# section of the old file is carried over.
+BENCH_PKGS = . ./internal/trace ./internal/xrand ./internal/snapshot ./internal/console ./internal/fleet
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -timeout 60m $(BENCH_PKGS) | tee /tmp/bench_repro.txt
 	./scripts/bench_json.sh /tmp/bench_repro.txt scripts/seed_baseline.bench BENCH_repro.json > /tmp/bench_repro.json

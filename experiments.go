@@ -253,13 +253,32 @@ func sweepOverlay(bins int, sweep []float64) []float64 {
 	return ov
 }
 
+// configurePolicies returns the memoized threshold assignments of
+// several policies on one feature's training week, configured in
+// parallel. attack and sweepKey are Workspace.Assignment's.
+func configurePolicies(ws *analysis.Workspace, f features.Feature, trainWeek int, pols []core.Policy, attack []float64, sweepKey string) ([]*core.Assignment, error) {
+	asns := make([]*core.Assignment, len(pols))
+	err := par.ForEachErr(len(pols), 0, func(p int) error {
+		asn, err := ws.Assignment(f, trainWeek, pols[p], attack, sweepKey)
+		if err != nil {
+			return fmt.Errorf("repro: policy %s: %w", pols[p].Name(), err)
+		}
+		asns[p] = asn
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return asns, nil
+}
+
 // evalPolicies runs the three grouping policies under one heuristic
 // with the standard sweep attack and returns their results in
 // Policies order. Results are memoized in the workspace (keyed by
-// every parameter that feeds them), the three policies evaluate in
-// parallel, and each evaluation reuses the cached train
-// distributions, attack sweep and threshold configuration instead of
-// re-deriving them.
+// every parameter that feeds them): the three threshold
+// configurations come from the workspace's assignment cache, built in
+// parallel, and one Score pass scores all three over the test week,
+// extracting each user's test column once.
 func evalPolicies(e *Enterprise, cfg ExperimentConfig, h core.Heuristic) ([]*core.EvalResult, error) {
 	return evalPoliciesWS(e, cfg, h, true)
 }
@@ -276,26 +295,15 @@ func evalPoliciesWS(e *Enterprise, cfg ExperimentConfig, h core.Heuristic, withA
 			// the whole population.
 			shared = sweepOverlay(ws.BinsPerWeek(), sweep)
 		}
-		sweepKey := fmt.Sprintf("sp%d", cfg.SweepPoints)
-		pols := Policies(h)
-		out := make([]*core.EvalResult, len(pols))
-		err := par.ForEachErr(len(pols), 0, func(p int) error {
-			pol := pols[p]
-			asn, err := ws.Assignment(cfg.Feature, cfg.TrainWeek, pol, sweep, sweepKey)
-			if err != nil {
-				return fmt.Errorf("repro: policy %s: %w", pol.Name(), err)
-			}
-			res, err := ws.EvaluateSharded(cfg.Feature, cfg.TestWeek, asn, shared, 0)
-			if err != nil {
-				return fmt.Errorf("repro: policy %s: %w", pol.Name(), err)
-			}
-			out[p] = res
-			return nil
-		})
+		asns, err := configurePolicies(ws, cfg.Feature, cfg.TrainWeek, Policies(h), sweep, fmt.Sprintf("sp%d", cfg.SweepPoints))
 		if err != nil {
 			return nil, err
 		}
-		return out, nil
+		jobs := make([]analysis.Scoring, len(asns))
+		for p, asn := range asns {
+			jobs[p] = analysis.Scoring{Assignment: asn, Overlay: shared}
+		}
+		return ws.Score(cfg.Feature, cfg.TestWeek, jobs, 0)
 	})
 	if err != nil {
 		return nil, err
@@ -482,7 +490,8 @@ type Fig4aResult struct {
 // maximum), and the set of alarming sizes is an up-set whose boundary
 // — the user's critical size — is found exactly by probing adjacent
 // floats around threshold−max. The per-(policy, day) critical sizes
-// are sorted and memoized in the workspace, after which every
+// of all three policies come from one pass over the test week's day
+// views and are sorted and memoized in the workspace, after which every
 // (policy, size, day) cell is one binary search over users instead of
 // a per-user search over windows.
 func Fig4a(e *Enterprise, cfg ExperimentConfig) (*Fig4aResult, error) {
@@ -495,41 +504,51 @@ func Fig4a(e *Enterprise, cfg ExperimentConfig) (*Fig4aResult, error) {
 	// The three assignments are cached in the workspace. Percentile
 	// heuristics ignore attack magnitudes, so the nil-sweep cache key
 	// shares the entries Fig4b and Fig5 configure.
-	crits := make([][][]float64, 0, 3) // [policy][day] sorted critical sizes
-	for _, pol := range Policies(core.Percentile{Q: 0.99}) {
-		asn, err := ws.Assignment(cfg.Feature, cfg.TrainWeek, pol, nil, "")
-		if err != nil {
+	pols := Policies(core.Percentile{Q: 0.99})
+	asns := make([]*core.Assignment, len(pols))
+	for p, pol := range pols {
+		var err error
+		if asns[p], err = ws.Assignment(cfg.Feature, cfg.TrainWeek, pol, nil, ""); err != nil {
 			return nil, err
 		}
-		key := fmt.Sprintf("fig4a-crit/%d/%d/%d/%s", int(cfg.Feature), cfg.TrainWeek, cfg.TestWeek, pol.Name())
-		v, err := ws.Memo(key, func() (any, error) {
-			perDay := make([][]float64, len(attackDays))
-			for d := range perDay {
-				perDay[d] = make([]float64, users)
+		res.PolicyNames = append(res.PolicyNames, pol.Name())
+	}
+	// One pass over the test week's day views derives every policy's
+	// critical sizes.
+	key := fmt.Sprintf("fig4a-crit/%d/%d/%d", int(cfg.Feature), cfg.TrainWeek, cfg.TestWeek)
+	v, err := ws.Memo(key, func() (any, error) {
+		crits := make([][][]float64, len(asns)) // [policy][day] sorted critical sizes
+		for p := range crits {
+			crits[p] = make([][]float64, len(attackDays))
+			for d := range crits[p] {
+				crits[p][d] = make([]float64, users)
 			}
-			err := ws.StreamShards(0, func(view *analysis.Workspace, lo, hi int) error {
-				for u, userDays := range view.DaySorted(cfg.Feature, cfg.TestWeek) {
-					for d, day := range attackDays {
-						col := userDays[day]
-						perDay[d][lo+u] = minAlarmSize(col[len(col)-1], asn.Thresholds[lo+u])
+		}
+		err := ws.StreamShards(0, func(view *analysis.Workspace, lo, hi int) error {
+			for u, userDays := range view.DaySorted(cfg.Feature, cfg.TestWeek) {
+				for d, day := range attackDays {
+					col := userDays[day]
+					for p, asn := range asns {
+						crits[p][d][lo+u] = minAlarmSize(col[len(col)-1], asn.Thresholds[lo+u])
 					}
 				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
 			}
-			for d := range perDay {
-				sort.Float64s(perDay[d])
-			}
-			return perDay, nil
+			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		res.PolicyNames = append(res.PolicyNames, pol.Name())
-		crits = append(crits, v.([][]float64))
+		for _, perDay := range crits {
+			for _, crit := range perDay {
+				sort.Float64s(crit)
+			}
+		}
+		return crits, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	crits := v.([][][]float64)
 
 	res.Fraction = make([][]float64, len(crits))
 	for p := range crits {
@@ -619,35 +638,44 @@ type Fig4bResult struct {
 
 // Fig4b runs the experiment: the resourceful attacker profiles each
 // host's test-week distribution and sends the largest volume that
-// evades detection with probability EvadeProb.
+// evades detection with probability EvadeProb. One shard pass reads
+// each user's test-week distribution once and profiles it against all
+// three policies' thresholds.
 func Fig4b(e *Enterprise, cfg ExperimentConfig) (*Fig4bResult, error) {
 	ws := e.workspace()
-	res := &Fig4bResult{}
-	for _, pol := range Policies(core.Percentile{Q: 0.99}) {
-		asn, err := ws.Assignment(cfg.Feature, cfg.TrainWeek, pol, nil, "")
-		if err != nil {
+	pols := Policies(core.Percentile{Q: 0.99})
+	asns := make([]*core.Assignment, len(pols))
+	for p, pol := range pols {
+		var err error
+		if asns[p], err = ws.Assignment(cfg.Feature, cfg.TrainWeek, pol, nil, ""); err != nil {
 			return nil, err
 		}
-		hidden := make([]float64, ws.Users())
-		err = ws.StreamShards(0, func(view *analysis.Workspace, lo, hi int) error {
-			for u, d := range view.Dists(cfg.Feature, cfg.TestWeek) {
+	}
+	res := &Fig4bResult{Hidden: make([][]float64, len(pols))}
+	for p := range res.Hidden {
+		res.Hidden[p] = make([]float64, ws.Users())
+	}
+	err := ws.StreamShards(0, func(view *analysis.Workspace, lo, hi int) error {
+		for u, d := range view.Dists(cfg.Feature, cfg.TestWeek) {
+			for p, asn := range asns {
 				h, err := attack.HiddenTraffic(d, asn.Thresholds[lo+u], cfg.EvadeProb)
 				if err != nil {
 					return err
 				}
-				hidden[lo+u] = h
+				res.Hidden[p][lo+u] = h
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
-		bp, err := stats.NewBoxplot(hidden)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for p, pol := range pols {
+		bp, err := stats.NewBoxplot(res.Hidden[p])
 		if err != nil {
 			return nil, err
 		}
 		res.PolicyNames = append(res.PolicyNames, pol.Name())
-		res.Hidden = append(res.Hidden, hidden)
 		res.Boxplots = append(res.Boxplots, bp)
 	}
 	return res, nil
@@ -691,86 +719,73 @@ type Fig5Result struct {
 	Points      [2][]Fig5Point
 }
 
-// fig5 evaluates two groupings against the Storm overlay. The Storm
-// synthesis is memoized per (bins, seed), the thresholds come from
-// the workspace's assignment cache, and the per-user confusion
-// matrices are read off pre-sorted columns: the workspace's
-// SplitOverlay decomposes the overlaid week once into sorted benign /
-// attacked observed values (the same g+a sums a window walk would
-// compare), after which each user's ⟨FP, 1−FN⟩ point is three binary
-// searches instead of two full passes over the week per policy.
-//
-// fig5 deliberately stays on the whole-heap path even when streaming
-// is armed: SplitOverlay's decomposition is memoized population-wide
-// and its output (two sorted copies per user) dominates the working
-// set regardless of how the inputs are read, so sharding the reads
-// would not bound peak RSS.
-func fig5(e *Enterprise, cfg ExperimentConfig, groupings [2]core.Grouping) (*Fig5Result, error) {
+// fig5Scores returns the memoized Storm scoring both Fig 5 panels read:
+// one Score pass over the distinct-connections test week with six
+// jobs, the three 99th-percentile policies in Policies order, each
+// scored on the clean week (job 2p) and under the Storm overlay (job
+// 2p+1). The thresholds come from the workspace's assignment cache.
+func fig5Scores(e *Enterprise, cfg ExperimentConfig) ([]*core.EvalResult, error) {
 	f := features.Distinct // the paper's Fig 5 feature
 	ws := e.workspace()
 	bins := ws.BinsPerWeek()
-	users := ws.Users()
-	stormKey := fmt.Sprintf("storm/%d/%d", bins, cfg.Seed)
-	ov, err := ws.Memo(stormKey, func() (any, error) {
-		bot, err := attack.NewStorm(attack.StormConfig{
-			Bins:     bins,
-			BinWidth: ws.BinWidth(),
-			Seed:     cfg.Seed,
-		})
+	key := fmt.Sprintf("fig5/%d/%d/%d/%d", cfg.TrainWeek, cfg.TestWeek, bins, cfg.Seed)
+	v, err := ws.Memo(key, func() (any, error) {
+		bot, err := attack.NewStorm(attack.StormConfig{Bins: bins, BinWidth: ws.BinWidth(), Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
-		return bot.Overlay().Overlay, nil
+		storm := bot.Overlay().Overlay
+		asns, err := configurePolicies(ws, f, cfg.TrainWeek, Policies(core.Percentile{Q: 0.99}), nil, "")
+		if err != nil {
+			return nil, err
+		}
+		jobs := make([]analysis.Scoring, 0, 2*len(asns))
+		for _, asn := range asns {
+			jobs = append(jobs, analysis.Scoring{Assignment: asn}, analysis.Scoring{Assignment: asn, Overlay: storm})
+		}
+		return ws.Score(f, cfg.TestWeek, jobs, 0)
 	})
 	if err != nil {
 		return nil, err
 	}
-	overlay := ov.([]float64)
-	clean := ws.Sorted(f, cfg.TestWeek)
-	split, err := ws.SplitOverlay(f, cfg.TestWeek, overlay, stormKey)
+	return v.([]*core.EvalResult), nil
+}
+
+// fig5 renders one Fig 5 panel: the two policies at the given
+// Policies indices, read off the shared Storm scoring. A user's FP is
+// its clean-week false-positive rate; its detection rate is the recall
+// under the overlay, in which every window is attacked (the bot never
+// sleeps).
+func fig5(e *Enterprise, cfg ExperimentConfig, policies [2]int) (*Fig5Result, error) {
+	scores, err := fig5Scores(e, cfg)
 	if err != nil {
 		return nil, err
 	}
-
+	pols := Policies(core.Percentile{Q: 0.99})
 	res := &Fig5Result{}
-	for i, g := range groupings {
-		pol := core.Policy{Heuristic: core.Percentile{Q: 0.99}, Grouping: g}
-		asn, err := ws.Assignment(f, cfg.TrainWeek, pol, nil, "")
-		if err != nil {
-			return nil, err
-		}
-		res.PolicyNames[i] = pol.Name()
-		res.Points[i] = make([]Fig5Point, users)
-		par.ForEach(users, 0, func(u int) {
-			thr := asn.Thresholds[u]
-			// FP on the clean test week; FN on the overlaid week, in
-			// which every window is attacked (the bot never sleeps).
-			fp := stats.CountAboveSorted(clean[u], thr)
-			fpConf := stats.Confusion{FP: fp, TN: bins - fp}
-			tp := stats.CountAboveSorted(split.Attacked[u], thr)
-			bfp := stats.CountAboveSorted(split.Benign[u], thr)
-			fnConf := stats.Confusion{
-				TP: tp, FN: len(split.Attacked[u]) - tp,
-				FP: bfp, TN: len(split.Benign[u]) - bfp,
-			}
+	for i, p := range policies {
+		clean, storm := scores[2*p], scores[2*p+1]
+		res.PolicyNames[i] = pols[p].Name()
+		res.Points[i] = make([]Fig5Point, len(clean.Points))
+		for u := range clean.Points {
 			res.Points[i][u] = Fig5Point{
 				User:          u,
-				FP:            fpConf.FalsePositiveRate(),
-				DetectionRate: fnConf.Recall(),
+				FP:            clean.Points[u].FP,
+				DetectionRate: storm.Points[u].Confusion.Recall(),
 			}
-		})
+		}
 	}
 	return res, nil
 }
 
 // Fig5a compares homogeneous vs full diversity under Storm.
 func Fig5a(e *Enterprise, cfg ExperimentConfig) (*Fig5Result, error) {
-	return fig5(e, cfg, [2]core.Grouping{core.Homogeneous{}, core.FullDiversity{}})
+	return fig5(e, cfg, [2]int{0, 1})
 }
 
 // Fig5b compares full diversity vs 8-partial under Storm.
 func Fig5b(e *Enterprise, cfg ExperimentConfig) (*Fig5Result, error) {
-	return fig5(e, cfg, [2]core.Grouping{core.FullDiversity{}, core.PartialDiversity{NumGroups: 8}})
+	return fig5(e, cfg, [2]int{1, 2})
 }
 
 // Summary reduces one policy's point cloud to the quantities the

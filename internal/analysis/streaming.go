@@ -23,8 +23,8 @@ package analysis
 // Either way every per-user value a view serves is bit-identical to
 // what the full workspace serves for the same user. The
 // population-wide entry points — TailStats, Sweep, Assignment (via
-// core.StreamPlan's fold), EvaluateSharded and the experiment runners
-// above them — have exactly one code path, through StreamShards.
+// core.StreamPlan's fold), Score and the experiment runners above
+// them — have exactly one code path, through StreamShards.
 //
 // Fold contract: every per-shard partial lands in a disjoint slice of
 // a population-sized output (user-indexed results) or folds through a
@@ -35,6 +35,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/core"
@@ -128,11 +129,11 @@ func (w *Workspace) StreamShards(workers int, fn func(view *Workspace, lo, hi in
 // core.StreamPlan's fold: every user's grouping statistic (the
 // training p99, exactly what core.Configure derives) is the memoized
 // TailStats pass that Fig 1, Fig 2 and every other policy share; one
-// further pass folds each user's training distribution into the plan.
-// The one heuristic with no fold over merged groups (core.MeanSigma
-// under a merging policy) is the only population-wide configure left:
-// it falls back to core.Configure over every training distribution,
-// which also reproduces any genuine error.
+// further pass folds each shard's training distributions into the
+// plan. The one heuristic with no fold over merged groups
+// (core.MeanSigma under a merging policy) is the only population-wide
+// configure left: it falls back to core.Configure over every training
+// distribution, which also reproduces any genuine error.
 func (w *Workspace) configure(f features.Feature, trainWeek int, pol core.Policy, attack []float64) (*core.Assignment, error) {
 	stat, err := w.TailStats(f, trainWeek, 0.99)
 	if err != nil {
@@ -143,12 +144,7 @@ func (w *Workspace) configure(f features.Feature, trainWeek int, pol core.Policy
 		return core.Configure(w.Dists(f, trainWeek), pol, attack)
 	}
 	err = w.StreamShards(0, func(view *Workspace, lo, hi int) error {
-		for u, d := range view.Dists(f, trainWeek) {
-			if err := plan.FoldUser(lo+u, d); err != nil {
-				return err
-			}
-		}
-		return nil
+		return plan.FoldShard(lo, view.Dists(f, trainWeek))
 	})
 	if err != nil {
 		return nil, err
@@ -156,42 +152,86 @@ func (w *Workspace) configure(f features.Feature, trainWeek int, pol core.Policy
 	return plan.Finish()
 }
 
-// EvaluateSharded scores a pre-configured assignment over one test
-// week shard by shard: core.EvaluatePolicy with EvalInput.Assignment
-// set, without a population-sized test matrix. overlay, when non-nil,
-// is the shared per-window additive attack applied to every user (the
-// shape the sweep runners use; every user has the same bin count).
-// Results are bit-identical to core.EvaluatePolicy: each user's
-// operating point is core.ScorePoint over the same test column,
-// threshold and overlay, written to its own population-indexed slot.
-// Each shard extracts its users' test columns one at a time into a
-// single binsPerWeek scratch column instead of building a raw block.
-// workers < 1 means one worker per CPU. Panics on an invalid feature
-// or week, like Raw.
-func (w *Workspace) EvaluateSharded(f features.Feature, testWeek int, asn *core.Assignment, overlay []float64, workers int) (*core.EvalResult, error) {
-	if asn == nil {
-		return nil, fmt.Errorf("analysis: EvaluateSharded needs a configured assignment")
+// Scoring is one job of a Score pass: a configured assignment and the
+// shared per-window additive attack overlay it is scored under (nil
+// for the benign week; otherwise one non-negative, finite value per
+// window of the week, applied to every user).
+type Scoring struct {
+	Assignment *core.Assignment
+	Overlay    []float64
+}
+
+// Score scores every job over one test week in a single shard pass:
+// each user's time-ordered test column is extracted once, into the
+// shard's scratch column, and scored against every job with
+// core.ScorePoint, so k policies cost one extraction per user instead
+// of k. out[i] is job i's result, bit-identical to core.EvaluatePolicy
+// with EvalInput.Assignment set and every user's attack = the job's
+// overlay; each operating point lands in its own population-indexed
+// slot. Every job is checked before the pass: its assignment must
+// cover the population and its overlay, when present, must cover the
+// week with finite, non-negative values. workers < 1 means one worker
+// per CPU. Panics on an invalid feature or week, like Raw.
+func (w *Workspace) Score(f features.Feature, week int, jobs []Scoring, workers int) ([]*core.EvalResult, error) {
+	w.blockIndex(f, week) // panics on an invalid feature or week
+	out := make([]*core.EvalResult, len(jobs))
+	for i, job := range jobs {
+		if job.Assignment == nil {
+			return nil, fmt.Errorf("analysis: scoring job %d needs a configured assignment", i)
+		}
+		if n := len(job.Assignment.Thresholds); n != w.users {
+			return nil, fmt.Errorf("analysis: scoring job %d: assignment covers %d users, population has %d", i, n, w.users)
+		}
+		if err := w.checkOverlay(job.Overlay); err != nil {
+			return nil, fmt.Errorf("analysis: scoring job %d: %w", i, err)
+		}
+		out[i] = &core.EvalResult{Assignment: job.Assignment, Points: make([]core.OperatingPoint, w.users)}
 	}
-	if len(asn.Thresholds) != w.users {
-		return nil, fmt.Errorf("analysis: assignment covers %d users, population has %d", len(asn.Thresholds), w.users)
-	}
-	w.blockIndex(f, testWeek) // panics on an invalid feature or week
-	res := &core.EvalResult{Assignment: asn, Points: make([]core.OperatingPoint, w.users)}
 	err := w.StreamShards(workers, func(view *Workspace, lo, hi int) error {
 		col := make([]float64, w.binsPerWeek)
 		for u, m := range view.matrices {
-			wlo, whi := m.WeekRange(testWeek)
+			wlo, whi := m.WeekRange(week)
 			m.ColumnInto(col, f, wlo, whi)
-			pt, err := core.ScorePoint(lo+u, col, overlay, asn.Thresholds[lo+u])
-			if err != nil {
-				return err
+			for i, job := range jobs {
+				pt, err := core.ScorePoint(lo+u, col, job.Overlay, job.Assignment.Thresholds[lo+u])
+				if err != nil {
+					return err
+				}
+				out[i].Points[lo+u] = pt
 			}
-			res.Points[lo+u] = pt
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return out, nil
+}
+
+// checkOverlay validates an additive attack overlay against the week:
+// nil (no attack), or one finite, non-negative value per window.
+func (w *Workspace) checkOverlay(overlay []float64) error {
+	if overlay == nil {
+		return nil
+	}
+	if len(overlay) != w.binsPerWeek {
+		return fmt.Errorf("overlay covers %d windows, week has %d", len(overlay), w.binsPerWeek)
+	}
+	for b, a := range overlay {
+		if a < 0 || math.IsNaN(a) || math.IsInf(a, 0) {
+			return fmt.Errorf("overlay value %g at window %d is not finite and non-negative", a, b)
+		}
+	}
+	return nil
+}
+
+// EvaluateSharded scores one pre-configured assignment over one test
+// week: a one-job Score. overlay, when non-nil, is the shared
+// per-window additive attack applied to every user.
+func (w *Workspace) EvaluateSharded(f features.Feature, testWeek int, asn *core.Assignment, overlay []float64, workers int) (*core.EvalResult, error) {
+	res, err := w.Score(f, testWeek, []Scoring{{Assignment: asn, Overlay: overlay}}, workers)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/snapshot"
@@ -153,6 +154,78 @@ func TestShardSizeInvariance(t *testing.T) {
 	}
 }
 
+// TestScoreMatchesEvaluateSharded pins the multi-job pass: one k-job
+// Score is DeepEqual to k one-job EvaluateSharded calls and to
+// core.EvaluatePolicy over the raw test columns, on an in-memory
+// workspace, the unarmed store and the store bounded at shard sizes
+// bracketing the population.
+func TestScoreMatchesEvaluateSharded(t *testing.T) {
+	const users = 37
+	f, trainWeek, testWeek := features.TCP, 0, 1
+	pop, key := popAndKey(t, users, 2, 87, 6*time.Hour)
+	dir := t.TempDir()
+	unarmed, err := MaterializeSharded(context.Background(), dir, key, 0, func(u int, rows [][features.NumFeatures]float64) {
+		pop.Users[u].FillSeries(rows)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { unarmed.Close() })
+	names := []string{"in-memory", "unarmed"}
+	inputs := []*Workspace{New(unarmed.Matrices()), unarmed}
+	for _, shard := range []int{1, 7, 128, users} {
+		names = append(names, fmt.Sprintf("shard %d", shard))
+		inputs = append(inputs, loadArmed(t, dir, key, shard))
+	}
+	test := inputs[0].Raw(f, testWeek)
+	sweep := inputs[0].Sweep(f, trainWeek, 24)
+	overlay := make([]float64, inputs[0].BinsPerWeek())
+	for i := 3; i < len(overlay); i += 4 {
+		overlay[i] = sweep[i%len(sweep)]
+	}
+	policies := []core.Policy{
+		{Heuristic: core.Percentile{Q: 0.99}, Grouping: core.Homogeneous{}},
+		{Heuristic: core.Percentile{Q: 0.99}, Grouping: core.FullDiversity{}},
+		{Heuristic: core.UtilityOptimal{W: 0.4}, Grouping: core.PartialDiversity{NumGroups: 8}},
+	}
+	for i, w := range inputs {
+		var jobs []Scoring
+		for _, pol := range policies {
+			asn, err := w.Assignment(f, trainWeek, pol, sweep, "sp24")
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, Scoring{Assignment: asn}, Scoring{Assignment: asn, Overlay: overlay})
+		}
+		got, err := w.Score(f, testWeek, jobs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, job := range jobs {
+			one, err := w.EvaluateSharded(f, testWeek, job.Assignment, job.Overlay, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[j], one) {
+				t.Fatalf("%s job %d: Score diverges from EvaluateSharded", names[i], j)
+			}
+			attack := make([][]float64, users)
+			if job.Overlay != nil {
+				for u := range attack {
+					attack[u] = job.Overlay
+				}
+			}
+			want, err := core.EvaluatePolicy(core.EvalInput{Test: test, Attack: attack, Assignment: job.Assignment})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[j], want) {
+				t.Fatalf("%s job %d: Score diverges from core.EvaluatePolicy", names[i], j)
+			}
+		}
+	}
+}
+
 // TestUnboundedViewsAliasParent pins the two view kinds apart: a view
 // of an unbounded workspace (in-memory or unarmed mapped) serves the
 // parent's own sorted columns and distributions, not copies, while a
@@ -270,7 +343,9 @@ func TestStreamingWorkspaceServesIdenticalViews(t *testing.T) {
 
 // sortedOnlyPasses runs every analysis that needs sorted columns only
 // over w: tail statistics, the sweep, a percentile and a utility
-// assignment each scored by the streaming evaluation, and the
+// assignment each scored by the streaming evaluation, Fig 5's pass
+// (three percentile policies on the distinct-connections feature, each
+// scored clean and under the Storm overlay in one Score), and the
 // distributions.
 func sortedOnlyPasses(t *testing.T, w *Workspace) {
 	t.Helper()
@@ -290,6 +365,22 @@ func sortedOnlyPasses(t *testing.T, w *Workspace) {
 		if _, err := w.EvaluateSharded(f, 1, asn, nil, 0); err != nil {
 			t.Fatal(err)
 		}
+	}
+	bot, err := attack.NewStorm(attack.StormConfig{Bins: w.BinsPerWeek(), BinWidth: w.BinWidth(), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	storm := bot.Overlay().Overlay
+	var jobs []Scoring
+	for _, g := range []core.Grouping{core.Homogeneous{}, core.FullDiversity{}, core.PartialDiversity{NumGroups: 8}} {
+		asn, err := w.Assignment(features.Distinct, 0, core.Policy{Heuristic: core.Percentile{Q: 0.99}, Grouping: g}, nil, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, Scoring{Assignment: asn}, Scoring{Assignment: asn, Overlay: storm})
+	}
+	if _, err := w.Score(features.Distinct, 1, jobs, 0); err != nil {
+		t.Fatal(err)
 	}
 	w.Dists(f, 1)
 }
@@ -313,9 +404,9 @@ func requireNoRaw(t *testing.T, name string, w *Workspace) {
 }
 
 // TestSnapshotRawColumnsAreLazy pins that on a mapped store the passes
-// reading sorted columns never copy a raw column out of the mapping —
-// on the full workspace, whole-heap or streaming, and on every shard
-// view — that a later Raw still serves the in-memory workspace's
+// reading sorted columns — Fig 5's Storm scoring included — never copy
+// a raw column out of the mapping — on the full workspace, whole-heap
+// or streaming, and on every shard view — that a later Raw still serves the in-memory workspace's
 // columns bit for bit, and that a streaming TailStats pass allocates
 // well under one raw block.
 func TestSnapshotRawColumnsAreLazy(t *testing.T) {

@@ -23,9 +23,11 @@
 //     population-wide ones computed shard by shard through
 //     StreamShards (streaming.go), the single path whether or not the
 //     pass bounds the heap;
-//   - DaySorted / SplitOverlay: the pre-sorted attacked-window views
-//     that turn the Fig 4a/5a/5b attack sweeps into binary-search
-//     counting.
+//   - DaySorted: the pre-sorted per-day views that turn the Fig 4a
+//     attack sweep into binary-search counting;
+//   - Score: one shard pass scoring several configured policies (and
+//     attack overlays) over a test week, the scoring loop of Fig 3,
+//     Table 3 and Fig 5.
 //
 // Everything returned by a Workspace is shared and must be treated
 // as read-only; all methods are safe for concurrent use.
@@ -561,65 +563,6 @@ func (w *Workspace) DaySorted(f features.Feature, week int) [][][]float64 {
 		return out, nil
 	})
 	return v.([][][]float64)
-}
-
-// OverlaySplit is the benign/attacked decomposition of one overlaid
-// test week, pre-sorted for binary-search confusion counting.
-type OverlaySplit struct {
-	// Benign[u] holds the sorted observed values of user u's
-	// zero-overlay windows; Attacked[u] the sorted observed values
-	// (window + overlay) of the attacked (overlay > 0) windows.
-	Benign, Attacked [][]float64
-}
-
-// SplitOverlay returns the memoized benign/attacked split of one
-// feature-week under an additive overlay. overlayKey must uniquely
-// identify overlay (same contract as Assignment's sweepKey); overlay
-// must be non-negative and cover exactly one week of windows. Every
-// per-user confusion matrix of the overlaid week then reduces to two
-// binary searches (stats.CountAboveSorted on each half) — the values
-// are the identical g+a sums a window-by-window core.Evaluate walk
-// would compare, so the counts match it exactly. Shared, read-only.
-func (w *Workspace) SplitOverlay(f features.Feature, week int, overlay []float64, overlayKey string) (*OverlaySplit, error) {
-	key := fmt.Sprintf("split/%d/%d/%s", int(f), week, overlayKey)
-	v, err := w.Memo(key, func() (any, error) {
-		if len(overlay) != w.binsPerWeek {
-			return nil, fmt.Errorf("analysis: overlay covers %d windows, week has %d", len(overlay), w.binsPerWeek)
-		}
-		attacked := 0
-		for b, a := range overlay {
-			if a < 0 {
-				return nil, fmt.Errorf("analysis: negative overlay %g at window %d", a, b)
-			}
-			if a > 0 {
-				attacked++
-			}
-		}
-		raw := w.Raw(f, week)
-		out := &OverlaySplit{
-			Benign:   make([][]float64, w.users),
-			Attacked: make([][]float64, w.users),
-		}
-		par.ForEach(w.users, 0, func(u int) {
-			att := make([]float64, 0, attacked)
-			ben := make([]float64, 0, w.binsPerWeek-attacked)
-			for b, a := range overlay {
-				if a > 0 {
-					att = append(att, raw[u][b]+a)
-				} else {
-					ben = append(ben, raw[u][b])
-				}
-			}
-			sort.Float64s(att)
-			sort.Float64s(ben)
-			out.Attacked[u], out.Benign[u] = att, ben
-		})
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*OverlaySplit), nil
 }
 
 // GeomSpace returns n geometrically spaced values over [lo, hi],

@@ -289,10 +289,12 @@ func TestDaySortedMatchesRaw(t *testing.T) {
 	}
 }
 
-// TestSplitOverlayMatchesEvaluate pins the sorted benign/attacked
-// decomposition against a window-by-window core.Evaluate: identical
-// confusion counts for every user and threshold.
-func TestSplitOverlayMatchesEvaluate(t *testing.T) {
+// TestScoreOverlayMatchesEvaluate pins Score under an additive overlay
+// against a window-by-window core.Evaluate: identical confusion counts
+// for every user and threshold, with every job of one pass scored over
+// the same extracted column. Overlays that are short, negative or not
+// finite are rejected before the pass.
+func TestScoreOverlayMatchesEvaluate(t *testing.T) {
 	ws := New(testMatrices(6, 2))
 	bins := ws.BinsPerWeek()
 	overlay := make([]float64, bins)
@@ -301,35 +303,53 @@ func TestSplitOverlayMatchesEvaluate(t *testing.T) {
 			overlay[b] = float64(5 + b%17)
 		}
 	}
-	split, err := ws.SplitOverlay(features.TCP, 1, overlay, "test-overlay")
+	thresholds := []float64{0, 10, 33.5, 90, 1e9}
+	var jobs []Scoring
+	for _, thr := range thresholds {
+		asn := &core.Assignment{Thresholds: make([]float64, ws.Users())}
+		for u := range asn.Thresholds {
+			asn.Thresholds[u] = thr
+		}
+		jobs = append(jobs, Scoring{Assignment: asn, Overlay: overlay})
+	}
+	res, err := ws.Score(features.TCP, 1, jobs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw := ws.Raw(features.TCP, 1)
 	for u := range raw {
-		for _, thr := range []float64{0, 10, 33.5, 90, 1e9} {
+		for i, thr := range thresholds {
 			want, err := core.Evaluate(raw[u], overlay, thr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tp := stats.CountAboveSorted(split.Attacked[u], thr)
-			fp := stats.CountAboveSorted(split.Benign[u], thr)
-			got := stats.Confusion{
-				TP: tp, FN: len(split.Attacked[u]) - tp,
-				FP: fp, TN: len(split.Benign[u]) - fp,
-			}
-			if got != want {
-				t.Fatalf("user %d thr %g: split confusion %+v != Evaluate %+v", u, thr, got, want)
+			if got := res[i].Points[u].Confusion; got != want {
+				t.Fatalf("user %d thr %g: Score confusion %+v != Evaluate %+v", u, thr, got, want)
 			}
 		}
 	}
-	if _, err := ws.SplitOverlay(features.TCP, 1, overlay[:3], "short"); err == nil {
-		t.Fatal("short overlay accepted")
+	asn := jobs[0].Assignment
+	for name, bad := range map[string][]float64{
+		"short":    overlay[:3],
+		"empty":    {},
+		"negative": append([]float64{-1}, overlay[1:]...),
+		"NaN":      append([]float64{math.NaN()}, overlay[1:]...),
+		"+Inf":     append(append([]float64(nil), overlay[:bins-1]...), math.Inf(1)),
+	} {
+		// A bad job rejects the whole pass, even behind a good one.
+		if _, err := ws.Score(features.TCP, 1, []Scoring{{Assignment: asn}, {Assignment: asn, Overlay: bad}}, 0); err == nil {
+			t.Fatalf("%s overlay accepted", name)
+		}
+		if _, err := ws.EvaluateSharded(features.TCP, 1, asn, bad, 0); err == nil {
+			t.Fatalf("%s overlay accepted by EvaluateSharded", name)
+		}
 	}
-	neg := make([]float64, bins)
-	neg[0] = -1
-	if _, err := ws.SplitOverlay(features.TCP, 1, neg, "neg"); err == nil {
-		t.Fatal("negative overlay accepted")
+	if _, err := ws.Score(features.TCP, 1, []Scoring{{}}, 0); err == nil {
+		t.Fatal("job without an assignment accepted")
+	}
+	short := &core.Assignment{Thresholds: make([]float64, ws.Users()-1)}
+	if _, err := ws.Score(features.TCP, 1, []Scoring{{Assignment: short}}, 0); err == nil {
+		t.Fatal("assignment short of the population accepted")
 	}
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -10,11 +12,11 @@ import (
 
 // StreamPlan is the streaming counterpart of Configure: it derives
 // a policy's Assignment from per-user training distributions that are
-// presented one at a time (in any order, from any goroutine) instead
-// of all resident at once. The protocol is
+// presented a shard at a time (in any order, from any goroutine)
+// instead of all resident at once. The protocol is
 //
 //	plan, _ := NewStreamPlan(policy, stat, attack)
-//	// fan FoldUser(u, dist) over shards/workers, each user exactly once
+//	// fan FoldShard(lo, dists) over shards/workers, each user exactly once
 //	asn, _ := plan.Finish()
 //
 // and the resulting Assignment is bit-identical to Configure over the
@@ -46,7 +48,8 @@ type StreamPlan struct {
 
 	thresholds []float64
 	groupThr   []float64
-	folded     atomic.Int64
+	// folded[u] is set by the one fold that may present user u.
+	folded []atomic.Bool
 }
 
 // NewStreamPlan partitions the population with the policy's grouping
@@ -74,6 +77,7 @@ func NewStreamPlan(policy Policy, stat []float64, attack []float64) (*StreamPlan
 		mu:         make([]sync.Mutex, len(groups)),
 		thresholds: make([]float64, n),
 		groupThr:   make([]float64, len(groups)),
+		folded:     make([]atomic.Bool, n),
 	}
 	for g, grp := range groups {
 		for _, u := range grp {
@@ -100,45 +104,87 @@ func streamableHeuristic(h Heuristic) bool {
 	return false
 }
 
-// FoldUser presents user u's training distribution. Each user must be
-// folded exactly once; concurrent calls for distinct users are safe.
-// The distribution is not retained — its samples are either consumed
-// into a threshold immediately (singleton groups) or merged into the
-// group accumulator — so shard-backed callers may release the backing
-// memory as soon as the call returns.
+// FoldUser presents user u's training distribution: FoldShard over a
+// one-user shard.
 func (p *StreamPlan) FoldUser(u int, dist *stats.Empirical) error {
-	if u < 0 || u >= len(p.groupOf) {
-		return fmt.Errorf("core: user %d outside population of %d", u, len(p.groupOf))
+	return p.FoldShard(u, []*stats.Empirical{dist})
+}
+
+// FoldShard presents the training distributions of the contiguous
+// users [lo, lo+len(dists)), typically one StreamShards shard. Each
+// user must be folded exactly once: a second fold of any user is an
+// error naming it. Concurrent calls over disjoint ranges are safe.
+// Singleton groups take their threshold straight from the member's
+// distribution (whose samples are exactly the merged copy Configure
+// would build). The shard's members of each multi-user group are
+// folded into the group accumulator together, by one
+// stats.Compressed.AddEmpiricals under the group's lock, so the lock
+// is taken once per (shard, group) instead of once per user. The
+// distributions are not retained, so shard-backed callers may release
+// the backing memory as soon as the call returns.
+func (p *StreamPlan) FoldShard(lo int, dists []*stats.Empirical) error {
+	hi := lo + len(dists)
+	if lo < 0 || hi > len(p.groupOf) {
+		return fmt.Errorf("core: users [%d, %d) outside population of %d", lo, hi, len(p.groupOf))
 	}
-	if dist == nil || dist.N() == 0 {
-		return fmt.Errorf("core: user %d has no training data", u)
+	for i, d := range dists {
+		if d == nil || d.N() == 0 {
+			return fmt.Errorf("core: user %d has no training data", lo+i)
+		}
 	}
-	g := p.groupOf[u]
-	if len(p.groups[g]) == 1 {
-		// A singleton group's merged distribution is a copy of the
-		// member's own, so Threshold on the member's distribution is
-		// the exact Configure result without the copy.
-		t, err := p.policy.Heuristic.Threshold(dist, p.attack)
+	for u := lo; u < hi; u++ {
+		if !p.folded[u].CompareAndSwap(false, true) {
+			// Release this call's claims so Finish reports them
+			// missing rather than folded.
+			for v := lo; v < u; v++ {
+				p.folded[v].Store(false)
+			}
+			return fmt.Errorf("core: user %d folded twice", u)
+		}
+	}
+	var multi []int // members of multi-user groups, bucketed by group below
+	for u := lo; u < hi; u++ {
+		g := p.groupOf[u]
+		if p.acc[g] != nil {
+			multi = append(multi, u)
+			continue
+		}
+		t, err := p.policy.Heuristic.Threshold(dists[u-lo], p.attack)
 		if err != nil {
 			return fmt.Errorf("core: heuristic %s on group %d: %w", p.policy.Heuristic.Name(), g, err)
 		}
 		p.thresholds[u] = t
 		p.groupThr[g] = t
-	} else {
+	}
+	slices.SortStableFunc(multi, func(a, b int) int { return cmp.Compare(p.groupOf[a], p.groupOf[b]) })
+	bucket := make([]*stats.Empirical, 0, len(multi))
+	for s := 0; s < len(multi); {
+		g := p.groupOf[multi[s]]
+		bucket = bucket[:0]
+		for ; s < len(multi) && p.groupOf[multi[s]] == g; s++ {
+			bucket = append(bucket, dists[multi[s]-lo])
+		}
 		p.mu[g].Lock()
-		p.acc[g].AddEmpirical(dist)
+		p.acc[g].AddEmpiricals(bucket)
 		p.mu[g].Unlock()
 	}
-	p.folded.Add(1)
 	return nil
 }
 
 // Finish derives the multi-user group thresholds from the folded
-// accumulators and assembles the Assignment.
+// accumulators and assembles the Assignment. Every user must have been
+// folded.
 func (p *StreamPlan) Finish() (*Assignment, error) {
-	n := len(p.groupOf)
-	if got := p.folded.Load(); got != int64(n) {
-		return nil, fmt.Errorf("core: streaming configure folded %d of %d users", got, n)
+	n, got, missing := len(p.groupOf), 0, -1
+	for u := range p.folded {
+		if p.folded[u].Load() {
+			got++
+		} else if missing < 0 {
+			missing = u
+		}
+	}
+	if got != n {
+		return nil, fmt.Errorf("core: streaming configure folded %d of %d users (user %d missing)", got, n, missing)
 	}
 	for g, grp := range p.groups {
 		if len(grp) == 1 {

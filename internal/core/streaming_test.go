@@ -186,3 +186,89 @@ func TestStreamPlanErrors(t *testing.T) {
 		t.Fatalf("nil dist: err = %v", err)
 	}
 }
+
+// TestStreamPlanFoldShardMatchesConfigure pins the shard-local fold:
+// presenting the population as contiguous shards of any size, in any
+// shard order and in parallel, yields Configure's assignment.
+func TestStreamPlanFoldShardMatchesConfigure(t *testing.T) {
+	rng := rand.New(rand.NewSource(87))
+	dists := streamTrain(rng, 37)
+	stat := make([]float64, len(dists))
+	for u, d := range dists {
+		stat[u] = d.MustQuantile(0.99)
+	}
+	attack := []float64{3, 10, 45, 200}
+	for _, h := range []Heuristic{Percentile{Q: 0.99}, UtilityOptimal{W: 0.4}} {
+		for _, grp := range []Grouping{Homogeneous{}, FullDiversity{}, PartialDiversity{NumGroups: 8}, KMeansGrouping{K: 3, Seed: 9}} {
+			policy := Policy{Heuristic: h, Grouping: grp}
+			want, err := Configure(dists, policy, attack)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, shard := range []int{1, 5, 16, len(dists)} {
+				plan, err := NewStreamPlan(policy, stat, attack)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nShards := (len(dists) + shard - 1) / shard
+				order := rng.Perm(nShards)
+				if err := par.ForEachErr(nShards, 4, func(i int) error {
+					lo := order[i] * shard
+					return plan.FoldShard(lo, dists[lo:min(lo+shard, len(dists))])
+				}); err != nil {
+					t.Fatal(err)
+				}
+				got, err := plan.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s shard %d: shard fold diverges from Configure", policy.Name(), shard)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamPlanFoldsEachUserOnce pins "each user exactly once": a
+// second fold of a user is rejected with an error naming it, whether it
+// comes through FoldUser or an overlapping shard, and a population in
+// which one user was presented twice and another never yields an
+// error from Finish, not an assignment.
+func TestStreamPlanFoldsEachUserOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	dists := streamTrain(rng, 8)
+	stat := make([]float64, len(dists))
+	for u, d := range dists {
+		stat[u] = d.MustQuantile(0.99)
+	}
+	for _, grp := range []Grouping{Homogeneous{}, FullDiversity{}} {
+		policy := Policy{Heuristic: Percentile{Q: 0.99}, Grouping: grp}
+		plan, err := NewStreamPlan(policy, stat, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := plan.FoldShard(0, dists[:4]); err != nil {
+			t.Fatal(err)
+		}
+		if err := plan.FoldUser(3, dists[3]); err == nil || !strings.Contains(err.Error(), "user 3 folded twice") {
+			t.Fatalf("%s: double FoldUser: err = %v", policy.Name(), err)
+		}
+		if err := plan.FoldShard(2, dists[2:6]); err == nil || !strings.Contains(err.Error(), "user 2 folded twice") {
+			t.Fatalf("%s: overlapping FoldShard: err = %v", policy.Name(), err)
+		}
+		// Users 5..7 arrive; user 4 never does. A rejected shard
+		// claims none of its users, so 4 is still missing after a
+		// shard whose tail overlaps folded users.
+		if err := plan.FoldShard(5, dists[5:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := plan.FoldShard(4, dists[4:7]); err == nil || !strings.Contains(err.Error(), "user 5 folded twice") {
+			t.Fatalf("%s: shard over users 4..6 after user 5 was folded: err = %v", policy.Name(), err)
+		}
+		asn, err := plan.Finish()
+		if err == nil || asn != nil || !strings.Contains(err.Error(), "user 4 missing") {
+			t.Fatalf("%s: double plus missing fold: asn = %v, err = %v", policy.Name(), asn, err)
+		}
+	}
+}

@@ -55,11 +55,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 	"unsafe"
 
 	"repro/internal/features"
+	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -486,13 +488,13 @@ type Snapshot struct {
 // engine, a truncated write, a flipped bit — returns an error and no
 // Snapshot; the caller regenerates instead.
 //
-// The checksum pass reads the file sequentially through a small
-// buffer rather than through the mapping: reading through the mapping
-// would fault every page into the process's resident set, while a
-// buffered read leaves the bytes in the (reclaimable) page cache and
-// keeps the process's peak RSS bounded — the property the sharded
-// materializer exists to provide. Mapped pages then fault in lazily,
-// and only for the views actually used.
+// The checksum pass reads the file through small buffers rather than
+// through the mapping: reading through the mapping would fault every
+// page into the process's resident set, while a buffered read leaves
+// the bytes in the (reclaimable) page cache and keeps the process's
+// peak RSS bounded — the property the sharded materializer exists to
+// provide. Mapped pages then fault in lazily, and only for the views
+// actually used. The pass uses every CPU: see payloadCRC.
 func Open(dir string, key Key) (*Snapshot, error) {
 	if err := key.validate(); err != nil {
 		return nil, err
@@ -523,17 +525,9 @@ func Open(dir string, key Key) (*Snapshot, error) {
 	if payloadFloats != lay.PayloadFloats() {
 		return nil, fmt.Errorf("snapshot: payload declares %d floats, layout needs %d", payloadFloats, lay.PayloadFloats())
 	}
-	crc := uint32(0)
-	buf := make([]byte, 1<<20)
-	for {
-		n, err := f.Read(buf)
-		crc = crc32.Update(crc, crcTable, buf[:n])
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: %w", err)
-		}
+	crc, err := payloadCRC(f, headerBytes, wantSize-headerBytes)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	if uint64(crc) != checksum {
 		return nil, fmt.Errorf("snapshot: payload checksum %08x != header %08x (corrupt)", crc, checksum)
@@ -546,6 +540,63 @@ func Open(dir string, key Key) (*Snapshot, error) {
 		key: key, lay: lay, data: data, unmap: unmap,
 		payload: bytesFloats(data[headerBytes:]),
 	}, nil
+}
+
+// checksumMinRange is the smallest payload range payloadCRC hands a
+// CPU of its own: below it, the extra read and CRC combine cost more
+// than they save.
+const checksumMinRange = 4 << 20
+
+// checksumReadBuf is the size of each range's read buffer, so Open's
+// checksum pass holds at most GOMAXPROCS of them.
+const checksumReadBuf = 256 << 10
+
+// checksumRanges cuts n payload bytes into at most procs contiguous
+// ranges of at least checksumMinRange bytes each (a single range when
+// the payload is smaller), returning the range boundaries: range r is
+// [bounds[r], bounds[r+1]), bounds[0] = 0 and the last bound is n.
+func checksumRanges(n int64, procs int) []int64 {
+	k := min(int64(max(procs, 1)), max(n/checksumMinRange, 1))
+	bounds := make([]int64, k+1)
+	for r := range bounds {
+		bounds[r] = n * int64(r) / k
+	}
+	return bounds
+}
+
+// payloadCRC returns the CRC-32C of the n bytes of f starting at off.
+// The bytes are cut into one contiguous range per CPU
+// (checksumRanges); each range is read with ReadAt through its own
+// buffer and checksummed on its own worker, and the range CRCs are
+// folded in order with crc32Combine — exactly the CRC of one
+// sequential pass.
+func payloadCRC(f *os.File, off, n int64) (uint32, error) {
+	bounds := checksumRanges(n, runtime.GOMAXPROCS(0))
+	crcs := make([]uint32, len(bounds)-1)
+	err := par.ForEachErr(len(crcs), 0, func(r int) error {
+		lo, hi := off+bounds[r], off+bounds[r+1]
+		buf := make([]byte, min(hi-lo, checksumReadBuf))
+		for lo < hi {
+			chunk := buf[:min(hi-lo, int64(len(buf)))]
+			if got, err := f.ReadAt(chunk, lo); got < len(chunk) {
+				if err == io.EOF { // the file shrank under us
+					err = io.ErrUnexpectedEOF
+				}
+				return err
+			}
+			crcs[r] = crc32.Update(crcs[r], crcTable, chunk)
+			lo += int64(len(chunk))
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	crc := crcs[0]
+	for r := 1; r < len(crcs); r++ {
+		crc = crc32Combine(crc, crcs[r], bounds[r+1]-bounds[r])
+	}
+	return crc, nil
 }
 
 // Key returns the key the snapshot was opened (and validated) under.

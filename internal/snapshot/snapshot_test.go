@@ -2,8 +2,11 @@ package snapshot
 
 import (
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -166,6 +169,60 @@ func TestOpenRejectsCorruption(t *testing.T) {
 			} else {
 				t.Log(err)
 			}
+		})
+	}
+}
+
+// TestOpenChecksumRangesRejectBitFlips pins the parallel checksum: one
+// flipped bit at the first or last payload byte, or on either side of
+// any range boundary, is rejected with the checksum error however
+// GOMAXPROCS cuts the ranges, and the intact store opens.
+func TestOpenChecksumRangesRejectBitFlips(t *testing.T) {
+	key := testKey(1, 1, 15*time.Minute)
+	recBytes := key.Layout().RecordFloats() * 8
+	key.Users = (4*checksumMinRange+checksumMinRange/2)/recBytes + 1 // four ranges and a ragged half
+	dir := t.TempDir()
+	fillTestRecords(t, dir, key)
+	f, err := os.OpenFile(key.Path(dir), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	flip := func(off int64) {
+		t.Helper()
+		var b [1]byte
+		if _, err := f.ReadAt(b[:], headerBytes+off); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0x10
+		if _, err := f.WriteAt(b[:], headerBytes+off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := int64(key.Layout().PayloadFloats()) * 8
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			bounds := checksumRanges(n, procs)
+			if got := len(bounds) - 1; got != procs {
+				t.Fatalf("%d checksum ranges, want %d", got, procs)
+			}
+			offsets := []int64{0, n - 1}
+			for _, b := range bounds[1 : len(bounds)-1] {
+				offsets = append(offsets, b-1, b)
+			}
+			for _, off := range offsets {
+				flip(off)
+				if _, err := Open(dir, key); err == nil || !strings.Contains(err.Error(), "payload checksum") {
+					t.Fatalf("bit flip at payload byte %d: err = %v", off, err)
+				}
+				flip(off)
+			}
+			s, err := Open(dir, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
 		})
 	}
 }

@@ -18,18 +18,23 @@ import (
 // not the number of samples.
 //
 // The zero value is an empty accumulator. Folding is commutative and
-// associative: any interleaving of AddSorted/Merge calls over the same
-// multiset of samples yields the same accumulator state, which is what
-// makes the parallel shard fold deterministic regardless of worker
-// scheduling.
+// associative: any interleaving of AddSorted/AddEmpiricals/Merge calls
+// over the same multiset of samples yields the same accumulator state,
+// which is what makes the parallel shard fold deterministic regardless
+// of worker scheduling.
 type Compressed struct {
 	uniq []float64 // distinct sample values, ascending
 	cum  []int64   // cum[i] = number of samples <= uniq[i]
 
-	// The previous generation's buffers, recycled by the merge's
-	// copy-and-swap so steady-state folding allocates only on growth.
+	// The other generation's buffers. Every fold writes its result
+	// into them and swaps, so the two generations are the ping-pong
+	// pair the merges alternate between and steady-state folding
+	// allocates only on growth.
 	uniqScratch []float64
 	cumScratch  []int64
+	// segs holds run-list boundaries between AddEmpiricals' merge
+	// levels.
+	segs []int
 }
 
 // N returns the total number of samples folded in.
@@ -57,10 +62,7 @@ func (c *Compressed) AddSorted(col []float64) error {
 			return fmt.Errorf("stats: samples not sorted at index %d (%g < %g)", i, v, col[i-1])
 		}
 	}
-	if len(col) == 0 {
-		return nil
-	}
-	c.mergeCol(col)
+	c.fold(1, func(int) []float64 { return col })
 	return nil
 }
 
@@ -68,50 +70,169 @@ func (c *Compressed) AddSorted(col []float64) error {
 // copy Samples() would force. A nil or empty distribution is a no-op,
 // exactly as MergeEmpiricals skips nil members.
 func (c *Compressed) AddEmpirical(e *Empirical) {
-	if e == nil || len(e.sorted) == 0 {
-		return
-	}
-	// Empirical's invariant already guarantees sorted and NaN-free.
-	c.mergeCol(e.sorted)
+	c.AddEmpiricals([]*Empirical{e})
 }
 
-// mergeCol two-pointer merges a sorted raw column into the (uniq, cum)
-// runs, writing the next generation into the scratch buffers and
-// swapping.
-func (c *Compressed) mergeCol(col []float64) {
-	uniq, cum := c.uniq, c.cum
-	out := c.uniqScratch[:0]
-	outC := c.cumScratch[:0]
-	i, j := 0, 0
-	var consumed int64 // col samples <= current value
-	for i < len(uniq) || j < len(col) {
-		var v float64
-		switch {
-		case i >= len(uniq):
-			v = col[j]
-		case j >= len(col):
-			v = uniq[i]
-		case uniq[i] <= col[j]:
-			v = uniq[i]
-		default:
-			v = col[j]
+// AddEmpiricals folds every member of es into the accumulator: the
+// same state as AddEmpirical over each member in turn, for a fraction
+// of the work. Members are run-length compressed into leaf run lists,
+// the accumulator's own runs join as the last leaf, and neighbouring
+// leaves are merged pairwise, level by level, ping-ponging between the
+// accumulator's two generation buffers until one run list — the new
+// state — is left. Folding k members one at a time re-merges the whole
+// accumulator k times; a batch of k touches each run O(log k) times.
+// Nil or empty members are skipped. Members are not retained.
+func (c *Compressed) AddEmpiricals(es []*Empirical) {
+	for len(es) > 0 {
+		es = es[c.fold(len(es), func(i int) []float64 {
+			if es[i] == nil {
+				return nil
+			}
+			// Empirical's invariant already guarantees sorted and
+			// NaN-free.
+			return es[i].sorted
+		}):]
+	}
+}
+
+// fold merges a batch of the n sorted columns leaf(0), leaf(1), ...
+// (empty ones are skipped) and the accumulator's current runs
+// bottom-up, and returns how many columns it consumed (at least one).
+// The batch is the longest prefix whose runs fit the buffers' free
+// room beside the accumulator's own runs; only when not even one
+// column fits do the buffers grow, to twice what that fold needs. So
+// the buffers stay within a small multiple of the accumulator — as
+// they would folding one column at a time — while every batch of
+// leaves is at least as large as the accumulator it carries along,
+// which bounds that carry's cost by the leaves' own.
+func (c *Compressed) fold(n int, leaf func(i int) []float64) int {
+	u, k := c.uniqScratch[:0], c.cumScratch[:0]
+	// A merge level never outgrows its input, so leaf runs that fit
+	// beside the accumulator's own fit every level of both halves of
+	// the ping-pong pair.
+	room := min(cap(u), cap(c.uniq)) - len(c.uniq)
+	segs := append(c.segs[:0], 0)
+	taken := 0
+	for ; taken < n; taken++ {
+		col := leaf(taken)
+		if len(col) == 0 {
+			continue
 		}
-		acc := int64(0)
-		if i < len(uniq) && uniq[i] == v {
-			acc = cum[i]
-			i++
-		} else if i > 0 {
-			acc = cum[i-1]
+		var fits bool
+		if u, k, fits = appendRuns(u, k, col, room); !fits {
+			if len(segs) > 1 {
+				break // the batch is full; col opens the next one
+			}
+			need := len(c.uniq) + numRuns(col)
+			u, k = make([]float64, 0, 2*need), make([]int64, 0, 2*need)
+			room = 2*need - len(c.uniq)
+			u, k, _ = appendRuns(u, k, col, room)
 		}
+		segs = append(segs, len(u))
+	}
+	if len(segs) == 1 {
+		c.uniqScratch, c.cumScratch, c.segs = u, k, segs
+		return taken // no column has samples
+	}
+	if len(c.uniq) > 0 {
+		u, k = append(u, c.uniq...), append(k, c.cum...)
+		segs = append(segs, len(u))
+	}
+	// c's runs are now a leaf, so its buffers are free to be the
+	// other half of the ping-pong pair.
+	du, dk := c.uniq[:0], c.cum[:0]
+	if cap(du) < len(u) {
+		du, dk = make([]float64, 0, cap(u)), make([]int64, 0, cap(u))
+	}
+	for len(segs) > 2 {
+		du, dk = du[:0], dk[:0]
+		// Level pass: merge leaf pairs (2t, 2t+1), carrying an odd
+		// last leaf over. Boundary t is written only after every
+		// boundary it overwrites has been read.
+		w := 1
+		for s := 1; s < len(segs); s += 2 {
+			lo, mid := segs[s-1], segs[s]
+			if s+1 < len(segs) {
+				hi := segs[s+1]
+				du, dk = mergeRuns(du, dk, u[lo:mid], k[lo:mid], u[mid:hi], k[mid:hi])
+			} else {
+				du, dk = append(du, u[lo:mid]...), append(dk, k[lo:mid]...)
+			}
+			segs[w] = len(du)
+			w++
+		}
+		segs = segs[:w]
+		u, k, du, dk = du, dk, u, k
+	}
+	c.uniq, c.cum = u, k
+	c.uniqScratch, c.cumScratch, c.segs = du[:0], dk[:0], segs[:0]
+	return taken
+}
+
+// numRuns returns the number of distinct values in a sorted column.
+func numRuns(col []float64) int {
+	n := 0
+	for i, v := range col {
+		if i == 0 || v != col[i-1] {
+			n++
+		}
+	}
+	return n
+}
+
+// appendRuns appends the run-length compression of one sorted column
+// — each distinct value with the column's count of samples at or below
+// it — to (u, k), unless that would take u past limit runs: then it
+// returns (u, k) unchanged and false.
+func appendRuns(u []float64, k []int64, col []float64, limit int) ([]float64, []int64, bool) {
+	start := len(u)
+	for i := 0; i < len(col); {
+		if len(u) >= limit {
+			return u[:start], k[:start], false
+		}
+		v := col[i]
+		j := i + 1
 		for j < len(col) && col[j] == v {
 			j++
-			consumed++
 		}
-		out = append(out, v)
-		outC = append(outC, acc+consumed)
+		u, k = append(u, v), append(k, int64(j))
+		i = j
 	}
-	c.uniq, c.uniqScratch = out, uniq[:0]
-	c.cum, c.cumScratch = outC, cum[:0]
+	return u, k, true
+}
+
+// mergeRuns appends the merge of two run lists (ascending distinct
+// values with cumulative counts) to (u, k): every value of either,
+// once, with the summed count of samples at or below it; a value in
+// both keeps a's representation. It is the one merge loop every fold
+// goes through.
+func mergeRuns(u []float64, k []int64, aU []float64, aC []int64, bU []float64, bC []int64) ([]float64, []int64) {
+	i, j := 0, 0
+	var a, b int64 // samples of each input <= the last value written
+	for i < len(aU) && j < len(bU) {
+		x, y := aU[i], bU[j]
+		switch {
+		case x < y:
+			a = aC[i]
+			i++
+		case y < x:
+			b = bC[j]
+			j++
+			x = y
+		default:
+			a, b = aC[i], bC[j]
+			i++
+			j++
+		}
+		u, k = append(u, x), append(k, a+b)
+	}
+	for ; i < len(aU); i++ {
+		u, k = append(u, aU[i]), append(k, aC[i]+b)
+	}
+	for ; j < len(bU); j++ {
+		u, k = append(u, bU[j]), append(k, a+bC[j])
+	}
+	return u, k
 }
 
 // Merge folds another accumulator's entire multiset into c. o is left
@@ -120,41 +241,9 @@ func (c *Compressed) Merge(o *Compressed) {
 	if o == nil || len(o.uniq) == 0 {
 		return
 	}
-	uniq, cum := c.uniq, c.cum
-	oU, oC := o.uniq, o.cum
-	out := c.uniqScratch[:0]
-	outC := c.cumScratch[:0]
-	i, j := 0, 0
-	for i < len(uniq) || j < len(oU) {
-		var v float64
-		switch {
-		case i >= len(uniq):
-			v = oU[j]
-		case j >= len(oU):
-			v = uniq[i]
-		case uniq[i] <= oU[j]:
-			v = uniq[i]
-		default:
-			v = oU[j]
-		}
-		a, b := int64(0), int64(0)
-		if i < len(uniq) && uniq[i] == v {
-			a = cum[i]
-			i++
-		} else if i > 0 {
-			a = cum[i-1]
-		}
-		if j < len(oU) && oU[j] == v {
-			b = oC[j]
-			j++
-		} else if j > 0 {
-			b = oC[j-1]
-		}
-		out = append(out, v)
-		outC = append(outC, a+b)
-	}
-	c.uniq, c.uniqScratch = out, uniq[:0]
-	c.cum, c.cumScratch = outC, cum[:0]
+	u, k := mergeRuns(c.uniqScratch[:0], c.cumScratch[:0], c.uniq, c.cum, o.uniq, o.cum)
+	c.uniqScratch, c.cumScratch = c.uniq[:0], c.cum[:0]
+	c.uniq, c.cum = u, k
 }
 
 // at returns the k-th (0-based) order statistic of the virtual

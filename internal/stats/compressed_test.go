@@ -185,3 +185,106 @@ func TestCompressedValidation(t *testing.T) {
 		t.Fatalf("merge into empty: N=%d distinct=%d", d.N(), d.NumDistinct())
 	}
 }
+
+// runsOf is the independent reference state of a fold: the run-length
+// compression of the merged sorted sample array.
+func runsOf(sorted []float64) (uniq []float64, cum []int64) {
+	for i, v := range sorted {
+		if i > 0 && v == sorted[i-1] {
+			cum[len(cum)-1]++
+			continue
+		}
+		uniq = append(uniq, v)
+		cum = append(cum, int64(i+1))
+	}
+	return uniq, cum
+}
+
+// TestCompressedAddEmpiricalsMatchesSequential pins the bottom-up batch
+// fold: the same uniq/cum state as AddEmpirical member by member and as
+// the run-length compression of the merged samples, onto an empty or a
+// pre-filled accumulator, with nil and empty members, all-equal values,
+// one member and enough members to span several merge batches; and
+// quantiles and frontiers bit-identical to the merged Empirical's.
+func TestCompressedAddEmpiricalsMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	allEqual := func(n int) [][]float64 {
+		cols := make([][]float64, n)
+		for i := range cols {
+			cols[i] = []float64{4, 4, 4}
+		}
+		return cols
+	}
+	cases := map[string][][]float64{
+		"one member":        randColumns(rng, 1),
+		"all equal":         allEqual(9),
+		"1000 members":      randColumns(rng, 1000),
+		"67 members":        randColumns(rng, 67),
+		"with nil members":  append(randColumns(rng, 5), nil, nil),
+		"only empty member": {nil},
+	}
+	qs := []float64{0, 0.01, 0.5, 0.99, 0.999, 1}
+	attack := []float64{2, 7.5, 30}
+	for name, cols := range cases {
+		for _, prefill := range [][]float64{nil, {0.5, 4, 4, 9}} {
+			es := make([]*Empirical, len(cols))
+			for i, col := range cols {
+				switch {
+				case col == nil && i%2 == 0:
+					es[i] = nil
+				case col == nil:
+					es[i] = &Empirical{}
+				default:
+					es[i] = MustEmpirical(col)
+				}
+			}
+			var seq, batch Compressed
+			if prefill != nil {
+				seq.AddSorted(prefill)
+				batch.AddSorted(prefill)
+			}
+			for _, e := range es {
+				seq.AddEmpirical(e)
+			}
+			batch.AddEmpiricals(es)
+			if !reflect.DeepEqual(batch.uniq, seq.uniq) || !reflect.DeepEqual(batch.cum, seq.cum) {
+				t.Fatalf("%s prefill=%v: AddEmpiricals state diverges from sequential AddEmpirical", name, prefill != nil)
+			}
+			all := append([][]float64{prefill}, cols...)
+			var merged []float64
+			for _, col := range all {
+				merged = append(merged, col...)
+			}
+			sort.Float64s(merged)
+			wantU, wantC := runsOf(merged)
+			if !reflect.DeepEqual(batch.uniq, wantU) || !reflect.DeepEqual(batch.cum, wantC) {
+				t.Fatalf("%s prefill=%v: AddEmpiricals state diverges from the merged runs", name, prefill != nil)
+			}
+			if len(merged) == 0 {
+				continue
+			}
+			ref := MustEmpirical(merged)
+			for _, q := range qs {
+				want, _ := ref.Quantile(q)
+				got, err := batch.Quantile(q)
+				if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s q=%g: %g, %v; want %g", name, q, got, err, want)
+				}
+			}
+			wf, err := NewFrontier(ref, attack)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gf, err := NewFrontierCompressed(&batch, attack)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantPts, gotPts [][3]float64
+			wf.Visit(func(t, fp, fn float64) { wantPts = append(wantPts, [3]float64{t, fp, fn}) })
+			gf.Visit(func(t, fp, fn float64) { gotPts = append(gotPts, [3]float64{t, fp, fn}) })
+			if !reflect.DeepEqual(gotPts, wantPts) {
+				t.Fatalf("%s: frontier visits diverge from the merged Empirical's", name)
+			}
+		}
+	}
+}

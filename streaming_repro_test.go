@@ -41,13 +41,25 @@ func runStreamedSet(t *testing.T, e *Enterprise) []any {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []any{f1, f3a, f3b, t3, f4a, f4b}
+	f5a, err := Fig5a(e, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f5b, err := Fig5b(e, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2, err := Table2(e, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []any{f1, f3a, f3b, t3, f4a, f4b, f5a, f5b, t2}
 }
 
 func TestExperimentsShardSizeInvariance(t *testing.T) {
 	t.Setenv("REPRO_SNAPSHOT_DIR", "")
 	t.Setenv("REPRO_STREAM_SHARD", "")
-	names := []string{"Fig1", "Fig3a", "Fig3b", "Table3", "Fig4a", "Fig4b"}
+	names := []string{"Fig1", "Fig3a", "Fig3b", "Table3", "Fig4a", "Fig4b", "Fig5a", "Fig5b", "Table2"}
 	for _, seed := range []uint64{53, 87} {
 		opts := Options{Users: 26, Weeks: 2, Seed: seed}
 		mem, err := NewEnterprise(opts)
