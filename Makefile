@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify soak chaos-soak fuzz bench bench-check experiments snapshot-smoke shard-smoke eval-smoke hidsbench-smoke build-chaos-smoke remote-chaos-smoke
+.PHONY: all build vet test race verify soak chaos-soak fuzz bench bench-check experiments snapshot-smoke eval-smoke hidsbench-smoke build-chaos-smoke remote-chaos-smoke
 
 all: verify
 
@@ -82,27 +82,6 @@ snapshot-smoke:
 	REPRO_SNAPSHOT_DIR=$(SNAPSHOT_SMOKE_DIR) $(GO) test -count=1 -run 'TestGolden|TestWorkspace|TestFig|TestTable|TestAttackSweep|TestEnterprise' .
 	REPRO_SNAPSHOT_DIR=$(SNAPSHOT_SMOKE_DIR) $(GO) test -count=1 -run 'TestGolden|TestWorkspace|TestFig|TestTable|TestAttackSweep|TestEnterprise' .
 
-# shard-smoke proves the distributed snapshot build end to end at the
-# process level: for each suite key, two tracegen worker processes
-# seal disjoint -shard-range parts, a third invocation merges them
-# into the canonical snapshot, and the golden + equivalence suites
-# then run warm through the merged store — so the suites' pinned
-# outputs certify the merged bytes, not just the merge's own
-# checksums. `tracegen gc -dry-run` sweeps the store at the end as a
-# lifecycle smoke. CI runs this as its own job.
-SHARD_SMOKE_DIR ?= /tmp/repro-shard-smoke
-shard-smoke:
-	rm -rf $(SHARD_SMOKE_DIR)
-	$(GO) build -o /tmp/repro-tracegen ./cmd/tracegen
-	/tmp/repro-tracegen -snapshot $(SHARD_SMOKE_DIR) -users 20 -weeks 2 -seed 1 -shard-range 0:11
-	/tmp/repro-tracegen -snapshot $(SHARD_SMOKE_DIR) -users 20 -weeks 2 -seed 1 -shard-range 11:20
-	/tmp/repro-tracegen -snapshot $(SHARD_SMOKE_DIR) -users 20 -weeks 2 -seed 1 -merge
-	/tmp/repro-tracegen -snapshot $(SHARD_SMOKE_DIR) -users 40 -weeks 2 -seed 7 -shard-range 0:23
-	/tmp/repro-tracegen -snapshot $(SHARD_SMOKE_DIR) -users 40 -weeks 2 -seed 7 -shard-range 23:40
-	/tmp/repro-tracegen -snapshot $(SHARD_SMOKE_DIR) -users 40 -weeks 2 -seed 7 -merge
-	REPRO_SNAPSHOT_DIR=$(SHARD_SMOKE_DIR) $(GO) test -count=1 -run 'TestGolden|TestWorkspace|TestFig|TestTable|TestEnterprise' .
-	/tmp/repro-tracegen gc -snapshot $(SHARD_SMOKE_DIR) -keep 2 -dry-run
-
 # eval-smoke proves bounded-heap streaming evaluation end to end: a
 # weighted two-worker tracegen build seals the store through the
 # splice merge (exercising CutRanges + part concatenation), the golden
@@ -133,7 +112,7 @@ hidsbench-smoke:
 	cd bench && $(GO) test -race -short ./...
 
 # build-chaos-smoke proves the fault-tolerant build coordinator end to
-# end at the process level: for each suite key, a 2-worker coordinated
+# end at the process level: for each suite key, a 2-worker tracegen
 # build runs under a seeded crash+slow fault plan, halting once
 # mid-build (-halt-after) and resuming from the verified parts on a
 # second invocation; the golden + equivalence suites then run warm
@@ -146,16 +125,16 @@ BUILD_CHAOS_FAULTS = crash=0.3,slow=0.3,slowms=20,limit=2
 build-chaos-smoke:
 	rm -rf $(BUILD_CHAOS_SMOKE_DIR)
 	$(GO) build -o /tmp/repro-tracegen ./cmd/tracegen
-	/tmp/repro-tracegen -snapshot $(BUILD_CHAOS_SMOKE_DIR) -users 20 -weeks 2 -seed 1 -coordinate -workers 2 -ranges 4 -fault "$(BUILD_CHAOS_FAULTS)" -fault-seed 9 -retries 6 -halt-after 1
-	/tmp/repro-tracegen -snapshot $(BUILD_CHAOS_SMOKE_DIR) -users 20 -weeks 2 -seed 1 -coordinate -workers 2 -ranges 4 -fault "$(BUILD_CHAOS_FAULTS)" -fault-seed 9 -retries 6
-	/tmp/repro-tracegen -snapshot $(BUILD_CHAOS_SMOKE_DIR) -users 40 -weeks 2 -seed 7 -coordinate -workers 2 -ranges 4 -fault "$(BUILD_CHAOS_FAULTS)" -fault-seed 11 -retries 6 -halt-after 1
-	/tmp/repro-tracegen -snapshot $(BUILD_CHAOS_SMOKE_DIR) -users 40 -weeks 2 -seed 7 -coordinate -workers 2 -ranges 4 -fault "$(BUILD_CHAOS_FAULTS)" -fault-seed 11 -retries 6
+	/tmp/repro-tracegen -snapshot $(BUILD_CHAOS_SMOKE_DIR) -users 20 -weeks 2 -seed 1 -workers 2 -ranges 4 -fault "$(BUILD_CHAOS_FAULTS)" -fault-seed 9 -retries 6 -halt-after 1
+	/tmp/repro-tracegen -snapshot $(BUILD_CHAOS_SMOKE_DIR) -users 20 -weeks 2 -seed 1 -workers 2 -ranges 4 -fault "$(BUILD_CHAOS_FAULTS)" -fault-seed 9 -retries 6
+	/tmp/repro-tracegen -snapshot $(BUILD_CHAOS_SMOKE_DIR) -users 40 -weeks 2 -seed 7 -workers 2 -ranges 4 -fault "$(BUILD_CHAOS_FAULTS)" -fault-seed 11 -retries 6 -halt-after 1
+	/tmp/repro-tracegen -snapshot $(BUILD_CHAOS_SMOKE_DIR) -users 40 -weeks 2 -seed 7 -workers 2 -ranges 4 -fault "$(BUILD_CHAOS_FAULTS)" -fault-seed 11 -retries 6
 	REPRO_SNAPSHOT_DIR=$(BUILD_CHAOS_SMOKE_DIR) $(GO) test -count=1 -run 'TestGolden|TestWorkspace|TestFig|TestTable|TestEnterprise' .
 	/tmp/repro-tracegen gc -snapshot $(BUILD_CHAOS_SMOKE_DIR) -keep 2 -part-age 1ns -dry-run
 
 # remote-chaos-smoke proves the multi-host build transport end to end
-# at the process level: two `tracegen -serve` daemons on loopback, a
-# `-coordinate -hosts` build streaming sealed parts from them, one
+# at the process level: two `tracegen serve` daemons on loopback, a
+# `tracegen -hosts` build streaming sealed parts from them, one
 # daemon SIGKILLed mid-stream, a halt + resume against the survivor,
 # and a second suite key built with the dead host still listed; the
 # golden + equivalence suites then run warm through the merged store —

@@ -1,11 +1,14 @@
 // Command tracegen materializes synthetic enterprise end-host packet
 // traces to disk in the .etr format, one file per user — the role of
-// the paper's windump-wrapper collection tool.
+// the paper's windump-wrapper collection tool — and builds the
+// population's content-addressed feature snapshot store.
 //
 // Usage:
 //
-//	tracegen -out /tmp/traces -users 10 -weeks 1 [-seed 1] [-bin 15]
-//	tracegen -snapshot /var/cache/repro -users 20000 -weeks 2
+//	tracegen -out /tmp/traces -users 10 -weeks 1 [-seed 1] [-bin 15] [-pcap]
+//	tracegen -snapshot DIR -users 20000 -weeks 2 [build flags]
+//	tracegen serve -snapshot SCRATCH -listen ADDR [-addr-file F] [-serve-delay D]
+//	tracegen gc -snapshot DIR [-keep N] [-max-bytes B] [-part-age D] [-dry-run]
 //
 // Each file <out>/host-<id>.etr contains the user's full packet
 // stream; internal/flows.ExtractTrace (or cmd/hidsd) turns it back
@@ -13,47 +16,32 @@
 // generator's fast path.
 //
 // With -snapshot, the population's feature workspace is additionally
-// materialized into the content-addressed snapshot store (streamed in
-// -shard-user batches, so a 100k-user enterprise fits laptop memory);
-// -out may then be omitted to produce only the snapshot. A snapshot
-// that already exists for these parameters is left untouched — the
-// run reports the warm hit and skips generation.
-//
-// Distributed snapshot builds split the work across processes or
-// hosts sharing the store directory:
-//
-//	tracegen -snapshot DIR -users 100000 -shard-range 0:50000      # host A
-//	tracegen -snapshot DIR -users 100000 -shard-range 50000:100000 # host B
-//	tracegen -snapshot DIR -users 100000 -merge                    # coordinator
-//
-// Each -shard-range run seals its user slice as an independently
-// checksummed part file; -merge validates that the sealed parts tile
-// the population and seals the canonical snapshot + manifest,
-// byte-identical to a single-process build. -workers N does the same
-// fan-out with N in-process builders in one invocation.
-//
-// -shard-range speaks the coordinator worker protocol: on success it
-// prints one JSON line (range, sealed bytes, payload CRC, elapsed) on
-// stdout and exits 0; transient build failures exit 3 (retryable),
-// invalid key/range/config exit 4 (fatal). Human-readable progress
-// goes to stderr.
-//
-// -coordinate runs the fault-tolerant build coordinator
-// (internal/buildctl) instead of the fail-fast -workers fan-out:
-// failed ranges back off and retry, stragglers are hedged, repeatedly
-// failing ranges are re-cut, and an interrupted build resumes from
-// the verified parts on disk. -fault injects a seeded chaos plan
+// sealed into the snapshot store; -out may then be omitted to produce
+// only the snapshot. A snapshot that already exists for these
+// parameters is left untouched — the run reports the warm hit and
+// skips generation. Every snapshot is built the same way, by the
+// fault-tolerant coordinator (internal/buildctl): the population is
+// cut into -ranges weight-balanced user ranges (default one per
+// worker), -workers of them are built at once as independently
+// checksummed part files (streamed in -shard-user batches, so a
+// 100k-user enterprise fits laptop memory), every part is verified,
+// and the verified parts are spliced into the canonical snapshot +
+// manifest. The sealed bytes do not depend on the cut. Failed ranges
+// back off and retry (-retries, -attempt-timeout), stragglers are
+// hedged (-hedge-after), repeatedly failing ranges are re-cut, and an
+// interrupted build resumes from the verified parts on disk. -fault
+// injects a seeded chaos plan
 // ("crash=0.3,slow=0.2,hang=0.1,corrupt=0.1,limit=2,slowms=50") for
 // smoke-testing the coordinator against itself; -halt-after N stops
 // after N newly sealed parts to exercise resumption.
 //
 // Multi-host builds move the workers to other machines. Each worker
-// host runs a daemon; the coordinator dispatches ranges to them over
-// the internal/remotework transport and streams the sealed parts
-// back into its own store:
+// host runs the serve daemon; the coordinator dispatches ranges to
+// them over the internal/remotework transport and streams the sealed
+// parts back into its own store:
 //
-//	tracegen -snapshot SCRATCH -serve 0.0.0.0:9470                  # worker hosts
-//	tracegen -snapshot DIR -users 100000 -coordinate \
+//	tracegen serve -snapshot SCRATCH -listen 0.0.0.0:9470           # worker hosts
+//	tracegen -snapshot DIR -users 100000 \
 //	    -hosts hosta:9470,hostb:9470                                # coordinator
 //
 // Streamed parts are CRC-checked chunk by chunk and resume from the
@@ -61,21 +49,17 @@
 // costs only the missing tail. Hung hosts are detected by heartbeat
 // and fail into the hedge path; repeat offenders are quarantined and
 // re-admitted after probation; observed per-host throughput feeds the
-// coordinator's range re-cuts. On exit, -coordinate -hosts prints a
+// coordinator's range re-cuts. On exit, a -hosts build prints a
 // one-line JSON transport summary (per-host attempts, heartbeat
-// misses, bytes streamed and re-streamed, final weights). -serve
-// takes -addr-file (write the bound address, for :0 ports) and
-// -serve-delay (slow builds down for chaos-smoke kill windows);
-// -chunk sets the stream chunk size.
+// misses, bytes streamed and re-streamed, final weights); -chunk sets
+// the stream chunk size. serve takes -addr-file (write the bound
+// address, for :0 ports) and -serve-delay (slow builds down for
+// chaos-smoke kill windows).
 //
-// The store itself is managed with the gc subcommand:
-//
-//	tracegen gc -snapshot DIR [-keep N] [-max-bytes B] [-part-age D] [-dry-run]
-//
-// which keeps the newest N sealed snapshots within the byte budget
-// and removes evicted snapshots, orphaned manifests, already merged
-// part leftovers, and parts or quarantined *.bad corpses from builds
-// abandoned longer than -part-age ago.
+// The gc subcommand keeps the newest N sealed snapshots within the
+// byte budget and removes evicted snapshots, orphaned manifests,
+// already merged part leftovers, and parts or quarantined *.bad
+// corpses from builds abandoned longer than -part-age ago.
 package main
 
 import (
@@ -94,7 +78,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/buildctl"
 	"repro/internal/features"
 	"repro/internal/netsim"
@@ -104,9 +87,15 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "gc" {
-		runGC(os.Args[2:])
-		return
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "gc":
+			runGC(os.Args[2:])
+			return
+		case "serve":
+			runServe(os.Args[2:])
+			return
+		}
 	}
 	out := flag.String("out", "", "packet-trace output directory")
 	users := flag.Int("users", 10, "number of end hosts")
@@ -114,43 +103,30 @@ func main() {
 	seed := flag.Uint64("seed", 1, "population seed")
 	binMinutes := flag.Int("bin", 15, "aggregation window in minutes")
 	pcap := flag.Bool("pcap", false, "also write libpcap files (host-NNN.pcap) readable by tcpdump/wireshark")
-	snapDir := flag.String("snapshot", "", "also materialize the feature workspace into this snapshot directory")
-	shard := flag.Int("shard", 0, "users per shard when materializing the snapshot (0 = default)")
-	workers := flag.Int("workers", 0, "coordinator mode: build the snapshot as N in-process shard parts and merge (0/1 = single streaming build)")
-	shardRange := flag.String("shard-range", "", "worker mode: build only users lo:hi as a sealed snapshot part (requires -snapshot)")
-	merge := flag.Bool("merge", false, "coordinator mode: merge previously built -shard-range parts into the sealed snapshot (requires -snapshot)")
-	coordinate := flag.Bool("coordinate", false, "fault-tolerant coordinator mode: drive the snapshot build to sealed with retries, hedging and resume (requires -snapshot)")
-	ranges := flag.Int("ranges", 0, "coordinate: target number of build ranges (0 = one per worker)")
-	retries := flag.Int("retries", 0, "coordinate: attempts per range before the build aborts (0 = default)")
-	attemptTimeout := flag.Duration("attempt-timeout", 0, "coordinate: wall-clock bound per attempt (0 = none)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "coordinate: minimum straggler age before a duplicate attempt is hedged (0 = median-based only)")
-	haltAfter := flag.Int("halt-after", 0, "coordinate: stop after N newly sealed parts (resumable; 0 = run to completion)")
-	faultSpec := flag.String("fault", "", `coordinate: seeded chaos plan, e.g. "crash=0.3,slow=0.2,hang=0.1,corrupt=0.1,limit=2,slowms=50"`)
-	faultSeed := flag.Uint64("fault-seed", 1, "coordinate: seed for -fault draws and retry jitter")
-	serve := flag.String("serve", "", "daemon mode: listen on ADDR and build/stream snapshot parts for remote coordinators (requires -snapshot as the scratch store)")
-	addrFile := flag.String("addr-file", "", "serve: write the bound listen address to this file (useful with :0 ephemeral ports)")
-	serveDelay := flag.Duration("serve-delay", 0, "serve: artificial delay per built user (widens chaos-smoke kill windows)")
-	hosts := flag.String("hosts", "", "coordinate: comma-separated daemon addresses to dispatch ranges to instead of building in-process")
-	chunk := flag.Int("chunk", 0, "coordinate -hosts: part stream chunk size in bytes (0 = default)")
+	opts := buildctl.Options{Logf: log.Printf}
+	flag.StringVar(&opts.Dir, "snapshot", "", "also build the feature workspace into this snapshot directory")
+	shard := flag.Int("shard", 0, "users per fill batch inside a part build (0 = default)")
+	flag.IntVar(&opts.Parallel, "workers", 1, "part builds run at once (0 = one per CPU)")
+	flag.IntVar(&opts.Ranges, "ranges", 0, "target number of build ranges (0 = one per worker)")
+	flag.IntVar(&opts.MaxAttempts, "retries", 0, "attempts per range before the build aborts (0 = default)")
+	flag.DurationVar(&opts.AttemptTimeout, "attempt-timeout", 0, "wall-clock bound per attempt (0 = none)")
+	flag.DurationVar(&opts.HedgeAfter, "hedge-after", 0, "minimum straggler age before a duplicate attempt is hedged (0 = median-based only)")
+	flag.IntVar(&opts.HaltAfter, "halt-after", 0, "stop after N newly sealed parts (resumable; 0 = run to completion)")
+	faultSpec := flag.String("fault", "", `seeded chaos plan, e.g. "crash=0.3,slow=0.2,hang=0.1,corrupt=0.1,limit=2,slowms=50"`)
+	flag.Uint64Var(&opts.Seed, "fault-seed", 1, "seed for -fault draws, retry jitter and host selection")
+	hosts := flag.String("hosts", "", "comma-separated serve daemon addresses to dispatch ranges to instead of building in-process")
+	chunk := flag.Int("chunk", 0, "-hosts: part stream chunk size in bytes (0 = default)")
 	flag.Parse()
-	if *serve == "" && *out == "" && *snapDir == "" {
+	if *out == "" && opts.Dir == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if (*shardRange != "" || *merge || *coordinate || *serve != "") && *snapDir == "" {
-		log.Fatalf("tracegen: -shard-range, -merge, -coordinate and -serve need -snapshot")
-	}
 
 	// Ctrl-C / SIGTERM cancels in-flight builds cleanly: part writers
-	// abort their temp files, nothing partial is ever sealed, and a
-	// -coordinate build resumes from its verified parts next run.
+	// abort their temp files, nothing partial is ever sealed, and the
+	// next run resumes from the verified parts.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *serve != "" {
-		runServe(ctx, *serve, *snapDir, *addrFile, *serveDelay)
-		return
-	}
 
 	pop, err := trace.NewPopulation(trace.Config{
 		Users:    *users,
@@ -159,29 +135,10 @@ func main() {
 		BinWidth: time.Duration(*binMinutes) * time.Minute,
 	})
 	if err != nil {
-		if *shardRange != "" {
-			workerExit(buildctl.ExitFatal, "%v", err)
-		}
 		log.Fatalf("tracegen: %v", err)
 	}
-	switch {
-	case *shardRange != "":
-		buildShardRangeCmd(ctx, pop, *snapDir, *shardRange, *shard)
-		return
-	case *merge:
-		mergeShards(pop, *snapDir)
-		return
-	case *coordinate:
-		coordinateBuild(ctx, pop, *snapDir, coordOptions{
-			shard: *shard, workers: *workers, ranges: *ranges,
-			retries: *retries, attemptTimeout: *attemptTimeout,
-			hedgeAfter: *hedgeAfter, haltAfter: *haltAfter,
-			faultSpec: *faultSpec, faultSeed: *faultSeed,
-			hosts: *hosts, chunk: *chunk,
-		})
-		return
-	case *snapDir != "":
-		writeSnapshot(ctx, pop, *snapDir, *shard, *workers)
+	if opts.Dir != "" {
+		buildSnapshot(ctx, pop, opts, *shard, *faultSpec, *hosts, *chunk)
 	}
 	if *out == "" {
 		return
@@ -240,120 +197,107 @@ func main() {
 		totalRecords, *users, time.Since(start).Round(time.Millisecond))
 }
 
-// writeSnapshot materializes the population's feature workspace into
-// the content-addressed store, shard by shard, unless a valid
-// snapshot for these parameters already exists.
-func writeSnapshot(ctx context.Context, pop *trace.Population, dir string, shard, workers int) {
+// buildSnapshot drives the population's snapshot to sealed through
+// the buildctl coordinator: in-process part builds by default, serve
+// daemons with -hosts, either optionally under an injected chaos
+// plan — which is how the chaos smokes prove the whole control plane
+// converges to the clean build's exact bytes.
+func buildSnapshot(ctx context.Context, pop *trace.Population, opts buildctl.Options, shard int, faultSpec, hosts string, chunk int) {
 	key, err := snapshot.KeyFor(pop.Cfg)
 	if err != nil {
 		log.Fatalf("tracegen: snapshot key: %v", err)
 	}
-	start := time.Now()
-	ws, warm, err := analysis.LoadOrMaterialize(ctx, dir, key, shard, workers, pop.CostWeights(),
-		func(stage string, werr error) {
-			log.Printf("tracegen: snapshot %s fallback: %v", stage, werr)
-		},
-		func(u int, rows [][features.NumFeatures]float64) {
+	opts.Key = key
+	opts.Weights = pop.CostWeights()
+	opts.Worker = &buildctl.LocalWorker{
+		Dir: opts.Dir, Key: key, ShardUsers: shard,
+		Generate: func(u int, rows [][features.NumFeatures]float64) {
 			pop.Users[u].FillSeries(rows)
-		})
-	if err != nil {
-		log.Fatalf("tracegen: materializing snapshot: %v", err)
+		},
 	}
-	ws.Close()
-	if warm {
-		fmt.Printf("%s: warm (mapped in %v), generation skipped\n",
-			key.Path(dir), time.Since(start).Round(time.Millisecond))
+	var pool *remotework.Pool
+	if hosts != "" {
+		pool = remotePool(pop, opts, hosts, chunk)
+		opts.Worker = pool
+		// Observed per-host throughput steers the coordinator's
+		// re-cuts toward the users that actually cost the most.
+		opts.WeightsFn = pool.WeightsFn
+	}
+	if faultSpec != "" {
+		plan, err := parseFaultPlan(faultSpec, opts.Seed)
+		if err != nil {
+			log.Fatalf("tracegen: -fault: %v", err)
+		}
+		opts.Worker = &buildctl.FaultyWorker{Inner: opts.Worker, Plan: plan, Dir: opts.Dir, Key: key}
+	}
+	summary := func() {
+		if pool == nil {
+			return
+		}
+		js, err := json.Marshal(pool.Summary())
+		if err != nil {
+			log.Printf("tracegen: encoding transport summary: %v", err)
+			return
+		}
+		fmt.Println(string(js))
+	}
+	path := key.Path(opts.Dir)
+	st, err := buildctl.Build(ctx, opts)
+	switch {
+	case errors.Is(err, buildctl.ErrHalted):
+		summary()
+		fmt.Printf("%s: halted after %d newly sealed parts (attempts=%d failures=%d); rerun to resume\n",
+			path, st.SealedParts, st.Attempts, st.Failures)
+		return
+	case err != nil:
+		summary()
+		log.Fatalf("tracegen: building snapshot: %v", err)
+	case st.Warm:
+		fmt.Printf("%s: warm, generation skipped\n", path)
 		return
 	}
-	fmt.Printf("%s: materialized %d users in %v\n",
-		key.Path(dir), pop.Cfg.Users, time.Since(start).Round(time.Millisecond))
+	summary()
+	fmt.Printf("%s: sealed %d users from %d parts (attempts=%d failures=%d hedges=%d recuts=%d resumed=%d quarantined=%d rebuilt=%d users) in %v\n",
+		path, key.Users, st.MergedParts, st.Attempts, st.Failures, st.Hedges,
+		st.Recuts, st.ResumedParts, st.QuarantinedParts, st.RebuiltUsers,
+		st.Elapsed.Round(time.Millisecond))
 }
 
-// workerExit is the worker-protocol error path: message on stderr,
-// classified exit code (buildctl.ExitRetryable for transient build
-// failures, buildctl.ExitFatal for invalid key/range/config a retry
-// cannot fix).
-func workerExit(code int, format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "tracegen: "+format+"\n", args...)
-	os.Exit(code)
-}
-
-// buildShardRangeCmd is the distributed-build worker: it seals users
-// lo:hi of the population as an independently checksummed part file
-// next to where the final snapshot will live, then reports the sealed
-// range as one machine-readable JSON line on stdout — the protocol
-// buildctl.ExecWorker consumes.
-func buildShardRangeCmd(ctx context.Context, pop *trace.Population, dir, rng string, shard int) {
-	var lo, hi int
-	if n, err := fmt.Sscanf(rng, "%d:%d", &lo, &hi); n != 2 || err != nil {
-		workerExit(buildctl.ExitFatal, "-shard-range wants lo:hi, got %q", rng)
+// runServe is the "tracegen serve" subcommand: serve remote build
+// sessions until the process is signalled. The -snapshot directory is
+// the scratch store; parts sealed there double as the resume cache for
+// reconnecting coordinators.
+func runServe(args []string) {
+	fs := flag.NewFlagSet("tracegen serve", flag.ExitOnError)
+	dir := fs.String("snapshot", "", "scratch store directory for parts built here (required)")
+	addr := fs.String("listen", "", "address to serve remote builds on (required)")
+	addrFile := fs.String("addr-file", "", "write the bound listen address to this file (useful with :0 ephemeral ports)")
+	delay := fs.Duration("serve-delay", 0, "artificial delay per built user (widens chaos-smoke kill windows)")
+	fs.Parse(args)
+	if *dir == "" || *addr == "" {
+		fs.Usage()
+		os.Exit(2)
 	}
-	key, err := snapshot.KeyFor(pop.Cfg)
-	if err != nil {
-		workerExit(buildctl.ExitFatal, "snapshot key: %v", err)
-	}
-	if lo < 0 || hi <= lo || hi > key.Users {
-		workerExit(buildctl.ExitFatal, "range [%d, %d) invalid for %d users", lo, hi, key.Users)
-	}
-	start := time.Now()
-	if err := analysis.BuildShardRange(ctx, dir, key, lo, hi, shard, func(u int, rows [][features.NumFeatures]float64) {
-		pop.Users[u].FillSeries(rows)
-	}); err != nil {
-		workerExit(buildctl.ExitRetryable, "building shard range: %v", err)
-	}
-	info, err := snapshot.VerifyPart(dir, key, lo, hi)
-	if err != nil {
-		workerExit(buildctl.ExitRetryable, "sealed part failed verification: %v", err)
-	}
-	res, err := json.Marshal(buildctl.RangeResult{
-		Lo: lo, Hi: hi, Bytes: info.Bytes,
-		CRC:       fmt.Sprintf("%08x", info.CRC),
-		ElapsedMS: time.Since(start).Milliseconds(),
-	})
-	if err != nil {
-		workerExit(buildctl.ExitRetryable, "encoding result: %v", err)
-	}
-	fmt.Println(string(res))
-	fmt.Fprintf(os.Stderr, "%s: sealed part for users [%d, %d) in %v\n",
-		info.Path, lo, hi, time.Since(start).Round(time.Millisecond))
-}
-
-// coordOptions carries the -coordinate flag bundle.
-type coordOptions struct {
-	shard, workers, ranges int
-	retries                int
-	attemptTimeout         time.Duration
-	hedgeAfter             time.Duration
-	haltAfter              int
-	faultSpec              string
-	faultSeed              uint64
-	hosts                  string
-	chunk                  int
-}
-
-// runServe is daemon mode: serve remote build sessions until the
-// process is signalled. The -snapshot directory is the scratch store;
-// parts sealed there double as the resume cache for reconnecting
-// coordinators.
-func runServe(ctx context.Context, addr, dir, addrFile string, delay time.Duration) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		log.Fatalf("tracegen: %v", err)
 	}
-	l, err := net.Listen("tcp", addr)
+	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("tracegen: serve: %v", err)
 	}
-	if addrFile != "" {
-		if err := os.WriteFile(addrFile, []byte(l.Addr().String()+"\n"), 0o644); err != nil {
+	if *addrFile != "" {
+		if err := os.WriteFile(*addrFile, []byte(l.Addr().String()+"\n"), 0o644); err != nil {
 			log.Fatalf("tracegen: serve: %v", err)
 		}
 	}
-	d := &remotework.Daemon{Dir: dir, BuildDelay: delay, Logf: log.Printf}
+	d := &remotework.Daemon{Dir: *dir, BuildDelay: *delay, Logf: log.Printf}
 	go func() {
 		<-ctx.Done()
 		l.Close()
 	}()
-	log.Printf("tracegen: serving remote builds on %s (scratch %s)", l.Addr(), dir)
+	log.Printf("tracegen: serving remote builds on %s (scratch %s)", l.Addr(), *dir)
 	err = d.Serve(l)
 	if ctx.Err() != nil {
 		return
@@ -362,9 +306,9 @@ func runServe(ctx context.Context, addr, dir, addrFile string, delay time.Durati
 }
 
 // remotePool wires the -hosts list into a remotework.Pool worker.
-func remotePool(pop *trace.Population, dir string, key snapshot.Key, o coordOptions) *remotework.Pool {
+func remotePool(pop *trace.Population, opts buildctl.Options, hosts string, chunk int) *remotework.Pool {
 	var hs []remotework.Host
-	for _, a := range strings.Split(o.hosts, ",") {
+	for _, a := range strings.Split(hosts, ",") {
 		addr := strings.TrimSpace(a)
 		if addr == "" {
 			continue
@@ -375,11 +319,11 @@ func remotePool(pop *trace.Population, dir string, key snapshot.Key, o coordOpti
 		}})
 	}
 	if len(hs) == 0 {
-		log.Fatalf("tracegen: -hosts %q names no hosts", o.hosts)
+		log.Fatalf("tracegen: -hosts %q names no hosts", hosts)
 	}
 	return &remotework.Pool{
-		Dir: dir, Key: key, Cfg: pop.Cfg, Hosts: hs,
-		ChunkBytes: o.chunk, Seed: o.faultSeed,
+		Dir: opts.Dir, Key: opts.Key, Cfg: pop.Cfg, Hosts: hs,
+		ChunkBytes: chunk, Seed: opts.Seed,
 		BaseWeights: pop.CostWeights(), Logf: log.Printf,
 	}
 }
@@ -427,95 +371,6 @@ func parseFaultPlan(spec string, seed uint64) (buildctl.FaultPlan, error) {
 		}
 	}
 	return plan, nil
-}
-
-// coordinateBuild drives the snapshot to sealed via the buildctl
-// coordinator: resumable, retrying, hedging — and optionally under an
-// injected chaos plan, which is how the build-chaos smoke proves the
-// whole control plane converges to the clean build's exact bytes.
-func coordinateBuild(ctx context.Context, pop *trace.Population, dir string, o coordOptions) {
-	key, err := snapshot.KeyFor(pop.Cfg)
-	if err != nil {
-		log.Fatalf("tracegen: snapshot key: %v", err)
-	}
-	var worker buildctl.Worker = &buildctl.LocalWorker{
-		Dir: dir, Key: key, ShardUsers: o.shard,
-		Generate: func(u int, rows [][features.NumFeatures]float64) {
-			pop.Users[u].FillSeries(rows)
-		},
-	}
-	var pool *remotework.Pool
-	var weightsFn func() []float64
-	if o.hosts != "" {
-		pool = remotePool(pop, dir, key, o)
-		worker = pool
-		// Observed per-host throughput steers the coordinator's
-		// re-cuts toward the users that actually cost the most.
-		weightsFn = pool.WeightsFn
-	}
-	if o.faultSpec != "" {
-		plan, err := parseFaultPlan(o.faultSpec, o.faultSeed)
-		if err != nil {
-			log.Fatalf("tracegen: -fault: %v", err)
-		}
-		worker = &buildctl.FaultyWorker{Inner: worker, Plan: plan, Dir: dir, Key: key}
-	}
-	summary := func() {
-		if pool == nil {
-			return
-		}
-		js, err := json.Marshal(pool.Summary())
-		if err != nil {
-			log.Printf("tracegen: encoding transport summary: %v", err)
-			return
-		}
-		fmt.Println(string(js))
-	}
-	start := time.Now()
-	st, err := buildctl.Build(ctx, buildctl.Options{
-		Dir: dir, Key: key, Worker: worker,
-		Parallel: o.workers, Ranges: o.ranges, Weights: pop.CostWeights(),
-		WeightsFn:  weightsFn,
-		ShardUsers: o.shard, MaxAttempts: o.retries,
-		AttemptTimeout: o.attemptTimeout, HedgeAfter: o.hedgeAfter,
-		Seed: o.faultSeed, HaltAfter: o.haltAfter,
-		Logf: log.Printf,
-	})
-	switch {
-	case errors.Is(err, buildctl.ErrHalted):
-		summary()
-		fmt.Printf("%s: halted after %d newly sealed parts (attempts=%d failures=%d); rerun to resume\n",
-			key.Path(dir), st.SealedParts, st.Attempts, st.Failures)
-		return
-	case err != nil:
-		summary()
-		log.Fatalf("tracegen: coordinated build: %v", err)
-	case st.Warm:
-		fmt.Printf("%s: warm, nothing to coordinate\n", key.Path(dir))
-		return
-	}
-	summary()
-	fmt.Printf("%s: coordinated build merged %d parts (attempts=%d failures=%d hedges=%d recuts=%d resumed=%d quarantined=%d rebuilt=%d users) in %v\n",
-		key.Path(dir), st.MergedParts, st.Attempts, st.Failures, st.Hedges,
-		st.Recuts, st.ResumedParts, st.QuarantinedParts, st.RebuiltUsers,
-		time.Since(start).Round(time.Millisecond))
-}
-
-// mergeShards is the distributed-build coordinator finale: it
-// validates that the sealed parts tile the population and seals the
-// canonical snapshot + manifest.
-func mergeShards(pop *trace.Population, dir string) {
-	key, err := snapshot.KeyFor(pop.Cfg)
-	if err != nil {
-		log.Fatalf("tracegen: snapshot key: %v", err)
-	}
-	start := time.Now()
-	n, err := snapshot.MergeShards(dir, key)
-	if err != nil {
-		log.Fatalf("tracegen: merging shards: %v", err)
-	}
-	fmt.Printf("%s: merged %d parts in %v\n",
-		key.Path(dir), n, time.Since(start).Round(time.Millisecond))
 }
 
 // runGC is the "tracegen gc" subcommand: retention for a snapshot

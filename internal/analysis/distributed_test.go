@@ -8,12 +8,14 @@ import (
 	"io/fs"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/buildctl"
 	"repro/internal/features"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
@@ -47,7 +49,7 @@ func TestShardWorkerHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := BuildShardRange(context.Background(), dir, key, lo, hi, 0, func(u int, rows [][features.NumFeatures]float64) {
+	if err := snapshot.BuildPart(context.Background(), dir, key, lo, hi, 0, func(u int, rows [][features.NumFeatures]float64) {
 		pop.Users[u].FillSeries(rows)
 	}); err != nil {
 		t.Fatal(err)
@@ -56,8 +58,8 @@ func TestShardWorkerHelper(t *testing.T) {
 
 // TestCrossProcessShardBuild is the ISSUE's three-way determinism
 // pin: the same key built via (a) single-process Save, (b) in-process
-// distributed workers, and (c) two separate coordinator processes
-// over disjoint shard ranges plus a merge, must produce byte-identical
+// distributed workers, and (c) two separate worker processes over
+// disjoint shard ranges plus a merge, must produce byte-identical
 // snapshots AND manifests.
 func TestCrossProcessShardBuild(t *testing.T) {
 	const users = 40
@@ -79,7 +81,7 @@ func TestCrossProcessShardBuild(t *testing.T) {
 
 	// (b) in-process distributed build: three part writers + merge.
 	distDir := t.TempDir()
-	ws, err := MaterializeDistributed(context.Background(), distDir, key, 0, 3, pop.CostWeights(), gen)
+	ws, _, err := LoadOrMaterialize(context.Background(), distDir, key, 0, 3, pop.CostWeights(), nil, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestCrossProcessShardBuild(t *testing.T) {
 
 	// (c) two genuinely separate worker processes (the test binary
 	// re-exec'd onto the helper), then a merge in this process — the
-	// tracegen -shard-range / -merge coordinator flow.
+	// flow of builders on hosts sharing the store directory.
 	procDir := t.TempDir()
 	exe, err := os.Executable()
 	if err != nil {
@@ -142,14 +144,17 @@ func TestCrossProcessShardBuild(t *testing.T) {
 	requireEqualWorkspaces(t, loaded, mem)
 }
 
-// TestLoadOrMaterializeWorkers pins the workers > 1 cold path to the
-// single-pass build byte for byte, and the warm path to a plain map.
+// TestLoadOrMaterializeWorkers pins every cold path to the
+// single-pass build byte for byte — snapshot and manifest — and the
+// warm path to a plain map: a multi-worker LoadOrMaterialize, a
+// Workspace.Save of the in-memory build, and a buildctl.Build over 8
+// ranges all seal the same bytes.
 func TestLoadOrMaterializeWorkers(t *testing.T) {
 	pop, key := popAndKey(t, 23, 2, 11, 6*time.Hour)
 	gen := func(u int, rows [][features.NumFeatures]float64) {
 		pop.Users[u].FillSeries(rows)
 	}
-	singleDir, distDir := t.TempDir(), t.TempDir()
+	singleDir, distDir, saveDir, ctlDir := t.TempDir(), t.TempDir(), t.TempDir(), t.TempDir()
 	ws, _, err := LoadOrMaterialize(context.Background(), singleDir, key, 0, 0, nil, nil, gen)
 	if err != nil {
 		t.Fatal(err)
@@ -163,21 +168,88 @@ func TestLoadOrMaterializeWorkers(t *testing.T) {
 	if warm {
 		t.Fatal("cold build reported warm")
 	}
-	want, err := os.ReadFile(key.Path(singleDir))
-	if err != nil {
+	mem := NewGenerated(key.Users, func(u int) *features.Matrix { return pop.Users[u].Series() })
+	if _, err := mem.Save(saveDir, key); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(key.Path(distDir))
-	if err != nil {
+	if _, err := buildctl.Build(context.Background(), buildctl.Options{
+		Dir: ctlDir, Key: key,
+		Worker:   &buildctl.LocalWorker{Dir: ctlDir, Key: key, Generate: gen},
+		Parallel: 2, Ranges: 8,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("workers>1 cold build bytes differ from single-pass build")
+	read := func(path string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want, wantMan := read(key.Path(singleDir)), read(key.ManifestPath(singleDir))
+	for name, dir := range map[string]string{"workers>1": distDir, "Workspace.Save": saveDir, "buildctl.Build 8 ranges": ctlDir} {
+		if !bytes.Equal(read(key.Path(dir)), want) {
+			t.Fatalf("%s cold build bytes differ from single-pass build", name)
+		}
+		if !bytes.Equal(read(key.ManifestPath(dir)), wantMan) {
+			t.Fatalf("%s manifest bytes differ from single-pass build", name)
+		}
 	}
 	if ws, warm, err = LoadOrMaterialize(context.Background(), distDir, key, 5, 4, nil, nil, gen); err != nil || !warm {
 		t.Fatalf("second call: warm=%v err=%v", warm, err)
 	}
 	ws.Close()
+}
+
+// TestLeftoverPartDoesNotWedgeColdBuild seals a part an abandoned
+// build left behind, [0, 7), then cold-builds the same key with three
+// workers, whose fresh cut does not line up with it. The build must
+// adopt or discard the leftover rather than fail the merge on a
+// tiling that no longer fits: it seals the single-pass bytes and
+// leaves no part files behind.
+func TestLeftoverPartDoesNotWedgeColdBuild(t *testing.T) {
+	pop, key := popAndKey(t, 30, 2, 11, 6*time.Hour)
+	gen := func(u int, rows [][features.NumFeatures]float64) {
+		pop.Users[u].FillSeries(rows)
+	}
+	singleDir, dir := t.TempDir(), t.TempDir()
+	ws, err := MaterializeSharded(context.Background(), singleDir, key, 0, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws.Close()
+	if err := snapshot.BuildPart(context.Background(), dir, key, 0, 7, 0, gen); err != nil {
+		t.Fatal(err)
+	}
+	ws, warm, err := LoadOrMaterialize(context.Background(), dir, key, 0, 3, nil, nil, gen)
+	if err != nil {
+		t.Fatalf("cold build over a leftover part: %v", err)
+	}
+	ws.Close()
+	if warm {
+		t.Fatal("cold build reported warm")
+	}
+	for _, path := range []string{key.Path(dir), key.ManifestPath(dir)} {
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(singleDir, filepath.Base(path)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s differs from the single-pass build", filepath.Base(path))
+		}
+	}
+	parts, err := snapshot.ListParts(dir, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) != 0 {
+		t.Fatalf("build left %d part files behind: %+v", len(parts), parts)
+	}
 }
 
 // TestMaterializeCancelled pins the ctx contract: cancelling a
@@ -227,7 +299,7 @@ func TestMaterializeCancelled(t *testing.T) {
 		built.Store(0)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		_, err := MaterializeDistributed(ctx, dir, key, 1, 3, nil, newGen(ctx, cancel))
+		_, _, err := LoadOrMaterialize(ctx, dir, key, 1, 3, nil, nil, newGen(ctx, cancel))
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
@@ -237,7 +309,7 @@ func TestMaterializeCancelled(t *testing.T) {
 		dir := t.TempDir()
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel() // already dead before the first record
-		err := BuildShardRange(ctx, dir, key, 0, 10, 1, newGen(ctx, cancel))
+		err := snapshot.BuildPart(ctx, dir, key, 0, 10, 1, newGen(ctx, cancel))
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}

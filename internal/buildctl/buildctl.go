@@ -1,7 +1,8 @@
-// Package buildctl is the fault-tolerant coordinator for distributed
-// snapshot builds: it drives a MaterializeDistributed-style build to
-// completion while workers crash, hang, slow down, or seal corrupt
-// parts.
+// Package buildctl is the snapshot build coordinator — the one path
+// by which a store is sealed, whether its parts are built by one
+// in-process worker, many, or daemons on other hosts. It drives the
+// build to completion while workers crash, hang, slow down, or seal
+// corrupt parts.
 //
 // The design leans on two properties the snapshot layer already
 // guarantees. First, a part build is deterministic — every attempt at
@@ -21,14 +22,15 @@
 // off with seeded jitter and retry, ranges that keep failing are
 // re-cut in half and redistributed, and a running attempt that falls
 // far behind the completed-attempt median is hedged with a duplicate
-// dispatch. When every range is done the parts are merged and sealed
-// exactly as a clean single-process build would have sealed them.
+// dispatch. When every range is done snapshot.MergeShards seals the
+// parts; its bytes do not depend on how the population was cut.
 package buildctl
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"sort"
 	"time"
@@ -46,8 +48,8 @@ type Options struct {
 	Worker Worker
 
 	// Parallel bounds concurrently running attempts (hedges included).
-	// <= 0 means GOMAXPROCS clamped to the user count, exactly like
-	// analysis.MaterializeDistributed's worker pool.
+	// <= 0 means GOMAXPROCS; either way it is clamped to the user
+	// count.
 	Parallel int
 	// Ranges is the target number of initial ranges (<= 0: Parallel).
 	// More ranges than workers buys finer-grained retries and resumes
@@ -65,11 +67,6 @@ type Options struct {
 	// weight per user (anything else falls back to Weights). Called
 	// from the event-loop goroutine only.
 	WeightsFn func() []float64
-	// ShardUsers is advisory geometry recorded for workers that want
-	// it (LocalWorker takes its own); kept here so a coordinator can
-	// be described by one struct.
-	ShardUsers int
-
 	// AttemptTimeout bounds one attempt's wall-clock; 0 means no
 	// deadline. Builds whose workers can hang need either a deadline
 	// or hedging (HedgeAfter) to guarantee progress.
@@ -136,9 +133,10 @@ type Stats struct {
 // worker failure. It resumes from any verified parts already on disk,
 // quarantines corrupt ones, retries/hedges/re-cuts per Options, and
 // finishes with snapshot.MergeShards — so the sealed snapshot and
-// manifest are byte-identical to a clean single-process Save. ctx
-// cancellation aborts in-flight attempts and returns ctx's error;
-// sealed parts stay behind for the next run to resume from.
+// manifest are byte-identical whatever the range count, worker or
+// failure history. ctx cancellation aborts in-flight attempts and
+// returns ctx's error; sealed parts stay behind for the next run to
+// resume from.
 func Build(ctx context.Context, opts Options) (st Stats, err error) {
 	start := time.Now()
 	defer func() { st.Elapsed = time.Since(start) }()
@@ -146,10 +144,14 @@ func Build(ctx context.Context, opts Options) (st Stats, err error) {
 	if err != nil {
 		return st, err
 	}
-	if s, oerr := snapshot.Open(o.Dir, o.Key); oerr == nil {
+	s, oerr := snapshot.Open(o.Dir, o.Key)
+	if oerr == nil {
 		s.Close()
 		st.Warm = true
 		return st, nil
+	}
+	if !errors.Is(oerr, fs.ErrNotExist) {
+		o.Logf("buildctl: rebuilding over an unusable snapshot: %v", oerr)
 	}
 	// Two rounds: if the merge rejects a part (a worker corrupted it
 	// after verification — the one window verification cannot close),

@@ -1,4 +1,4 @@
-package buildctl
+package buildctl_test
 
 import (
 	"bytes"
@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/buildctl"
 	"repro/internal/features"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
@@ -78,12 +79,12 @@ func TestCoordinatorClean(t *testing.T) {
 	pop, key := testPop(t, 36)
 	want, wantMan := wantBytes(t, pop, key)
 	dir := t.TempDir()
-	opts := Options{
+	opts := buildctl.Options{
 		Dir: dir, Key: key,
-		Worker:   &LocalWorker{Dir: dir, Key: key, Generate: genFor(pop)},
+		Worker:   &buildctl.LocalWorker{Dir: dir, Key: key, Generate: genFor(pop)},
 		Parallel: 4, Weights: pop.CostWeights(),
 	}
-	st, err := Build(context.Background(), opts)
+	st, err := buildctl.Build(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestCoordinatorClean(t *testing.T) {
 	assertSealedIdentical(t, dir, key, want, wantMan)
 
 	// Second run over the sealed store is a warm no-op.
-	st, err = Build(context.Background(), opts)
+	st, err = buildctl.Build(context.Background(), opts)
 	if err != nil || !st.Warm || st.Attempts != 0 {
 		t.Fatalf("warm rerun: err=%v stats=%+v", err, st)
 	}
@@ -105,7 +106,7 @@ func TestCoordinatorClean(t *testing.T) {
 func TestCoordinatorFaultMatrix(t *testing.T) {
 	pop, key := testPop(t, 36)
 	want, wantMan := wantBytes(t, pop, key)
-	plans := map[string]FaultPlan{
+	plans := map[string]buildctl.FaultPlan{
 		"crash30":   {Seed: 1, Crash: 0.3, Limit: 2},
 		"slow-all":  {Seed: 2, Slow: 1.0, SlowDelay: 2 * time.Millisecond},
 		"corrupt30": {Seed: 3, Corrupt: 0.3, Limit: 2},
@@ -117,10 +118,10 @@ func TestCoordinatorFaultMatrix(t *testing.T) {
 	for name, plan := range plans {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			st, err := Build(context.Background(), Options{
+			st, err := buildctl.Build(context.Background(), buildctl.Options{
 				Dir: dir, Key: key,
-				Worker: &FaultyWorker{
-					Inner: &LocalWorker{Dir: dir, Key: key, Generate: genFor(pop)},
+				Worker: &buildctl.FaultyWorker{
+					Inner: &buildctl.LocalWorker{Dir: dir, Key: key, Generate: genFor(pop)},
 					Plan:  plan, Dir: dir, Key: key,
 				},
 				Parallel: 4, Weights: pop.CostWeights(),
@@ -145,7 +146,7 @@ func TestCoordinatorResume(t *testing.T) {
 	want, wantMan := wantBytes(t, pop, key)
 	dir := t.TempDir()
 	for _, r := range [][2]int{{0, 12}, {12, 24}} {
-		if err := analysis.BuildShardRange(context.Background(), dir, key, r[0], r[1], 0, genFor(pop)); err != nil {
+		if err := snapshot.BuildPart(context.Background(), dir, key, r[0], r[1], 0, genFor(pop)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,9 +171,9 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 	f.Close()
 
-	st, err := Build(context.Background(), Options{
+	st, err := buildctl.Build(context.Background(), buildctl.Options{
 		Dir: dir, Key: key,
-		Worker:   &LocalWorker{Dir: dir, Key: key, Generate: genFor(pop)},
+		Worker:   &buildctl.LocalWorker{Dir: dir, Key: key, Generate: genFor(pop)},
 		Parallel: 3, Ranges: 3,
 	})
 	if err != nil {
@@ -197,19 +198,19 @@ func TestCoordinatorResumeMidBuild(t *testing.T) {
 	pop, key := testPop(t, 36)
 	want, wantMan := wantBytes(t, pop, key)
 	dir := t.TempDir()
-	opts := Options{
+	opts := buildctl.Options{
 		Dir: dir, Key: key,
-		Worker: &FaultyWorker{
-			Inner: &LocalWorker{Dir: dir, Key: key, Generate: genFor(pop)},
-			Plan:  FaultPlan{Seed: 11, Crash: 0.3, Corrupt: 0.2, Limit: 2},
+		Worker: &buildctl.FaultyWorker{
+			Inner: &buildctl.LocalWorker{Dir: dir, Key: key, Generate: genFor(pop)},
+			Plan:  buildctl.FaultPlan{Seed: 11, Crash: 0.3, Corrupt: 0.2, Limit: 2},
 			Dir:   dir, Key: key,
 		},
 		Parallel: 2, Ranges: 6,
 		MaxAttempts: 6, Backoff: 2 * time.Millisecond,
 		HaltAfter: 2,
 	}
-	st, err := Build(context.Background(), opts)
-	if !errors.Is(err, ErrHalted) {
+	st, err := buildctl.Build(context.Background(), opts)
+	if !errors.Is(err, buildctl.ErrHalted) {
 		t.Fatalf("err = %v, want ErrHalted", err)
 	}
 	if st.SealedParts < 2 {
@@ -220,7 +221,7 @@ func TestCoordinatorResumeMidBuild(t *testing.T) {
 	}
 
 	opts.HaltAfter = 0
-	st, err = Build(context.Background(), opts)
+	st, err = buildctl.Build(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("resumed build: %v (stats %+v)", err, st)
 	}
@@ -240,15 +241,15 @@ func TestCoordinatorHedgesHungWorker(t *testing.T) {
 	want, wantMan := wantBytes(t, pop, key)
 	dir := t.TempDir()
 	const deadline = 30 * time.Second
-	st, err := Build(context.Background(), Options{
+	st, err := buildctl.Build(context.Background(), buildctl.Options{
 		Dir: dir, Key: key,
-		Worker: &FaultyWorker{
-			Inner: &LocalWorker{Dir: dir, Key: key, Generate: genFor(pop)},
-			Plan: FaultPlan{Script: func(t Task) Fault {
+		Worker: &buildctl.FaultyWorker{
+			Inner: &buildctl.LocalWorker{Dir: dir, Key: key, Generate: genFor(pop)},
+			Plan: buildctl.FaultPlan{Script: func(t buildctl.Task) buildctl.Fault {
 				if t.Lo == 0 && t.Attempt == 0 {
-					return FaultHang
+					return buildctl.FaultHang
 				}
-				return FaultNone
+				return buildctl.FaultNone
 			}},
 			Dir: dir, Key: key,
 		},
@@ -274,15 +275,15 @@ func TestCoordinatorRecutsPoisonedRange(t *testing.T) {
 	pop, key := testPop(t, 36)
 	want, wantMan := wantBytes(t, pop, key)
 	dir := t.TempDir()
-	st, err := Build(context.Background(), Options{
+	st, err := buildctl.Build(context.Background(), buildctl.Options{
 		Dir: dir, Key: key,
-		Worker: &FaultyWorker{
-			Inner: &LocalWorker{Dir: dir, Key: key, Generate: genFor(pop)},
-			Plan: FaultPlan{Script: func(t Task) Fault {
+		Worker: &buildctl.FaultyWorker{
+			Inner: &buildctl.LocalWorker{Dir: dir, Key: key, Generate: genFor(pop)},
+			Plan: buildctl.FaultPlan{Script: func(t buildctl.Task) buildctl.Fault {
 				if t.Hi-t.Lo > 9 {
-					return FaultCrash
+					return buildctl.FaultCrash
 				}
-				return FaultNone
+				return buildctl.FaultNone
 			}},
 			Dir: dir, Key: key,
 		},
@@ -306,15 +307,15 @@ func TestCoordinatorHedgedDuplicateRace(t *testing.T) {
 	pop, key := testPop(t, 36)
 	want, wantMan := wantBytes(t, pop, key)
 	dir := t.TempDir()
-	st, err := Build(context.Background(), Options{
+	st, err := buildctl.Build(context.Background(), buildctl.Options{
 		Dir: dir, Key: key,
-		Worker: &FaultyWorker{
-			Inner: &LocalWorker{Dir: dir, Key: key, Generate: genFor(pop)},
-			Plan: FaultPlan{Script: func(t Task) Fault {
+		Worker: &buildctl.FaultyWorker{
+			Inner: &buildctl.LocalWorker{Dir: dir, Key: key, Generate: genFor(pop)},
+			Plan: buildctl.FaultPlan{Script: func(t buildctl.Task) buildctl.Fault {
 				if t.Attempt == 0 {
-					return FaultSlow
+					return buildctl.FaultSlow
 				}
-				return FaultNone
+				return buildctl.FaultNone
 			}, SlowDelay: 80 * time.Millisecond},
 			Dir: dir, Key: key,
 		},
@@ -336,14 +337,14 @@ func TestCoordinatorFatalAborts(t *testing.T) {
 	_, key := testPop(t, 12)
 	dir := t.TempDir()
 	boom := errors.New("bad worker config")
-	st, err := Build(context.Background(), Options{
+	st, err := buildctl.Build(context.Background(), buildctl.Options{
 		Dir: dir, Key: key,
-		Worker: WorkerFunc(func(ctx context.Context, t Task) error {
-			return Fatal(boom)
+		Worker: buildctl.WorkerFunc(func(ctx context.Context, t buildctl.Task) error {
+			return buildctl.Fatal(boom)
 		}),
 		Parallel: 2, Ranges: 2,
 	})
-	if err == nil || !IsFatal(err) || !errors.Is(err, boom) {
+	if err == nil || !buildctl.IsFatal(err) || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want fatal wrapping the worker error", err)
 	}
 	if st.Attempts > 4 {
@@ -357,16 +358,16 @@ func TestCoordinatorFatalAborts(t *testing.T) {
 func TestCoordinatorRetriesExhausted(t *testing.T) {
 	_, key := testPop(t, 8)
 	dir := t.TempDir()
-	st, err := Build(context.Background(), Options{
+	st, err := buildctl.Build(context.Background(), buildctl.Options{
 		Dir: dir, Key: key,
-		Worker: WorkerFunc(func(ctx context.Context, t Task) error {
+		Worker: buildctl.WorkerFunc(func(ctx context.Context, t buildctl.Task) error {
 			return errors.New("always down")
 		}),
 		Parallel: 1, Ranges: 1,
 		MaxAttempts: 3, RecutAfter: 10, // re-cutting disabled
 		Backoff: time.Millisecond,
 	})
-	if err == nil || IsFatal(err) {
+	if err == nil || buildctl.IsFatal(err) {
 		t.Fatalf("err = %v, want non-fatal exhaustion error", err)
 	}
 	if st.Attempts != 3 || st.Failures != 3 {

@@ -1,12 +1,13 @@
-package buildctl
+package buildctl_test
 
 import (
 	"context"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/buildctl"
 )
 
 // TestHedgeLoserCancelledPromptly is the goroutine-leak regression
@@ -19,8 +20,8 @@ func TestHedgeLoserCancelledPromptly(t *testing.T) {
 	pop, key := testPop(t, 36)
 	dir := t.TempDir()
 	var hung, cancelled atomic.Int64
-	local := &LocalWorker{Dir: dir, Key: key, Generate: genFor(pop)}
-	worker := WorkerFunc(func(ctx context.Context, tk Task) error {
+	local := &buildctl.LocalWorker{Dir: dir, Key: key, Generate: genFor(pop)}
+	worker := buildctl.WorkerFunc(func(ctx context.Context, tk buildctl.Task) error {
 		if tk.Attempt == 0 {
 			hung.Add(1)
 			<-ctx.Done()
@@ -32,7 +33,7 @@ func TestHedgeLoserCancelledPromptly(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const deadline = 30 * time.Second
 	start := time.Now()
-	st, err := Build(context.Background(), Options{
+	st, err := buildctl.Build(context.Background(), buildctl.Options{
 		Dir: dir, Key: key, Worker: worker,
 		Parallel: 4, Ranges: 2,
 		AttemptTimeout: deadline,
@@ -66,48 +67,4 @@ func TestHedgeLoserCancelledPromptly(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-}
-
-// TestParseRangeResultGarbage pins the stdout-parsing contract: the
-// result is the last line that unmarshals to a valid RangeResult, and
-// trailing noise — PASS lines, plain log text, structured JSON log
-// lines, truncated JSON — must not shadow it or decode as a bogus
-// zero result.
-func TestParseRangeResultGarbage(t *testing.T) {
-	want := RangeResult{Lo: 3, Hi: 9, Bytes: 1234, CRC: "0badf00d", ElapsedMS: 7}
-	const res = `{"lo":3,"hi":9,"bytes":1234,"crc":"0badf00d","elapsed_ms":7}`
-	cases := map[string]string{
-		"bare":              res,
-		"pass-suffix":       res + "\nPASS\nok  \trepro/internal/buildctl\t0.01s\n",
-		"log-prefix":        "starting build\nsealed part\n" + res,
-		"json-log-suffix":   res + "\n{\"level\":\"info\",\"msg\":\"part sealed\",\"host\":\"w1\"}\n",
-		"json-log-both":     "{\"level\":\"debug\",\"msg\":\"dialing\"}\n" + res + "\n{\"level\":\"info\",\"msg\":\"done\"}\nPASS",
-		"truncated-suffix":  res + "\n{\"lo\":3,\"hi\":",
-		"empty-range-noise": res + "\n{\"lo\":0,\"hi\":0,\"bytes\":0,\"crc\":\"\",\"elapsed_ms\":0}",
-		"crlf":              res + "\r\n{\"level\":\"info\",\"msg\":\"done\"}\r\n",
-	}
-	for name, out := range cases {
-		t.Run(name, func(t *testing.T) {
-			got, err := ParseRangeResult([]byte(out))
-			if err != nil {
-				t.Fatalf("ParseRangeResult: %v", err)
-			}
-			if got != want {
-				t.Fatalf("got %+v, want %+v", got, want)
-			}
-		})
-	}
-	t.Run("no-result", func(t *testing.T) {
-		for _, out := range []string{"", "PASS", "{\"level\":\"info\"}\n{\"level\":\"warn\"}"} {
-			if _, err := ParseRangeResult([]byte(out)); err == nil {
-				t.Fatalf("ParseRangeResult(%q) = nil error, want failure", out)
-			}
-		}
-	})
-	t.Run("error-names-line", func(t *testing.T) {
-		_, err := ParseRangeResult([]byte("{\"level\":\"info\",\"msg\":\"done\"}"))
-		if err == nil || !strings.Contains(err.Error(), "level") {
-			t.Fatalf("err = %v, want it to quote the rejected line", err)
-		}
-	})
 }

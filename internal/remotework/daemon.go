@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/features"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
@@ -144,7 +143,7 @@ func (d *Daemon) build(conn net.Conn, cfg trace.Config, key snapshot.Key, req bu
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		done <- analysis.BuildShardRange(ctx, d.Dir, key, req.Lo, req.Hi, 0, func(u int, rows [][features.NumFeatures]float64) {
+		done <- snapshot.BuildPart(ctx, d.Dir, key, req.Lo, req.Hi, 0, func(u int, rows [][features.NumFeatures]float64) {
 			pop.Users[u].FillSeries(rows)
 			if d.BuildDelay > 0 {
 				time.Sleep(d.BuildDelay)

@@ -51,7 +51,7 @@ type GCStats struct {
 // (an abandoned build — younger parts are kept so interrupted builds
 // stay resumable), and quarantined *.bad files once their snapshot
 // sealed or they pass the same age gate. Stale temp files are
-// Create's job, not GC's.
+// CreateShard's and MergeShards' job, not GC's.
 func GC(dir string, opts GCOptions) (GCStats, error) {
 	var st GCStats
 	ents, err := os.ReadDir(dir)

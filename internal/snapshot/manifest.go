@@ -37,7 +37,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"unsafe"
 
 	"repro/internal/features"
 )
@@ -50,7 +49,7 @@ const (
 	manifestHdrBytes = 8 + manifestFields*8
 
 	// manifestFlagRecordCRCs marks a manifest carrying the per-record
-	// CRC table (4 bytes/user); Writer.Finish always emits it.
+	// CRC table (4 bytes/user); MergeShards always emits it.
 	manifestFlagRecordCRCs = 1 << 0
 )
 
@@ -228,7 +227,7 @@ func (r *UserRecord) Record() []float64 { return r.rec }
 
 // Rows returns the matrix rows (bin-major, canonical feature order).
 func (r *UserRecord) Rows() [][features.NumFeatures]float64 {
-	return unsafe.Slice((*[features.NumFeatures]float64)(unsafe.Pointer(&r.rec[0])), r.lay.Bins())
+	return rowsView(r.rec, r.lay)
 }
 
 // SortedColumn returns the sorted (week, feature) column.

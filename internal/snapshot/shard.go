@@ -11,10 +11,9 @@ package snapshot
 // so the merge is a verified byte concatenation, and every checksum
 // the sealed store carries (header CRC, manifest shard CRCs) is
 // recomputed from the parts' CRC tables with the GF(2) combine in
-// combine.go instead of re-streaming every record through a Writer.
-// MergeShardsStreaming retains the original replay-through-a-Writer
-// merge as the independent verify fallback; the two are pinned
-// byte-identical.
+// combine.go instead of re-streaming every record. MergeShards is the
+// only code that seals a snapshot: a single-process build is one part
+// covering the whole population, merged the same way.
 //
 // # Part layout
 //
@@ -40,8 +39,8 @@ package snapshot
 // corrupt table can never produce a sealed store.
 //
 // Parts use the same temp-file + atomic-rename discipline as the
-// snapshot writer: a crashed worker leaves only a temp file (swept by
-// the next Create), never a sealed-looking part.
+// merged snapshot: a crashed worker leaves only a temp file (swept by
+// the next CreateShard or MergeShards), never a sealed-looking part.
 
 import (
 	"bufio"
@@ -142,8 +141,8 @@ func (k Key) partSize(lo, hi int) int64 {
 }
 
 // ShardWriter streams one contiguous user range of a snapshot to a
-// sealed part file. It mirrors Writer's contract: append users
-// [lo, hi) in order, then Finish (or Abort).
+// sealed part file: append users [lo, hi) in order, then Finish (or
+// Abort).
 type ShardWriter struct {
 	key     Key
 	lay     Layout
@@ -188,9 +187,6 @@ func CreateShard(dir string, key Key, lo, hi int) (*ShardWriter, error) {
 
 // Layout returns the writer's payload geometry (of the full key).
 func (w *ShardWriter) Layout() Layout { return w.lay }
-
-// Range returns the user range [lo, hi) the part covers.
-func (w *ShardWriter) Range() (lo, hi int) { return w.lo, w.hi }
 
 // AppendUsers appends whole user records (len must be a multiple of
 // Layout().RecordFloats()) in user order within the part's range.
@@ -582,105 +578,4 @@ func QuarantinePart(path string) (string, error) {
 		return "", fmt.Errorf("snapshot: quarantine: %w", err)
 	}
 	return bad, nil
-}
-
-// MergeShardsStreaming is the independent verify fallback for
-// MergeShards: it replays every part record through an ordinary Writer
-// — recomputing every record CRC from the payload floats instead of
-// trusting the parts' tables — and seals the identical snapshot +
-// manifest. It exists so the splice's CRC algebra is cross-checkable
-// end to end (the byte-identity of the two merges is pinned in tests)
-// and as the recovery path if a part's table is ever suspect. On
-// success the consumed part files are removed.
-func MergeShardsStreaming(dir string, key Key) (int, error) {
-	if err := key.validate(); err != nil {
-		return 0, err
-	}
-	parts, err := findParts(dir, key)
-	if err != nil {
-		return 0, err
-	}
-	if err := checkPartTiling(parts, key, dir); err != nil {
-		return 0, err
-	}
-	w, err := Create(dir, key)
-	if err != nil {
-		return 0, err
-	}
-	lay := key.Layout()
-	rf := lay.RecordFloats()
-	// Chunked whole-record copies through a float64 buffer: reading
-	// into floatBytes of a []float64 keeps the 8-byte alignment
-	// AppendUsers' reinterpretation needs.
-	chunkRecs := (1 << 20) / (rf * 8)
-	if chunkRecs < 1 {
-		chunkRecs = 1
-	}
-	buf := make([]float64, chunkRecs*rf)
-	for _, p := range parts {
-		if err := mergeOnePart(w, key, p, buf); err != nil {
-			w.Abort()
-			return 0, err
-		}
-	}
-	if err := w.Finish(); err != nil {
-		return 0, err
-	}
-	for _, p := range parts {
-		_ = os.Remove(p.path)
-	}
-	return len(parts), nil
-}
-
-func mergeOnePart(w *Writer, key Key, p partRange, buf []float64) error {
-	f, err := os.Open(p.path)
-	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	defer f.Close()
-	rf := key.Layout().RecordFloats()
-	st, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if want := key.partSize(p.lo, p.hi); st.Size() != want {
-		return fmt.Errorf("snapshot: part %s is %d bytes, want %d (truncated or foreign)", filepath.Base(p.path), st.Size(), want)
-	}
-	var hdr [partHdrBytes]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	checksum, tableCRC, err := key.checkPartHeader(hdr[:], p.lo, p.hi)
-	if err != nil {
-		return fmt.Errorf("snapshot: part %s: %w", filepath.Base(p.path), err)
-	}
-	br := bufio.NewReaderSize(f, 1<<20)
-	crc := uint32(0)
-	for rem := p.hi - p.lo; rem > 0; {
-		n := len(buf) / rf
-		if n > rem {
-			n = rem
-		}
-		chunk := buf[:n*rf]
-		b := floatBytes(chunk)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return fmt.Errorf("snapshot: part %s: %w", filepath.Base(p.path), err)
-		}
-		crc = crc32.Update(crc, crcTable, b)
-		if err := w.AppendUsers(chunk); err != nil {
-			return err
-		}
-		rem -= n
-	}
-	if uint64(crc) != checksum {
-		return fmt.Errorf("snapshot: part %s payload checksum %08x != header %08x (corrupt)", filepath.Base(p.path), crc, checksum)
-	}
-	table := make([]byte, 4*(p.hi-p.lo))
-	if _, err := io.ReadFull(br, table); err != nil {
-		return fmt.Errorf("snapshot: part %s table: %w", filepath.Base(p.path), err)
-	}
-	if got := crc32.Checksum(table, crcTable); uint64(got) != tableCRC {
-		return fmt.Errorf("snapshot: part %s record table checksum %08x != header %08x (corrupt)", filepath.Base(p.path), got, tableCRC)
-	}
-	return nil
 }

@@ -41,13 +41,12 @@
 // view a reader needs is still a contiguous float64 run addressable in
 // closed form from (user, week, feature).
 //
-// The format is declared little-endian; Create and Open refuse to run
-// on big-endian hosts rather than silently writing a foreign byte
+// The format is declared little-endian; CreateShard and Open refuse to
+// run on big-endian hosts rather than silently writing a foreign byte
 // order.
 package snapshot
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -224,7 +223,7 @@ func (l Layout) DayOff(week, f int) int {
 }
 
 // floatBytes reinterprets a float64 slice as raw bytes (little-endian
-// hosts only, guarded at Create/Open).
+// hosts only, guarded at CreateShard/Open).
 func floatBytes(fs []float64) []byte {
 	if len(fs) == 0 {
 		return nil
@@ -298,33 +297,8 @@ func (k Key) checkHeader(buf []byte) (payloadFloats int, checksum uint64, err er
 	return int(field(10)), field(11), nil
 }
 
-// Writer streams one snapshot to disk: records are appended user by
-// user (or shard by shard) and the file becomes visible under its
-// content-addressed name only after Finish seals the checksum and
-// renames the temporary file into place — a crashed or aborted write
-// can never be mistaken for a valid snapshot.
-type Writer struct {
-	key   Key
-	lay   Layout
-	f     *os.File
-	bw    *bufio.Writer
-	crc   uint32
-	users int
-	tmp   string
-	final string
-	done  bool
-
-	// Manifest accounting, tracked record by record as users are
-	// appended: per-record CRC-32Cs plus the running CRC of each
-	// manifest shard (fixed ManifestShardUsers granularity, so every
-	// build strategy — single writer, merged parts — produces the
-	// identical manifest for the same key).
-	recCRCs   []uint32
-	shardCRCs []uint32
-}
-
-// StaleTempAge is how old an unsealed temp file must be before Create
-// sweeps it. Live builds keep their temp file's mtime fresh (the
+// StaleTempAge is how old an unsealed temp file must be before
+// CreateShard or MergeShards sweeps it. Live builds keep their temp file's mtime fresh (the
 // buffered writer flushes continuously), so only writers that crashed
 // or were killed mid-build ever cross the gate.
 const StaleTempAge = time.Hour
@@ -352,121 +326,6 @@ func sweepStaleTemps(dir string) {
 		}
 		_ = os.Remove(filepath.Join(dir, name))
 	}
-}
-
-// Create opens a snapshot writer for key under dir (created if
-// missing). The caller must either Finish or Abort it.
-func Create(dir string, key Key) (*Writer, error) {
-	if err := key.validate(); err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	sweepStaleTemps(dir)
-	final := key.Path(dir)
-	// A per-writer unique temp name: concurrent cold builds of the
-	// same key (two goroutines, two processes) must never share a
-	// temp file, or they would interleave writes and seal a corrupt
-	// snapshot. Whoever renames last wins; both results are
-	// byte-identical anyway.
-	f, err := os.CreateTemp(dir, key.Filename()+".tmp*")
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	w := &Writer{key: key, lay: key.Layout(), f: f,
-		bw: bufio.NewWriterSize(f, 1<<20), tmp: f.Name(), final: final}
-	// Header placeholder; Finish rewrites it with the checksum.
-	if _, err := w.bw.Write(key.encodeHeader(0, w.lay.PayloadFloats())); err != nil {
-		w.Abort()
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	return w, nil
-}
-
-// Layout returns the writer's payload geometry.
-func (w *Writer) Layout() Layout { return w.lay }
-
-// AppendUsers appends whole user records (len must be a multiple of
-// Layout().RecordFloats()) in user order.
-func (w *Writer) AppendUsers(recs []float64) error {
-	rf := w.lay.RecordFloats()
-	if len(recs)%rf != 0 {
-		return fmt.Errorf("snapshot: AppendUsers got %d floats, not a multiple of the %d-float record", len(recs), rf)
-	}
-	n := len(recs) / rf
-	if w.users+n > w.lay.Users {
-		return fmt.Errorf("snapshot: appending %d users past the declared %d", w.users+n, w.lay.Users)
-	}
-	b := floatBytes(recs)
-	w.crc = crc32.Update(w.crc, crcTable, b)
-	for i := 0; i < n; i++ {
-		rb := b[i*rf*8 : (i+1)*rf*8]
-		w.recCRCs = append(w.recCRCs, crc32.Checksum(rb, crcTable))
-		si := (w.users + i) / ManifestShardUsers
-		if si == len(w.shardCRCs) {
-			w.shardCRCs = append(w.shardCRCs, 0)
-		}
-		w.shardCRCs[si] = crc32.Update(w.shardCRCs[si], crcTable, rb)
-	}
-	if _, err := w.bw.Write(b); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	w.users += n
-	return nil
-}
-
-// Finish seals the snapshot: all users must have been appended. It
-// flushes, patches the header checksum, syncs and atomically renames
-// the file into place.
-func (w *Writer) Finish() error {
-	if w.done {
-		return fmt.Errorf("snapshot: writer already finished")
-	}
-	if w.users != w.lay.Users {
-		w.Abort()
-		return fmt.Errorf("snapshot: %d of %d users appended", w.users, w.lay.Users)
-	}
-	if err := w.bw.Flush(); err != nil {
-		w.Abort()
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if _, err := w.f.WriteAt(w.key.encodeHeader(w.crc, w.lay.PayloadFloats()), 0); err != nil {
-		w.Abort()
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		w.Abort()
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := w.f.Close(); err != nil {
-		w.Abort()
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	w.done = true
-	if err := os.Rename(w.tmp, w.final); err != nil {
-		os.Remove(w.tmp)
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	// The manifest seals after the snapshot so a reader can never see
-	// a manifest without its store. A failed manifest write degrades
-	// the store to manifest-less (OpenUser errors, full Open still
-	// works), which is strictly better than no snapshot at all.
-	if err := writeManifest(w.final+manifestSuffix, w.key, w.shardCRCs, w.recCRCs); err != nil {
-		return fmt.Errorf("snapshot: manifest: %w", err)
-	}
-	return nil
-}
-
-// Abort discards the partial snapshot. Safe to call after a failed
-// Finish or on any error path; never clobbers a sealed file.
-func (w *Writer) Abort() {
-	if w.done {
-		return
-	}
-	w.done = true
-	_ = w.f.Close()
-	_ = os.Remove(w.tmp)
 }
 
 // Snapshot is an open, validated, memory-mapped workspace snapshot.
@@ -639,9 +498,7 @@ func (s *Snapshot) User(u int) []float64 {
 // Rows returns user u's matrix rows as a zero-copy view of the
 // mapping (bin-major, canonical feature order).
 func (s *Snapshot) Rows(u int) [][features.NumFeatures]float64 {
-	rec := s.User(u)
-	bins := s.lay.Bins()
-	return unsafe.Slice((*[features.NumFeatures]float64)(unsafe.Pointer(&rec[0])), bins)
+	return rowsView(s.User(u), s.lay)
 }
 
 // SortedColumn returns user u's sorted (week, feature) column.

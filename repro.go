@@ -62,17 +62,18 @@ type Options struct {
 	// regeneration. Empty means the REPRO_SNAPSHOT_DIR environment
 	// variable, then (still empty) fully in-memory materialization.
 	SnapshotDir string
-	// SnapshotShard bounds how many users a cold sharded
-	// materialization holds in memory at once; <= 0 means
-	// analysis.DefaultShardUsers. Ignored without a snapshot
+	// SnapshotShard bounds how many users a cold build holds in
+	// memory at once, per part builder; <= 0 means
+	// snapshot.DefaultShardUsers. Ignored without a snapshot
 	// directory.
 	SnapshotShard int
-	// SnapshotWorkers > 1 makes a cold materialization build the
-	// snapshot as that many independently sealed shard parts merged
-	// into the canonical (byte-identical) store — the in-process form
-	// of the distributed build cmd/tracegen coordinates across
-	// processes. <= 1 keeps the single streaming build. Ignored
-	// without a snapshot directory.
+	// SnapshotWorkers is how many part builders a cold
+	// materialization runs at once: the build coordinator
+	// (internal/buildctl, the one path by which cmd/tracegen seals a
+	// store too) cuts the population into that many weight-balanced
+	// ranges, seals each as a verified part and splices them into the
+	// store. <= 1 builds one range. The sealed bytes are identical for
+	// every worker count. Ignored without a snapshot directory.
 	SnapshotWorkers int
 	// StreamShard bounds the heap of a mapped snapshot workspace:
 	// population-wide analyses, which always run shard by shard, cut

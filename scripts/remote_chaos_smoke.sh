@@ -2,8 +2,8 @@
 # remote_chaos_smoke.sh STORE_PARENT_DIR
 #
 # The multi-host build transport at the process level: two
-# `tracegen -serve` daemons come up on loopback ephemeral ports, a
-# `tracegen -coordinate -hosts` build dispatches ranges to them and
+# `tracegen serve` daemons come up on loopback ephemeral ports, a
+# `tracegen -hosts` build dispatches ranges to them and
 # streams sealed parts back, daemon B is SIGKILLed while the first
 # build is in flight, the build halts once (-halt-after) and a second
 # invocation resumes against the surviving daemon — re-fetching only
@@ -33,9 +33,9 @@ trap cleanup EXIT
 # -serve-delay stretches daemon-side builds so the SIGKILL below lands
 # while work is genuinely in flight; -chunk keeps transfers many
 # frames long for the same reason.
-"$TRACEGEN" -snapshot "$DIR/worker-a" -serve 127.0.0.1:0 -addr-file "$DIR/a.addr" -serve-delay 15ms &
+"$TRACEGEN" serve -snapshot "$DIR/worker-a" -listen 127.0.0.1:0 -addr-file "$DIR/a.addr" -serve-delay 15ms &
 PID_A=$!
-"$TRACEGEN" -snapshot "$DIR/worker-b" -serve 127.0.0.1:0 -addr-file "$DIR/b.addr" -serve-delay 15ms &
+"$TRACEGEN" serve -snapshot "$DIR/worker-b" -listen 127.0.0.1:0 -addr-file "$DIR/b.addr" -serve-delay 15ms &
 PID_B=$!
 
 for i in $(seq 1 100); do
@@ -54,7 +54,7 @@ echo "remote-chaos-smoke: daemons at $ADDR_A (pid $PID_A) and $ADDR_B (pid $PID_
 ( sleep 0.15; echo "remote-chaos-smoke: SIGKILL daemon B ($PID_B)"; kill -9 "$PID_B" 2>/dev/null || true ) &
 KILLER=$!
 "$TRACEGEN" -snapshot "$STORE" -users 20 -weeks 2 -seed 1 \
-    -coordinate -hosts "$ADDR_A,$ADDR_B" -workers 2 -ranges 4 -retries 8 -chunk 2048 -halt-after 1 \
+    -hosts "$ADDR_A,$ADDR_B" -workers 2 -ranges 4 -retries 8 -chunk 2048 -halt-after 1 \
     | tee "$DIR/run1.out"
 wait "$KILLER" 2>/dev/null || true
 PID_B=
@@ -63,12 +63,12 @@ PID_B=
 # quarantines the dead host and the surviving daemon carries the
 # remaining ranges; parts already streamed are found sealed on disk.
 "$TRACEGEN" -snapshot "$STORE" -users 20 -weeks 2 -seed 1 \
-    -coordinate -hosts "$ADDR_A,$ADDR_B" -workers 2 -ranges 4 -retries 8 -chunk 2048 \
+    -hosts "$ADDR_A,$ADDR_B" -workers 2 -ranges 4 -retries 8 -chunk 2048 \
     | tee "$DIR/run2.out"
 
 # Build 2: the other suite key, one dead host steady state.
 "$TRACEGEN" -snapshot "$STORE" -users 40 -weeks 2 -seed 7 \
-    -coordinate -hosts "$ADDR_A,$ADDR_B" -workers 2 -ranges 4 -retries 8 -chunk 2048 \
+    -hosts "$ADDR_A,$ADDR_B" -workers 2 -ranges 4 -retries 8 -chunk 2048 \
     | tee "$DIR/run3.out"
 
 # Every coordinator run must have printed its one-line transport
