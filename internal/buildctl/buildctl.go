@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/par"
 	"repro/internal/snapshot"
+	"repro/internal/wire"
 	"repro/internal/xrand"
 )
 
@@ -508,7 +509,7 @@ func (c *coordinator) handle(r attemptResult) error {
 	if rs.attempts >= c.opts.MaxAttempts {
 		return fmt.Errorf("buildctl: range [%d, %d) failed %d attempts: %w", rs.lo, rs.hi, rs.attempts, r.err)
 	}
-	rs.readyAt = time.Now().Add(c.backoff(rs.failures))
+	rs.readyAt = time.Now().Add(wire.Backoff{Base: c.opts.Backoff, Max: c.opts.BackoffMax}.Delay(rs.failures, c.rng))
 	return nil
 }
 
@@ -524,10 +525,6 @@ func (c *coordinator) recut(rs *rangeState) {
 		c.addRange(rs.lo+cut[0], rs.lo+cut[1])
 	}
 	c.opts.Logf("buildctl: re-cut [%d, %d) after %d failures into %d ranges", rs.lo, rs.hi, rs.failures, len(cuts))
-}
-
-func (c *coordinator) backoff(failures int) time.Duration {
-	return Retry{Base: c.opts.Backoff, Max: c.opts.BackoffMax}.Delay(failures, c.rng)
 }
 
 // hedgeThreshold is the elapsed time past which a lone running

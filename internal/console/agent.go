@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/features"
+	"repro/internal/wire"
 	"repro/internal/xrand"
 )
 
@@ -367,7 +368,9 @@ func (a *Agent) manage(l *link) {
 }
 
 // redial re-establishes the console connection with exponential
-// backoff and seeded jitter, within the policy's dial budget.
+// backoff and seeded jitter (wire.Backoff), within the policy's dial
+// budget, so agents healing through one partition do not stampede the
+// console in lockstep.
 func (a *Agent) redial() (*link, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -411,27 +414,11 @@ func (a *Agent) redial() (*link, error) {
 	}
 }
 
-// backoff computes the sleep before redial attempt n (n ≥ 1):
-// half of min(BackoffMax, Backoff<<(n-1)) plus seeded jitter up to
-// the same half, so concurrent agents healing through one partition
-// do not stampede the console in lockstep.
+// backoff computes the sleep before redial attempt n ≥ 1.
 func (a *Agent) backoff(attempt int) time.Duration {
-	shift := attempt - 1
-	if shift > 20 {
-		shift = 20
-	}
-	base := a.retry.Backoff << uint(shift)
-	if base <= 0 || base > a.retry.BackoffMax {
-		base = a.retry.BackoffMax
-	}
-	half := base / 2
-	if half <= 0 {
-		return base
-	}
 	a.mu.Lock()
-	jitter := time.Duration(a.rng.Intn(int(half)))
-	a.mu.Unlock()
-	return half + jitter
+	defer a.mu.Unlock()
+	return wire.Backoff{Base: a.retry.Backoff, Max: a.retry.BackoffMax}.Delay(attempt, a.rng)
 }
 
 // markDead latches the agent's permanent failure.

@@ -208,6 +208,39 @@ func TestAlertSeqDedup(t *testing.T) {
 	_ = conn.Close()
 }
 
+// TestAlertBatchForeignHostRejected pins that a connection reports
+// its own host's alerts only: a batch naming another host is refused
+// with an error frame and credits nothing, so the named host's dedup
+// watermark stays put and its real batches still count.
+func TestAlertBatchForeignHostRejected(t *testing.T) {
+	srv, network := memServer(t, 2)
+	batch := func(seq uint64) AlertBatch {
+		return AlertBatch{HostID: 2, Seq: seq, Alerts: []Alert{{Feature: 1, Bin: 3, Value: 10, Threshold: 1}}}
+	}
+
+	conn := rawDial(t, network, 1, false)
+	defer conn.Close()
+	if err := WriteMsg(conn, MsgAlertBatch, batch(1000)); err != nil {
+		t.Fatal(err)
+	}
+	expectFrame(t, conn, MsgError)
+	if got := srv.AlertCount(2); got != 0 {
+		t.Fatalf("host 1's connection credited host 2 with %d alerts", got)
+	}
+
+	// Host 2 itself, resuming (so any watermark would survive), starts
+	// its sequence at 1: the batch must count.
+	conn2 := rawDial(t, network, 2, true)
+	defer conn2.Close()
+	if err := WriteMsg(conn2, MsgAlertBatch, batch(1)); err != nil {
+		t.Fatal(err)
+	}
+	expectFrame(t, conn2, MsgAck)
+	if got := srv.AlertCount(2); got != 1 {
+		t.Fatalf("host 2's own seq-1 batch: tally %d, want 1", got)
+	}
+}
+
 // TestReconnectStormExactlyOnce is the storm regression: a fleet of
 // agents all severed by one partition window, all redialing the
 // console at once when it heals — every spooled batch must arrive

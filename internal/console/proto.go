@@ -11,13 +11,8 @@
 //
 // # Wire format
 //
-// Every message is a frame:
-//
-//	uint32 little-endian payload length
-//	uint8  message type
-//	payload
-//
-// The two bulk messages have fixed-width little-endian binary payloads
+// Every message is an internal/wire frame under the MaxFrame cap. The
+// two bulk messages have fixed-width little-endian binary payloads
 // (MarshalBinary/UnmarshalBinary):
 //
 //	dist-upload  u32 host | u32 feature | i64 epoch | u32 n | n×f64           (20+8n bytes)
@@ -31,15 +26,11 @@
 // non-finite values and a count the length does not match, on encode
 // and on decode. Every other (control) message is JSON, which keeps
 // the rare ones debuggable. The hello carries ProtoVersion; the
-// console answers any other version with an error frame. The length
-// prefix is capped to protect both sides from corrupt or hostile
-// peers.
+// console answers any other version with an error frame.
 package console
 
 import (
-	"encoding"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -47,6 +38,7 @@ import (
 	"slices"
 
 	"repro/internal/features"
+	"repro/internal/wire"
 )
 
 // MsgType identifies a protocol message.
@@ -319,66 +311,23 @@ func (ab *AlertBatch) UnmarshalBinary(b []byte) error {
 	return nil
 }
 
-// WriteMsg frames and writes one message. A payload with a binary
-// encoding (encoding.BinaryAppender) is sent as such; any other is
-// JSON.
+// WriteMsg frames and writes one message (wire.Write under MaxFrame).
 func WriteMsg(w io.Writer, t MsgType, payload any) error {
-	// One frame, one write: a fault-injected transport (and a real
-	// kernel's send path) then fails or delivers the frame as a unit,
-	// never a header without its body.
-	var frame []byte
-	var err error
-	if p, ok := payload.(encoding.BinaryAppender); ok {
-		frame, err = p.AppendBinary(make([]byte, 5))
-	} else {
-		var body []byte
-		if body, err = json.Marshal(payload); err == nil {
-			frame = append(make([]byte, 5, 5+len(body)), body...)
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("console: marshaling %s: %w", t, err)
-	}
-	n := len(frame) - 5
-	if n > MaxFrame {
-		return fmt.Errorf("console: %s payload %d exceeds MaxFrame", t, n)
-	}
-	le.PutUint32(frame[0:4], uint32(n))
-	frame[4] = byte(t)
-	if _, err := w.Write(frame); err != nil {
-		return fmt.Errorf("console: writing %s frame: %w", t, err)
+	if err := wire.Write(w, byte(t), payload, MaxFrame); err != nil {
+		return fmt.Errorf("console: %s: %w", t, err)
 	}
 	return nil
 }
 
-// ReadMsg reads one frame and returns its type and raw payload.
+// ReadMsg reads one frame's type and raw payload (wire.Read).
 func ReadMsg(r io.Reader) (MsgType, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err // io.EOF propagates cleanly for shutdown
-	}
-	n := le.Uint32(hdr[0:4])
-	if n > MaxFrame {
-		return 0, nil, fmt.Errorf("console: frame of %d bytes exceeds MaxFrame", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, fmt.Errorf("console: reading %d-byte body: %w", n, err)
-	}
-	return MsgType(hdr[4]), body, nil
+	t, body, err := wire.Read(r, MaxFrame)
+	return MsgType(t), body, err
 }
 
-// decode unmarshals a payload into v — binary for the bulk payloads
-// (encoding.BinaryUnmarshaler), JSON otherwise — with a
-// console-flavored error.
+// decode unmarshals a payload into v (wire.Decode).
 func decode(t MsgType, body []byte, v any) error {
-	var err error
-	if u, ok := v.(encoding.BinaryUnmarshaler); ok {
-		err = u.UnmarshalBinary(body)
-	} else {
-		err = json.Unmarshal(body, v)
-	}
-	if err != nil {
+	if err := wire.Decode(body, v); err != nil {
 		return fmt.Errorf("console: decoding %s: %w", t, err)
 	}
 	return nil

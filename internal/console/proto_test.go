@@ -2,6 +2,7 @@ package console
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"math"
 	"net"
@@ -31,6 +32,31 @@ func roundTrip(t *testing.T, typ MsgType, payload, out any) []byte {
 		t.Fatal(err)
 	}
 	return body
+}
+
+// TestFrameBytesPinned pins the exact on-wire bytes of one JSON and
+// one binary frame. The frame codec is shared with the remote build
+// transport; the console's bytes must not move unless ProtoVersion
+// does.
+func TestFrameBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		typ     MsgType
+		payload any
+		want    string
+	}{
+		{MsgHello, Hello{HostID: 7, Hostname: "host-7", Resume: true, Proto: ProtoVersion},
+			"39000000017b22686f73745f6964223a372c22686f73746e616d65223a22686f73742d37222c22726573756d65223a747275652c2270726f746f223a327d"},
+		{MsgDistUpload, DistUpload{HostID: 2, Feature: 1, Epoch: 3, Samples: []float64{1, 2.5, -4}},
+			"2c000000020200000001000000030000000000000003000000000000000000f03f000000000000044000000000000010c0"},
+	} {
+		var buf bytes.Buffer
+		if err := WriteMsg(&buf, c.typ, c.payload); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(buf.Bytes()); got != c.want {
+			t.Errorf("%s frame = %s, want %s", c.typ, got, c.want)
+		}
+	}
 }
 
 func TestAlertBatchRoundTrip(t *testing.T) {

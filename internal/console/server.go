@@ -240,6 +240,12 @@ func (s *Server) handle(conn net.Conn) error {
 			if err := decode(t, body, &ab); err != nil {
 				return err
 			}
+			// As for uploads, a connection speaks for its own host only.
+			if ab.HostID != sc.hostID {
+				err := fmt.Errorf("alert batch host %d on connection of host %d", ab.HostID, sc.hostID)
+				_ = sc.send(MsgError, ProtoError{Message: err.Error()})
+				return err
+			}
 			s.mu.Lock()
 			// A sequenced batch the console already tallied is a re-send
 			// whose ack was lost in transit: acknowledge again, count

@@ -2,8 +2,6 @@ package remotework
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -12,6 +10,7 @@ import (
 	"repro/internal/features"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // Daemon is the worker side of the transport: it accepts connections,
@@ -86,8 +85,7 @@ func (d *Daemon) population(cfg trace.Config) (*trace.Population, error) {
 // sendErr reports a session failure to the client; best effort — the
 // conn may already be gone.
 func sendErr(conn net.Conn, retryable bool, err error) error {
-	p, _ := json.Marshal(errInfo{Retryable: retryable, Msg: err.Error()})
-	_ = writeFrame(conn, 5*time.Second, mErr, p)
+	_ = writeFrame(conn, 5*time.Second, mErr, errInfo{Retryable: retryable, Msg: err.Error()})
 	return err
 }
 
@@ -101,7 +99,7 @@ func (d *Daemon) session(conn net.Conn) error {
 		return fmt.Errorf("expected build frame, got type %d", typ)
 	}
 	var req buildRequest
-	if err := json.Unmarshal(payload, &req); err != nil {
+	if err := wire.Decode(payload, &req); err != nil {
 		return sendErr(conn, false, fmt.Errorf("bad build request: %w", err))
 	}
 	cfg := trace.Config{
@@ -164,7 +162,7 @@ func (d *Daemon) build(conn net.Conn, cfg trace.Config, key snapshot.Key, req bu
 			}
 			return nil
 		case <-ticker.C:
-			if err := writeFrame(conn, 5*time.Second, mHeartbeat, nil); err != nil {
+			if err := writeFrame(conn, 5*time.Second, mHeartbeat, heartbeat{}); err != nil {
 				cancel() // client is gone; stop burning the range
 				<-done
 				return fmt.Errorf("heartbeat: %w", err)
@@ -181,36 +179,30 @@ func (d *Daemon) stream(conn net.Conn, key snapshot.Key, req buildRequest) error
 		return sendErr(conn, true, err)
 	}
 	defer srv.Close()
-	ready, _ := json.Marshal(readyInfo{Size: srv.Size(), CRC: srv.CRC()})
-	if err := writeFrame(conn, 30*time.Second, mReady, ready); err != nil {
+	if err := writeFrame(conn, 30*time.Second, mReady, readyInfo{Size: srv.Size(), CRC: srv.CRC()}); err != nil {
 		return fmt.Errorf("ready: %w", err)
 	}
 	buf := make([]byte, 0)
 	for {
 		typ, payload, err := readFrame(conn, 5*time.Minute)
 		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
 			return nil // client hangup ends the session; the part stays cached
 		}
 		if typ != mFetch {
 			return sendErr(conn, true, fmt.Errorf("expected fetch frame, got type %d", typ))
 		}
-		off, n, err := decodeFetch(payload)
-		if err != nil {
+		var f fetch
+		if err := f.UnmarshalBinary(payload); err != nil {
 			return sendErr(conn, true, err)
 		}
-		if n > maxFrame-12 {
-			n = maxFrame - 12
-		}
-		data, crc, err := srv.ChunkAt(off, n, buf)
+		n := min(int(f.N), maxFrame-spanHeader)
+		data, crc, err := srv.ChunkAt(f.Off, n, buf)
 		if err != nil {
 			return sendErr(conn, true, err)
 		}
 		buf = data[:cap(data)]
-		if err := writeFrame(conn, 30*time.Second, mChunk, encodeChunk(off, crc, data)); err != nil {
-			return fmt.Errorf("chunk at %d: %w", off, err)
+		if err := writeFrame(conn, 30*time.Second, mChunk, chunk{Off: f.Off, CRC: crc, Data: data}); err != nil {
+			return fmt.Errorf("chunk at %d: %w", f.Off, err)
 		}
 	}
 }

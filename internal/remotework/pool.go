@@ -2,7 +2,6 @@ package remotework
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/buildctl"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
+	"repro/internal/wire"
 	"repro/internal/xrand"
 )
 
@@ -52,9 +52,9 @@ type Pool struct {
 	DialTimeout time.Duration
 	RPCTimeout  time.Duration
 	// Retry is the jittered backoff between a Build call's sessions
-	// (zero value: coordinator defaults). Reconnects caps the sessions
-	// per Build call (default 4 reconnects, so 5 sessions).
-	Retry      buildctl.Retry
+	// (default the coordinator's 20ms base, 2s cap). Reconnects caps
+	// the sessions per Build call (default 4 reconnects, so 5 sessions).
+	Retry      wire.Backoff
 	Reconnects int
 	// QuarantineAfter consecutive session failures quarantine a host
 	// for the Probation window (defaults 3 and 3s); a quarantined host
@@ -115,6 +115,12 @@ func (p *Pool) init() {
 		}
 		if p.RPCTimeout <= 0 {
 			p.RPCTimeout = 30 * time.Second
+		}
+		if p.Retry.Base <= 0 {
+			p.Retry.Base = 20 * time.Millisecond
+		}
+		if p.Retry.Max <= 0 {
+			p.Retry.Max = 2 * time.Second
 		}
 		if p.Reconnects <= 0 {
 			p.Reconnects = 4
@@ -357,15 +363,14 @@ func (p *Pool) session(ctx context.Context, h *hostState, t buildctl.Task, rcv *
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
-	req, _ := json.Marshal(buildRequest{
+	if err := writeFrame(conn, p.RPCTimeout, mBuild, buildRequest{
 		Users: p.Cfg.Users, Weeks: p.Cfg.Weeks,
 		BinWidthMicros: p.Cfg.BinWidth.Microseconds(),
 		Seed:           p.Cfg.Seed, StartMicros: p.Cfg.StartMicros,
 		HeavyFraction: p.Cfg.HeavyFraction, WeeklyTrend: p.Cfg.WeeklyTrend,
 		Lo: t.Lo, Hi: t.Hi,
 		HeartbeatMS: p.HeartbeatEvery.Milliseconds(),
-	})
-	if err := writeFrame(conn, p.RPCTimeout, mBuild, req); err != nil {
+	}); err != nil {
 		return fmt.Errorf("build request: %w", err)
 	}
 
@@ -392,7 +397,7 @@ func (p *Pool) session(ctx context.Context, h *hostState, t buildctl.Task, rcv *
 		if typ != mReady {
 			return fmt.Errorf("unexpected frame type %d awaiting build", typ)
 		}
-		if err := json.Unmarshal(payload, &ready); err != nil {
+		if err := wire.Decode(payload, &ready); err != nil {
 			return fmt.Errorf("ready frame: %w", err)
 		}
 		break
@@ -409,7 +414,7 @@ func (p *Pool) session(ctx context.Context, h *hostState, t buildctl.Task, rcv *
 			return err
 		}
 		off := rcv.Offset()
-		if err := writeFrame(conn, p.RPCTimeout, mFetch, encodeFetch(off, p.ChunkBytes)); err != nil {
+		if err := writeFrame(conn, p.RPCTimeout, mFetch, fetch{Off: off, N: uint32(p.ChunkBytes)}); err != nil {
 			return fmt.Errorf("fetch at %d: %w", off, err)
 		}
 		typ, payload, err := readFrame(conn, p.RPCTimeout)
@@ -422,15 +427,15 @@ func (p *Pool) session(ctx context.Context, h *hostState, t buildctl.Task, rcv *
 		if typ != mChunk {
 			return fmt.Errorf("unexpected frame type %d awaiting chunk", typ)
 		}
-		coff, crc, data, err := decodeChunk(payload)
+		c, err := decodeChunk(payload)
 		if err != nil {
 			return err
 		}
-		if err := rcv.WriteChunk(coff, data, crc); err != nil {
+		if err := rcv.WriteChunk(c.Off, c.Data, c.CRC); err != nil {
 			return err
 		}
 		p.mu.Lock()
-		h.bytesStreamed += int64(len(data))
+		h.bytesStreamed += int64(len(c.Data))
 		p.mu.Unlock()
 	}
 	return nil
@@ -440,7 +445,7 @@ func (p *Pool) session(ctx context.Context, h *hostState, t buildctl.Task, rcv *
 // promoting permanent failures to buildctl.Fatal.
 func decodeErr(payload []byte) error {
 	var ei errInfo
-	if err := json.Unmarshal(payload, &ei); err != nil {
+	if err := wire.Decode(payload, &ei); err != nil {
 		return fmt.Errorf("undecodable error frame: %w", err)
 	}
 	err := fmt.Errorf("remotework: daemon: %s", ei.Msg)

@@ -4,8 +4,8 @@
 // CRC-checked chunks with resume-from-offset on reconnect.
 //
 // The transport treats loss and slowness as the common case. Every
-// RPC carries a deadline; failed sessions retry with the coordinator's
-// exponential backoff + seeded jitter (buildctl.Retry); a daemon
+// RPC carries a deadline; failed sessions retry on the shared
+// exponential backoff with seeded jitter (wire.Backoff); a daemon
 // heartbeats while its build runs so a hung host is distinguished
 // from a slow one and fails fast into the coordinator's hedge path;
 // hosts that fail repeatedly are quarantined and re-admitted after a
@@ -27,22 +27,23 @@ package remotework
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
+	"slices"
 	"time"
+
+	"repro/internal/wire"
 )
 
-// Frame types. A frame on the wire is: uint32 big-endian payload
-// length, one type byte, then the payload. Every frame is sent with a
-// single Write call, so under netsim's fault fabric a frame is
-// delivered whole or torn at a seeded cut — never interleaved — and
-// the reader either decodes a whole frame or fails cleanly.
+// Frame types. Every frame is an internal/wire frame (little-endian;
+// a pair with a big-endian tracegen fails at its first frame), sent
+// with a single Write, so under netsim's fault fabric a frame arrives
+// whole or torn at a seeded cut, never interleaved.
 const (
 	mBuild     = byte(1) // client → daemon: JSON buildRequest
 	mHeartbeat = byte(2) // daemon → client: build in flight, empty payload
 	mReady     = byte(3) // daemon → client: JSON readyInfo (part sealed)
-	mFetch     = byte(4) // client → daemon: 8B offset | 4B max bytes
-	mChunk     = byte(5) // daemon → client: 8B offset | 4B CRC-32C | data
+	mFetch     = byte(4) // client → daemon: fetch, 8B offset | 4B max bytes
+	mChunk     = byte(5) // daemon → client: chunk, 8B offset | 4B CRC-32C | data
 	mErr       = byte(6) // daemon → client: JSON errInfo
 )
 
@@ -80,24 +81,65 @@ type errInfo struct {
 	Msg       string `json:"msg"`
 }
 
-// writeFrame sends one frame with a single Write, bounded by deadline
-// when positive.
-func writeFrame(c net.Conn, deadline time.Duration, typ byte, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("remotework: frame payload %d exceeds %d", len(payload), maxFrame)
+// heartbeat is the empty mHeartbeat payload.
+type heartbeat struct{}
+
+func (heartbeat) AppendBinary(b []byte) ([]byte, error) { return b, nil }
+
+var le = binary.LittleEndian
+
+const spanHeader = 12 // fetch and chunk payloads: u64 offset | u32
+
+// fetch asks for up to N bytes of the sealed part at Off.
+type fetch struct {
+	Off int64
+	N   uint32
+}
+
+func (f fetch) AppendBinary(b []byte) ([]byte, error) {
+	return le.AppendUint32(le.AppendUint64(slices.Grow(b, spanHeader), uint64(f.Off)), f.N), nil
+}
+
+func (f *fetch) UnmarshalBinary(p []byte) error {
+	if len(p) != spanHeader {
+		return fmt.Errorf("remotework: fetch payload is %d bytes, want %d", len(p), spanHeader)
 	}
-	buf := make([]byte, 5+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	buf[4] = typ
-	copy(buf[5:], payload)
+	*f = fetch{Off: int64(le.Uint64(p)), N: le.Uint32(p[8:])}
+	return nil
+}
+
+// chunk is Data at Off with its CRC-32C.
+type chunk struct {
+	Off  int64
+	CRC  uint32
+	Data []byte
+}
+
+// AppendBinary copies the data once, straight into the frame.
+func (c chunk) AppendBinary(b []byte) ([]byte, error) {
+	b = slices.Grow(b, spanHeader+len(c.Data))
+	b = le.AppendUint32(le.AppendUint64(b, uint64(c.Off)), c.CRC)
+	return append(b, c.Data...), nil
+}
+
+// decodeChunk parses an mChunk payload. Data aliases p, which is why
+// this is not an UnmarshalBinary: that contract forbids retaining p.
+func decodeChunk(p []byte) (chunk, error) {
+	if len(p) < spanHeader {
+		return chunk{}, fmt.Errorf("remotework: chunk payload is %d bytes, want >= %d", len(p), spanHeader)
+	}
+	return chunk{Off: int64(le.Uint64(p)), CRC: le.Uint32(p[8:]), Data: p[spanHeader:]}, nil
+}
+
+// writeFrame sends one frame, bounded by deadline when positive.
+func writeFrame(c net.Conn, deadline time.Duration, typ byte, payload any) error {
 	if deadline > 0 {
 		if err := c.SetWriteDeadline(time.Now().Add(deadline)); err != nil {
 			return err
 		}
 		defer c.SetWriteDeadline(time.Time{})
 	}
-	_, err := c.Write(buf)
-	return err
+	return wire.Write(c, typ, payload, maxFrame)
 }
 
 // readFrame reads one frame, bounded by deadline when positive.
@@ -108,50 +150,5 @@ func readFrame(c net.Conn, deadline time.Duration) (typ byte, payload []byte, er
 		}
 		defer c.SetReadDeadline(time.Time{})
 	}
-	var hdr [5]byte
-	if _, err := io.ReadFull(c, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("remotework: frame length %d exceeds %d (corrupt stream)", n, maxFrame)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(c, payload); err != nil {
-		return 0, nil, err
-	}
-	return hdr[4], payload, nil
-}
-
-// encodeFetch renders an mFetch payload: fetch up to n bytes at off.
-func encodeFetch(off int64, n int) []byte {
-	buf := make([]byte, 12)
-	binary.BigEndian.PutUint64(buf, uint64(off))
-	binary.BigEndian.PutUint32(buf[8:], uint32(n))
-	return buf
-}
-
-// decodeFetch parses an mFetch payload.
-func decodeFetch(p []byte) (off int64, n int, err error) {
-	if len(p) != 12 {
-		return 0, 0, fmt.Errorf("remotework: fetch payload is %d bytes, want 12", len(p))
-	}
-	return int64(binary.BigEndian.Uint64(p)), int(binary.BigEndian.Uint32(p[8:])), nil
-}
-
-// encodeChunk renders an mChunk payload: data at off with its CRC.
-func encodeChunk(off int64, crc uint32, data []byte) []byte {
-	buf := make([]byte, 12+len(data))
-	binary.BigEndian.PutUint64(buf, uint64(off))
-	binary.BigEndian.PutUint32(buf[8:], crc)
-	copy(buf[12:], data)
-	return buf
-}
-
-// decodeChunk parses an mChunk payload.
-func decodeChunk(p []byte) (off int64, crc uint32, data []byte, err error) {
-	if len(p) < 12 {
-		return 0, 0, nil, fmt.Errorf("remotework: chunk payload is %d bytes, want >= 12", len(p))
-	}
-	return int64(binary.BigEndian.Uint64(p)), binary.BigEndian.Uint32(p[8:]), p[12:], nil
+	return wire.Read(c, maxFrame)
 }

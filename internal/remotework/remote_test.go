@@ -17,6 +17,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // testPop mirrors the buildctl convergence suite's population: small
@@ -188,7 +189,7 @@ func TestRemoteKillMidStreamTCP(t *testing.T) {
 		Dir: dir, Key: key, Cfg: pop.Cfg,
 		Hosts:      []Host{hostA, tcpHost("b", addrB)},
 		ChunkBytes: 2048, Reconnects: 6,
-		Retry: buildctl.Retry{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond},
+		Retry: wire.Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond},
 	}
 	// One range: the whole population is a single part, so the byte
 	// accounting below is exact.
@@ -269,7 +270,7 @@ func TestRemoteHeartbeatLossFailsFast(t *testing.T) {
 		Hosts:          []Host{tcpHost("hung", l.Addr().String())},
 		HeartbeatEvery: 20 * time.Millisecond, HeartbeatMisses: 3,
 		Reconnects: 1, QuarantineAfter: 2,
-		Retry: buildctl.Retry{Base: time.Millisecond, Max: 5 * time.Millisecond},
+		Retry: wire.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
 	}
 	start := time.Now()
 	err = pool.Build(context.Background(), buildctl.Task{Lo: 0, Hi: key.Users})
@@ -317,7 +318,7 @@ func TestRemoteQuarantineReadmits(t *testing.T) {
 		Hosts:           []Host{hostA, tcpHost("b", addrB)},
 		QuarantineAfter: 1, Probation: 300 * time.Millisecond,
 		Reconnects: 3,
-		Retry:      buildctl.Retry{Base: time.Millisecond, Max: 5 * time.Millisecond},
+		Retry:      wire.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
 	}
 	// One build while A is down: A fails its session and lands in
 	// quarantine; B carries the range.
@@ -419,7 +420,7 @@ func TestRemoteFaultFabricConvergence(t *testing.T) {
 				HeartbeatEvery: 25 * time.Millisecond, HeartbeatMisses: 3,
 				DialTimeout: time.Second, RPCTimeout: 2 * time.Second,
 				Reconnects: 8, QuarantineAfter: 3, Probation: 100 * time.Millisecond,
-				Retry: buildctl.Retry{Base: 2 * time.Millisecond, Max: 30 * time.Millisecond},
+				Retry: wire.Backoff{Base: 2 * time.Millisecond, Max: 30 * time.Millisecond},
 				Seed:  plan.Seed, BaseWeights: pop.CostWeights(),
 			}
 			st, err := buildctl.Build(context.Background(), buildctl.Options{
@@ -463,7 +464,7 @@ func TestRemoteFabricResumeStreamsTail(t *testing.T) {
 		Hosts:      fabricHosts(t, fn, daemons),
 		ChunkBytes: 8192,
 		Reconnects: 200, QuarantineAfter: 100000,
-		Retry: buildctl.Retry{Base: time.Millisecond, Max: 5 * time.Millisecond},
+		Retry: wire.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
 		Seed:  17,
 	}
 	if err := pool.Build(context.Background(), buildctl.Task{Lo: 0, Hi: key.Users}); err != nil {

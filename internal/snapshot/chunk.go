@@ -112,6 +112,7 @@ func (s *PartServer) Close() error { return s.f.Close() }
 type PartReceiver struct {
 	tmp, final string
 	f          *os.File
+	sealed     int64 // the part's sealed size, fixed by key and range
 	expectSet  bool
 	size       int64  // declared total size
 	crc        uint32 // declared whole-file CRC-32C
@@ -140,21 +141,22 @@ func NewPartReceiver(dir string, key Key, lo, hi int) (*PartReceiver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	return &PartReceiver{tmp: f.Name(), final: final, f: f}, nil
+	return &PartReceiver{tmp: f.Name(), final: final, f: f, sealed: key.partSize(lo, hi)}, nil
 }
 
 // Expect declares the transfer's end state: total sealed size and
-// whole-file CRC-32C. Calling it again with the same values is a
-// no-op (every reconnect re-declares); different values discard any
-// partial data and restart from offset zero — deterministic builds
-// make that unreachable for honest peers, but a receiver must never
-// splice two disagreeing transfers together.
+// whole-file CRC-32C. A size other than the one key and range seal
+// is refused. Calling it again with the same values is a no-op (every
+// reconnect re-declares); different values discard any partial data
+// and restart from offset zero — deterministic builds make that
+// unreachable for honest peers, but a receiver must never splice two
+// disagreeing transfers together.
 func (r *PartReceiver) Expect(size int64, crc uint32) error {
 	if r.done {
 		return fmt.Errorf("snapshot: receiver already committed")
 	}
-	if size <= 0 {
-		return fmt.Errorf("snapshot: expected part size %d invalid", size)
+	if size != r.sealed {
+		return fmt.Errorf("snapshot: declared part size %d, want the sealed %d", size, r.sealed)
 	}
 	if r.expectSet && (size != r.size || crc != r.crc) {
 		if err := r.f.Truncate(0); err != nil {

@@ -209,3 +209,34 @@ func TestChunkReceiverRejects(t *testing.T) {
 		t.Fatalf("changed Expect kept %d bytes", rcv.Offset())
 	}
 }
+
+// TestChunkReceiverRejectsForeignSize pins that the declared size is
+// checked against the part's sealed size before any fetch: a peer
+// cannot make the receiver expect, and keep fetching toward, a size
+// the key and range do not produce.
+func TestChunkReceiverRejectsForeignSize(t *testing.T) {
+	key := testKey(8, 1, 6*time.Hour)
+	src := t.TempDir()
+	sealOnePart(t, src, key, 0, key.Users)
+	srv, err := OpenPartServer(src, key, 0, key.Users)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	rcv, err := NewPartReceiver(t.TempDir(), key, 0, key.Users)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rcv.Abort()
+	for _, size := range []int64{srv.Size() * 1000, srv.Size() + 1, srv.Size() - 1, 0, -1} {
+		if err := rcv.Expect(size, srv.CRC()); err == nil {
+			t.Fatalf("Expect(%d) accepted for a %d-byte part", size, srv.Size())
+		}
+	}
+	// The true size is accepted, and re-declaring it is a no-op.
+	for range 2 {
+		if err := rcv.Expect(srv.Size(), srv.CRC()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
