@@ -52,13 +52,14 @@ fuzz:
 
 # bench runs the per-experiment benchmarks — root package, the
 # generation-path microbenches in internal/trace and internal/xrand,
-# the verified store open (internal/snapshot), and the detection
-# loop's wire codec (internal/console), 250-agent fleet run
-# (internal/fleet) and the remote build transport's chunk fetch
-# (internal/remotework) — and records them as BENCH_repro.json, the
+# the verified store open (internal/snapshot), the fleet-scale
+# configure (internal/core), and the detection loop's wire codec
+# (internal/console), 250-agent fleet run (internal/fleet) and the
+# remote build transport's chunk fetch (internal/remotework) — and
+# records them as BENCH_repro.json, the
 # perf trajectory checked in with each PR. The hand-recorded
 # before_after section of the old file is carried over.
-BENCH_PKGS = . ./internal/trace ./internal/xrand ./internal/snapshot ./internal/console ./internal/fleet ./internal/remotework
+BENCH_PKGS = . ./internal/trace ./internal/xrand ./internal/snapshot ./internal/core ./internal/console ./internal/fleet ./internal/remotework
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -timeout 60m $(BENCH_PKGS) | tee /tmp/bench_repro.txt
 	./scripts/bench_json.sh /tmp/bench_repro.txt scripts/seed_baseline.bench BENCH_repro.json > /tmp/bench_repro.json

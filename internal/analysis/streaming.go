@@ -130,10 +130,8 @@ func (w *Workspace) StreamShards(workers int, fn func(view *Workspace, lo, hi in
 // training p99, exactly what core.Configure derives) is the memoized
 // TailStats pass that Fig 1, Fig 2 and every other policy share; one
 // further pass folds each shard's training distributions into the
-// plan. The one heuristic with no fold over merged groups
-// (core.MeanSigma under a merging policy) is the only population-wide
-// configure left: it falls back to core.Configure over every training
-// distribution, which also reproduces any genuine error.
+// plan. Every heuristic folds, so every configure streams under the
+// shard bound.
 func (w *Workspace) configure(f features.Feature, trainWeek int, pol core.Policy, attack []float64) (*core.Assignment, error) {
 	stat, err := w.TailStats(f, trainWeek, 0.99)
 	if err != nil {
@@ -141,7 +139,7 @@ func (w *Workspace) configure(f features.Feature, trainWeek int, pol core.Policy
 	}
 	plan, err := core.NewStreamPlan(pol, stat, attack)
 	if err != nil {
-		return core.Configure(w.Dists(f, trainWeek), pol, attack)
+		return nil, err
 	}
 	err = w.StreamShards(0, func(view *Workspace, lo, hi int) error {
 		return plan.FoldShard(lo, view.Dists(f, trainWeek))

@@ -66,8 +66,8 @@ func TestShardSizeInvariance(t *testing.T) {
 		{Heuristic: core.Percentile{Q: 0.99}, Grouping: core.Homogeneous{}},
 		{Heuristic: core.Percentile{Q: 0.99}, Grouping: core.FullDiversity{}},
 		{Heuristic: core.UtilityOptimal{W: 0.4}, Grouping: core.PartialDiversity{NumGroups: 8}},
-		// No fold for MeanSigma over merged groups: every input takes
-		// the population-wide configure fallback and must still agree.
+		// MeanSigma folds merged groups through the accumulator's
+		// run-ordered moments and must agree like every other policy.
 		{Heuristic: core.MeanSigma{K: 3}, Grouping: core.Homogeneous{}},
 	}
 	f, trainWeek, testWeek := features.TCP, 0, 1
@@ -489,5 +489,50 @@ func TestSnapshotRawColumnsAreLazy(t *testing.T) {
 	budget := uint64(users*fresh.BinsPerWeek()*8) / 4
 	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
 		t.Fatalf("streaming TailStats allocated %d bytes, want < %d (a quarter of one raw block)", got, budget)
+	}
+}
+
+// TestBoundedAssignmentReleasesShards pins that every policy's
+// Assignment on a bounded workspace — MeanSigma over a merged group
+// included — folds shard by shard: the full workspace never wires the
+// training block, and the pass allocates less than one raw block, the
+// size of a merged copy of the population's samples.
+func TestBoundedAssignmentReleasesShards(t *testing.T) {
+	const users, shard = 64, 16
+	pop, key := popAndKey(t, users, 2, 53, 15*time.Minute)
+	dir := t.TempDir()
+	whole, err := MaterializeSharded(context.Background(), dir, key, 0, func(u int, rows [][features.NumFeatures]float64) {
+		pop.Users[u].FillSeries(rows)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole.Close()
+	f, trainWeek := features.TCP, 0
+	for _, pol := range []core.Policy{
+		{Heuristic: core.Percentile{Q: 0.99}, Grouping: core.Homogeneous{}},
+		{Heuristic: core.MeanSigma{K: 3}, Grouping: core.Homogeneous{}},
+		{Heuristic: core.MeanSigma{K: 3}, Grouping: core.PartialDiversity{NumGroups: 4}},
+	} {
+		w := loadArmed(t, dir, key, shard)
+		if _, err := w.TailStats(f, trainWeek, 0.99); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := w.Assignment(f, trainWeek, pol, nil, ""); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		for idx, b := range w.blocks {
+			if b != nil {
+				t.Fatalf("%s: the full workspace wired block %d", pol.Name(), idx)
+			}
+		}
+		budget := uint64(users * w.BinsPerWeek() * 8)
+		got := after.TotalAlloc - before.TotalAlloc
+		if got >= budget {
+			t.Fatalf("%s: Assignment allocated %d bytes, want < %d (one raw block)", pol.Name(), got, budget)
+		}
 	}
 }

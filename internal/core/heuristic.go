@@ -52,8 +52,12 @@ func (m MeanSigma) Threshold(train *stats.Empirical, _ []float64) (float64, erro
 	if train == nil || train.N() == 0 {
 		return 0, stats.ErrNoSamples
 	}
-	return train.Mean() + m.K*train.StdDev(), nil
+	return m.threshold(train.Mean(), train.StdDev()), nil
 }
+
+// threshold is the one mean + K·σ expression, shared with StreamPlan's
+// accumulator path so both round alike.
+func (m MeanSigma) threshold(mean, sd float64) float64 { return mean + m.K*sd }
 
 // FrontierScorer is a Heuristic that selects its threshold by
 // maximizing an objective over the threshold frontier (stats.Frontier

@@ -47,58 +47,37 @@ func (a *Assignment) GroupOf(u int) int {
 //  1. A per-user tail statistic (the 99th percentile) is computed to
 //     drive the grouping, as in §5.
 //  2. The grouping partitions users.
-//  3. Within each group, member training distributions are merged
+//  3. Within each group, member training distributions are collapsed
 //     into one (the homogeneous case merges everyone — "all the
 //     individual distributions are collapsed into a single global
 //     distribution", §4) and the heuristic extracts the group
 //     threshold, which every member receives.
 //
+// It is a one-shard StreamPlan: a singleton group's threshold comes
+// from the member's own distribution, and a larger group's from the
+// run-length accumulator its members fold into, so no merged sample
+// copy is built. Every threshold is bit-identical to the heuristic over
+// the members' samples copied into one slice and sorted.
+//
 // attack supplies representative attack magnitudes to
 // objective-optimizing heuristics; nil is fine for Percentile and
 // MeanSigma.
 func Configure(train []*stats.Empirical, policy Policy, attack []float64) (*Assignment, error) {
-	n := len(train)
-	if n == 0 {
-		return nil, fmt.Errorf("core: empty population")
-	}
-	stat := make([]float64, n)
+	stat := make([]float64, len(train))
 	for i, tr := range train {
 		if tr == nil || tr.N() == 0 {
 			return nil, fmt.Errorf("core: user %d has no training data", i)
 		}
 		stat[i] = tr.MustQuantile(0.99)
 	}
-	groups, err := policy.Grouping.Groups(stat)
+	plan, err := NewStreamPlan(policy, stat, attack)
 	if err != nil {
-		return nil, fmt.Errorf("core: grouping %s: %w", policy.Grouping.Name(), err)
-	}
-	if err := ValidatePartition(groups, n); err != nil {
 		return nil, err
 	}
-	asn := &Assignment{
-		Thresholds:     make([]float64, n),
-		Groups:         groups,
-		GroupThreshold: make([]float64, len(groups)),
+	if err := plan.FoldShard(0, train); err != nil {
+		return nil, err
 	}
-	for g, grp := range groups {
-		members := make([]*stats.Empirical, len(grp))
-		for i, u := range grp {
-			members[i] = train[u]
-		}
-		merged, err := stats.MergeEmpiricals(members)
-		if err != nil {
-			return nil, err
-		}
-		t, err := policy.Heuristic.Threshold(merged, attack)
-		if err != nil {
-			return nil, fmt.Errorf("core: heuristic %s on group %d: %w", policy.Heuristic.Name(), g, err)
-		}
-		asn.GroupThreshold[g] = t
-		for _, u := range grp {
-			asn.Thresholds[u] = t
-		}
-	}
-	return asn, nil
+	return plan.Finish()
 }
 
 // BestUsers returns the indices of the k users with the lowest

@@ -55,7 +55,7 @@ func TestConfigureHomogeneousSingleThreshold(t *testing.T) {
 		}
 	}
 	// The global threshold equals the q99 of the merged distribution.
-	merged, _ := stats.MergeEmpiricals(dists)
+	merged, _ := mergeSamples(dists)
 	if asn.Thresholds[0] != merged.MustQuantile(0.99) {
 		t.Fatalf("global threshold %g != merged q99 %g", asn.Thresholds[0], merged.MustQuantile(0.99))
 	}

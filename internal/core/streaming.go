@@ -10,31 +10,24 @@ import (
 	"repro/internal/stats"
 )
 
-// StreamPlan is the streaming counterpart of Configure: it derives
-// a policy's Assignment from per-user training distributions that are
-// presented a shard at a time (in any order, from any goroutine)
-// instead of all resident at once. The protocol is
+// StreamPlan derives a policy's Assignment from per-user training
+// distributions that are presented a shard at a time (in any order,
+// from any goroutine) instead of all resident at once; Configure is
+// its one-shard case. The protocol is
 //
 //	plan, _ := NewStreamPlan(policy, stat, attack)
 //	// fan FoldShard(lo, dists) over shards/workers, each user exactly once
 //	asn, _ := plan.Finish()
 //
-// and the resulting Assignment is bit-identical to Configure over the
-// same distributions: singleton groups take their threshold straight
-// from the member's own distribution (whose samples are exactly the
-// merged copy Configure would build), and multi-user groups fold
-// members into a stats.Compressed accumulator whose quantiles and
-// threshold frontier reproduce the merged sorted column operand for
-// operand. The fold is
-// associative and commutative — the accumulator state depends only on
-// the multiset of samples — so worker scheduling cannot change the
-// result.
-//
-// Multi-user groups support Percentile and FrontierScorer heuristics
-// (everything the experiment runners use); moment-based heuristics
-// like MeanSigma would need a float summation order the streaming fold
-// cannot reproduce bit for bit, so NewStreamPlan rejects them up front
-// when the partition has any multi-user group.
+// and the resulting Assignment is bit-identical to applying the
+// heuristic to each group's members' samples copied into one slice and
+// sorted: singleton groups take their threshold straight from the
+// member's own distribution (whose samples are exactly that copy), and
+// multi-user groups fold members into a stats.Compressed accumulator
+// whose quantiles, moments and threshold frontier reproduce the sorted
+// copy operand for operand. The fold is associative and commutative —
+// the accumulator state depends only on the multiset of samples — so
+// neither the shard size nor worker scheduling can change the result.
 type StreamPlan struct {
 	policy Policy
 	attack []float64
@@ -45,6 +38,11 @@ type StreamPlan struct {
 	// group (nil for singletons), guarded by the matching mu entry.
 	acc []*stats.Compressed
 	mu  []sync.Mutex
+	// err is the heuristic error of the lowest-indexed singleton group
+	// errGroup that failed, kept for Finish under errMu.
+	errMu    sync.Mutex
+	errGroup int
+	err      error
 
 	thresholds []float64
 	groupThr   []float64
@@ -84,24 +82,10 @@ func NewStreamPlan(policy Policy, stat []float64, attack []float64) (*StreamPlan
 			p.groupOf[u] = g
 		}
 		if len(grp) > 1 {
-			if !streamableHeuristic(policy.Heuristic) {
-				return nil, fmt.Errorf("core: streaming configure: heuristic %s unsupported on multi-user groups",
-					policy.Heuristic.Name())
-			}
 			p.acc[g] = &stats.Compressed{}
 		}
 	}
 	return p, nil
-}
-
-// streamableHeuristic reports whether a heuristic's group threshold
-// can be derived from the compressed merged multiset.
-func streamableHeuristic(h Heuristic) bool {
-	switch h.(type) {
-	case Percentile, FrontierScorer:
-		return true
-	}
-	return false
 }
 
 // FoldUser presents user u's training distribution: FoldShard over a
@@ -115,8 +99,9 @@ func (p *StreamPlan) FoldUser(u int, dist *stats.Empirical) error {
 // user must be folded exactly once: a second fold of any user is an
 // error naming it. Concurrent calls over disjoint ranges are safe.
 // Singleton groups take their threshold straight from the member's
-// distribution (whose samples are exactly the merged copy Configure
-// would build). The shard's members of each multi-user group are
+// distribution; a heuristic error there is kept for Finish, which
+// reports the lowest-indexed failing group whatever the fold order.
+// The shard's members of each multi-user group are
 // folded into the group accumulator together, by one
 // stats.Compressed.AddEmpiricals under the group's lock, so the lock
 // is taken once per (shard, group) instead of once per user. The
@@ -151,10 +136,13 @@ func (p *StreamPlan) FoldShard(lo int, dists []*stats.Empirical) error {
 		}
 		t, err := p.policy.Heuristic.Threshold(dists[u-lo], p.attack)
 		if err != nil {
-			return fmt.Errorf("core: heuristic %s on group %d: %w", p.policy.Heuristic.Name(), g, err)
+			p.errMu.Lock()
+			if p.err == nil || g < p.errGroup {
+				p.errGroup, p.err = g, err
+			}
+			p.errMu.Unlock()
 		}
-		p.thresholds[u] = t
-		p.groupThr[g] = t
+		p.thresholds[u], p.groupThr[g] = t, t
 	}
 	slices.SortStableFunc(multi, func(a, b int) int { return cmp.Compare(p.groupOf[a], p.groupOf[b]) })
 	bucket := make([]*stats.Empirical, 0, len(multi))
@@ -173,7 +161,8 @@ func (p *StreamPlan) FoldShard(lo int, dists []*stats.Empirical) error {
 
 // Finish derives the multi-user group thresholds from the folded
 // accumulators and assembles the Assignment. Every user must have been
-// folded.
+// folded. A heuristic error is reported for the lowest-indexed group
+// it fails on.
 func (p *StreamPlan) Finish() (*Assignment, error) {
 	n, got, missing := len(p.groupOf), 0, -1
 	for u := range p.folded {
@@ -188,6 +177,9 @@ func (p *StreamPlan) Finish() (*Assignment, error) {
 	}
 	for g, grp := range p.groups {
 		if len(grp) == 1 {
+			if p.err != nil && g == p.errGroup {
+				return nil, fmt.Errorf("core: heuristic %s on group %d: %w", p.policy.Heuristic.Name(), g, p.err)
+			}
 			continue
 		}
 		t, err := p.mergedThreshold(g)
@@ -212,6 +204,8 @@ func (p *StreamPlan) mergedThreshold(g int) (float64, error) {
 	switch h := p.policy.Heuristic.(type) {
 	case Percentile:
 		return p.acc[g].Quantile(h.Q)
+	case MeanSigma:
+		return h.threshold(p.acc[g].Mean(), p.acc[g].StdDev()), nil
 	case FrontierScorer:
 		if err := h.validateScorer(); err != nil {
 			return 0, err
@@ -225,6 +219,5 @@ func (p *StreamPlan) mergedThreshold(g int) (float64, error) {
 		}
 		return fr.Maximize(h.Score), nil
 	}
-	return 0, fmt.Errorf("core: streaming configure: heuristic %s unsupported on multi-user groups",
-		p.policy.Heuristic.Name())
+	return 0, fmt.Errorf("core: heuristic %s has no fold over merged groups", p.policy.Heuristic.Name())
 }

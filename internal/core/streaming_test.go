@@ -133,21 +133,18 @@ func TestStreamPlanErrors(t *testing.T) {
 		t.Fatal("empty population accepted")
 	}
 
-	// MeanSigma cannot stream through merged groups...
-	policy := Policy{Heuristic: MeanSigma{K: 3}, Grouping: Homogeneous{}}
-	if _, err := NewStreamPlan(policy, stat, nil); err == nil ||
-		!strings.Contains(err.Error(), "unsupported on multi-user groups") {
-		t.Fatalf("MeanSigma on merged groups: err = %v", err)
-	}
-	// ...but is fine when every group is a singleton.
-	policy.Grouping = FullDiversity{}
-	want, err := Configure(dists, policy, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := foldPlan(t, policy, dists, nil, rng.Perm(len(dists)), 2)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("MeanSigma singleton streaming diverges")
+	// MeanSigma streams through merged groups and singletons alike,
+	// bit-identical to the merged copy.
+	for _, grp := range []Grouping{Homogeneous{}, FullDiversity{}} {
+		policy := Policy{Heuristic: MeanSigma{K: 3}, Grouping: grp}
+		want, err := configureMerged(dists, policy, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := foldPlan(t, policy, dists, nil, rng.Perm(len(dists)), 2)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: streaming diverges from the merged copy", policy.Name())
+		}
 	}
 
 	// A scorer without attack magnitudes must fail exactly like the

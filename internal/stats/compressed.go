@@ -12,10 +12,13 @@ import (
 // at once. It stores each distinct sample value once, together with
 // the cumulative sample count at or below it, so quantiles are exact
 // order-statistic lookups over the virtual concatenated-and-sorted
-// sample array — bit-identical to MergeEmpiricals + QuantileSorted on
-// the same multiset — while memory scales with the number of distinct
-// values (feature columns are window counts with heavy repetition),
-// not the number of samples.
+// sample array — bit-identical to QuantileSorted over the members'
+// samples copied into one slice and sorted — while memory scales with
+// the number of distinct values (feature columns are window counts
+// with heavy repetition), not the number of samples. Its moments
+// (Mean, StdDev) and threshold frontier are bit-identical to the same
+// sorted copy's too, so core.Configure derives every group threshold
+// from one without ever building that copy.
 //
 // The zero value is an empty accumulator. Folding is commutative and
 // associative: any interleaving of AddSorted/AddEmpiricals/Merge calls
@@ -52,7 +55,7 @@ func (c *Compressed) NumDistinct() int { return len(c.uniq) }
 // AddSorted folds an already-sorted, NaN-free sample column into the
 // accumulator. The input is validated under the same contract as
 // Empirical.AdoptSorted and is not retained. An empty column is a
-// no-op, mirroring MergeEmpiricals skipping empty members.
+// no-op.
 func (c *Compressed) AddSorted(col []float64) error {
 	for i, v := range col {
 		if math.IsNaN(v) {
@@ -67,8 +70,7 @@ func (c *Compressed) AddSorted(col []float64) error {
 }
 
 // AddEmpirical folds an Empirical's samples without the defensive
-// copy Samples() would force. A nil or empty distribution is a no-op,
-// exactly as MergeEmpiricals skips nil members.
+// copy Samples() would force. A nil or empty distribution is a no-op.
 func (c *Compressed) AddEmpirical(e *Empirical) {
 	c.AddEmpiricals([]*Empirical{e})
 }
@@ -279,9 +281,49 @@ func (c *Compressed) Quantile(q float64) (float64, error) {
 	return a + frac*(c.at(lo+1)-a), nil
 }
 
+// Mean returns the sample mean of the folded multiset, or 0 when it is
+// empty, bit-identical to Empirical.Mean over the expanded sorted
+// sample array: each run's value is added once per sample, in
+// ascending order, one addition at a time — the same summation.
+func (c *Compressed) Mean() float64 {
+	n := c.N()
+	if n == 0 {
+		return 0
+	}
+	var sum float64
+	var prev int64
+	for i, v := range c.uniq {
+		for ; prev < c.cum[i]; prev++ {
+			sum += v
+		}
+	}
+	return sum / float64(n)
+}
+
+// StdDev returns the sample standard deviation (denominator n-1) of
+// the folded multiset, or 0 when fewer than two samples exist,
+// bit-identical to Empirical.StdDev by the same run-ordered summation
+// as Mean.
+func (c *Compressed) StdDev() float64 {
+	n := c.N()
+	if n < 2 {
+		return 0
+	}
+	mean := c.Mean()
+	var ss float64
+	var prev int64
+	for i, v := range c.uniq {
+		d := v - mean
+		for ; prev < c.cum[i]; prev++ {
+			ss += d * d
+		}
+	}
+	return math.Sqrt(ss / float64(n-1))
+}
+
 // NewFrontierCompressed builds the threshold frontier of the folded
-// multiset: bit-identical to NewFrontier over MergeEmpiricals of the
-// same samples. The accumulator's (uniq, cum) runs are exactly the
+// multiset: bit-identical to NewFrontier over the concatenated and
+// sorted member samples. The accumulator's (uniq, cum) runs are exactly the
 // run-length compression Frontier.Reset would compute from the merged
 // sorted column — pcdf[i] = float64(count <= uniq[i-1]) / n, the same
 // division on the same integers — and the shifted-quantile ladder

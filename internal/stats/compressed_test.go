@@ -56,6 +56,45 @@ func foldAll(t *testing.T, cols [][]float64) *Compressed {
 	return &c
 }
 
+// TestCompressedMomentsBitIdentical pins Mean and StdDev to the merged
+// sorted copy's bit for bit, over columns spanning five decades with
+// heavy ties, and the empty and one-sample edge cases.
+func TestCompressedMomentsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 200; trial++ {
+		cols := randColumns(rng, 1+rng.Intn(8))
+		// A third of a power of ten: tied values no float64 holds
+		// exactly, so the summation order shows in the low bits.
+		scale := math.Pow(10, float64(rng.Intn(5))) / 3
+		for _, col := range cols {
+			for j := range col {
+				col[j] *= scale
+			}
+		}
+		ref := mergedReference(t, cols)
+		c := foldAll(t, cols)
+		for _, m := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"mean", c.Mean(), ref.Mean()},
+			{"stddev", c.StdDev(), ref.StdDev()},
+		} {
+			if math.Float64bits(m.got) != math.Float64bits(m.want) {
+				t.Fatalf("trial %d %s: %v != %v", trial, m.name, m.got, m.want)
+			}
+		}
+	}
+	var c Compressed
+	if c.Mean() != 0 || c.StdDev() != 0 {
+		t.Fatal("empty accumulator has non-zero moments")
+	}
+	c.AddSorted([]float64{7})
+	if c.Mean() != 7 || c.StdDev() != 0 {
+		t.Fatalf("one sample: mean %v stddev %v", c.Mean(), c.StdDev())
+	}
+}
+
 func TestCompressedQuantileBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	qs := []float64{0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1}

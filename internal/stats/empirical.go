@@ -266,46 +266,6 @@ func (e *Empirical) Samples() []float64 {
 // index.
 func (e *Empirical) At(i int) float64 { return e.sorted[i] }
 
-// Merge returns a new empirical distribution over the union of the
-// samples of e and others. This is how the homogeneous policy
-// "collapses all the individual distributions into a single global
-// distribution" at the central console (paper §4).
-func (e *Empirical) Merge(others ...*Empirical) *Empirical {
-	total := len(e.sorted)
-	for _, o := range others {
-		total += len(o.sorted)
-	}
-	merged := make([]float64, 0, total)
-	merged = append(merged, e.sorted...)
-	for _, o := range others {
-		merged = append(merged, o.sorted...)
-	}
-	sort.Float64s(merged)
-	return &Empirical{sorted: merged}
-}
-
-// MergeEmpiricals builds a single distribution from many, skipping
-// nils and empties. Returns ErrNoSamples if nothing remains.
-func MergeEmpiricals(dists []*Empirical) (*Empirical, error) {
-	var total int
-	for _, d := range dists {
-		if d != nil {
-			total += len(d.sorted)
-		}
-	}
-	if total == 0 {
-		return nil, ErrNoSamples
-	}
-	merged := make([]float64, 0, total)
-	for _, d := range dists {
-		if d != nil {
-			merged = append(merged, d.sorted...)
-		}
-	}
-	sort.Float64s(merged)
-	return &Empirical{sorted: merged}, nil
-}
-
 // Shifted returns the distribution of X + delta — the attacked
 // traffic g + b for a constant additive attack b (paper §3: malicious
 // traffic is additive in the tracked feature).

@@ -179,7 +179,8 @@ func (f *Frontier) Maximize(score func(fp, fn float64) float64) float64 {
 }
 
 // frontierPool recycles Frontier scratch buffers across the many
-// short-lived builds core.Configure performs for merged groups.
+// short-lived builds the frontier-scoring heuristics perform, one per
+// singleton group.
 var frontierPool = sync.Pool{New: func() any { return new(Frontier) }}
 
 // AcquireFrontier returns a pooled frontier reset to the given
