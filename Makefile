@@ -40,8 +40,8 @@ chaos-soak:
 	$(GO) test -race -run TestChaos ./internal/fleet -timeout 15m -v
 
 # fuzz runs each native fuzz target for a bounded time: the console
-# frame reader and its two binary payload codecs, and the remote build
-# transport's frames. Seed corpora live in each package's
+# frame reader and its two binary payload codecs, the remote build
+# transport's frames, and the snapshot and part header parsers. Seed corpora live in each package's
 # testdata/fuzz; go test runs them as plain tests too. CI runs this as
 # its own job.
 fuzz:
@@ -49,17 +49,20 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDistUpload$$' -fuzztime 10s ./internal/console
 	$(GO) test -run '^$$' -fuzz '^FuzzAlertBatch$$' -fuzztime 10s ./internal/console
 	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime 10s ./internal/remotework
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotHeader$$' -fuzztime 10s ./internal/snapshot
 
 # bench runs the per-experiment benchmarks — root package, the
 # generation-path microbenches in internal/trace and internal/xrand,
 # the verified store open (internal/snapshot), the fleet-scale
-# configure (internal/core), and the detection loop's wire codec
+# configure (internal/core), the frontier and sorted-column
+# microbenches (internal/stats), the 1000-user configure and score
+# passes and cold builds (internal/analysis), and the detection loop's wire codec
 # (internal/console), 250-agent fleet run (internal/fleet) and the
 # remote build transport's chunk fetch (internal/remotework) — and
 # records them as BENCH_repro.json, the
 # perf trajectory checked in with each PR. The hand-recorded
 # before_after section of the old file is carried over.
-BENCH_PKGS = . ./internal/trace ./internal/xrand ./internal/snapshot ./internal/core ./internal/console ./internal/fleet ./internal/remotework
+BENCH_PKGS = . ./internal/trace ./internal/xrand ./internal/snapshot ./internal/core ./internal/stats ./internal/analysis ./internal/console ./internal/fleet ./internal/remotework
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -timeout 60m $(BENCH_PKGS) | tee /tmp/bench_repro.txt
 	./scripts/bench_json.sh /tmp/bench_repro.txt scripts/seed_baseline.bench BENCH_repro.json > /tmp/bench_repro.json

@@ -6,8 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
@@ -47,5 +49,91 @@ func BenchmarkColdBuild(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+var (
+	bench1000Once sync.Once
+	bench1000     *Workspace
+)
+
+// benchWorkspace1000 returns the shared in-memory workspace of the
+// paper-scale population the configure and score benchmarks run on:
+// 1000 users × 2 weeks of 15-minute windows, seed 1, every column
+// built once.
+func benchWorkspace1000() *Workspace {
+	bench1000Once.Do(func() {
+		pop := trace.MustPopulation(trace.Config{Users: 1000, Weeks: 2, Seed: 1})
+		bench1000 = NewGenerated(len(pop.Users), func(u int) *features.Matrix { return pop.Users[u].Series() })
+	})
+	return bench1000
+}
+
+// benchGroupings are the paper's three grouping policies.
+var benchGroupings = []core.Grouping{core.Homogeneous{}, core.FullDiversity{}, core.PartialDiversity{NumGroups: 8}}
+
+// BenchmarkAssignments1000 times the threshold configurations Fig 3,
+// Table 2/3 and Fig 4 build on the TCP training week: percentile(99)
+// and utility(w=0.4) under each of the three groupings, over a 24-point
+// attack sweep. Each op starts from an empty memo over the already
+// built columns, so it times the training p99s, the group folds and
+// the six heuristic steps, not column extraction.
+func BenchmarkAssignments1000(b *testing.B) {
+	ws := benchWorkspace1000()
+	f, week := features.TCP, 0
+	sweep := ws.Sweep(f, week, 24)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := freshMemo(ws)
+		for _, h := range []core.Heuristic{core.Percentile{Q: 0.99}, core.UtilityOptimal{W: 0.4}} {
+			for _, g := range benchGroupings {
+				if _, err := w.Assignment(f, week, core.Policy{Heuristic: h, Grouping: g}, sweep, "sp24"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkScore1000 times one Score pass over the TCP test week with
+// the three percentile(99) assignments as jobs: benign (no overlay,
+// Table 3's and Fig 5's clean jobs) and under the every-4th-window
+// sweep overlay (Fig 3's jobs).
+func BenchmarkScore1000(b *testing.B) {
+	ws := benchWorkspace1000()
+	f, trainWeek, testWeek := features.TCP, 0, 1
+	sweep := ws.Sweep(f, trainWeek, 24)
+	overlay := make([]float64, ws.BinsPerWeek())
+	k := 0
+	for bin := 3; bin < len(overlay); bin += 4 {
+		overlay[bin] = sweep[k%len(sweep)]
+		k++
+	}
+	var asns []*core.Assignment
+	for _, g := range benchGroupings {
+		asn, err := ws.Assignment(f, trainWeek, core.Policy{Heuristic: core.Percentile{Q: 0.99}, Grouping: g}, nil, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		asns = append(asns, asn)
+	}
+	ws.Sorted(f, testWeek)
+	for _, bc := range []struct {
+		name    string
+		overlay []float64
+	}{{"benign", nil}, {"overlay", overlay}} {
+		jobs := make([]Scoring, len(asns))
+		for i, asn := range asns {
+			jobs[i] = Scoring{Assignment: asn, Overlay: bc.overlay}
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ws.Score(f, testWeek, jobs, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

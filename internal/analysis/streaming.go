@@ -23,13 +23,14 @@ package analysis
 // Either way every per-user value a view serves is bit-identical to
 // what the full workspace serves for the same user. The
 // population-wide entry points — TailStats, Sweep, Assignment (via
-// core.StreamPlan's fold), Score and the experiment runners above
-// them — have exactly one code path, through StreamShards.
+// core.GroupFold's fold and core.StreamPlan's singleton pass), Score
+// and the experiment runners above them — have exactly one code path,
+// through StreamShards.
 //
 // Fold contract: every per-shard partial lands in a disjoint slice of
 // a population-sized output (user-indexed results) or folds through a
 // commutative, associative reduction (max for Sweep, the multiset
-// accumulators of core.StreamPlan), so neither the shard size nor the
+// accumulators of core.GroupFold), so neither the shard size nor the
 // shard completion order — which the worker pool does not define —
 // can change a result. The shard-size-invariance suites pin that.
 
@@ -125,27 +126,61 @@ func (w *Workspace) StreamShards(workers int, fn func(view *Workspace, lo, hi in
 	})
 }
 
-// configure derives one policy's threshold assignment with
-// core.StreamPlan's fold: every user's grouping statistic (the
-// training p99, exactly what core.Configure derives) is the memoized
-// TailStats pass that Fig 1, Fig 2 and every other policy share; one
-// further pass folds each shard's training distributions into the
-// plan. Every heuristic folds, so every configure streams under the
-// shard bound.
-func (w *Workspace) configure(f features.Feature, trainWeek int, pol core.Policy, attack []float64) (*core.Assignment, error) {
-	stat, err := w.TailStats(f, trainWeek, 0.99)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := core.NewStreamPlan(pol, stat, attack)
-	if err != nil {
-		return nil, err
-	}
-	err = w.StreamShards(0, func(view *Workspace, lo, hi int) error {
-		return plan.FoldShard(lo, view.Dists(f, trainWeek))
+// groupFold returns the memoized heuristic-independent half of every
+// configure over one feature's training week and grouping: the
+// partition of the memoized TailStats pass's training p99s (exactly
+// what core.Configure derives) and, when the partition has a
+// multi-user group, one pass folding each shard's training
+// distributions into the group accumulators. Percentile, MeanSigma
+// and the frontier scorers all read the same fold, and it holds only
+// accumulators, never a shard's columns, so the bounded shard bound
+// still holds.
+func (w *Workspace) groupFold(f features.Feature, trainWeek int, g core.Grouping) (*core.GroupFold, error) {
+	key := fmt.Sprintf("fold/%d/%d/%s", int(f), trainWeek, g.Name())
+	v, err := w.Memo(key, func() (any, error) {
+		stat, err := w.TailStats(f, trainWeek, 0.99)
+		if err != nil {
+			return nil, err
+		}
+		fold, err := core.NewGroupFold(g, stat)
+		if err != nil {
+			return nil, err
+		}
+		if fold.Merged() {
+			err = w.StreamShards(0, func(view *Workspace, lo, hi int) error {
+				return fold.FoldShard(lo, view.Dists(f, trainWeek))
+			})
+			if err != nil {
+				return nil, err
+			}
+		}
+		return fold, nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	return v.(*core.GroupFold), nil
+}
+
+// configure derives one policy's threshold assignment: the policy's
+// heuristic step over the memoized group fold, plus — only when the
+// partition has a singleton group — one pass presenting each shard's
+// training distributions so singletons take their own thresholds.
+// Every heuristic folds, so every configure streams under the shard
+// bound.
+func (w *Workspace) configure(f features.Feature, trainWeek int, pol core.Policy, attack []float64) (*core.Assignment, error) {
+	fold, err := w.groupFold(f, trainWeek, pol.Grouping)
+	if err != nil {
+		return nil, err
+	}
+	plan := fold.Plan(pol.Heuristic, attack)
+	if fold.Singletons() {
+		err = w.StreamShards(0, func(view *Workspace, lo, hi int) error {
+			return plan.FoldShard(lo, view.Dists(f, trainWeek))
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	return plan.Finish()
 }
@@ -159,12 +194,15 @@ type Scoring struct {
 	Overlay    []float64
 }
 
-// Score scores every job over one test week in a single shard pass:
-// each user's time-ordered test column is extracted once, into the
-// shard's scratch column, and scored against every job with
-// core.ScorePoint, so k policies cost one extraction per user instead
-// of k. out[i] is job i's result, bit-identical to core.EvaluatePolicy
-// with EvalInput.Assignment set and every user's attack = the job's
+// Score scores every job over one test week in a single shard pass,
+// so k policies cost one pass instead of k. A job with an attack
+// overlay is scored window by window with core.ScorePoint over the
+// user's time-ordered test column, extracted once per user into the
+// shard's scratch column and only when some job has an overlay. A
+// benign job (nil overlay) reads its counts off the user's sorted test
+// column with core.BenignPoint — one binary search, no window walk.
+// out[i] is job i's result, bit-identical to core.EvaluatePolicy with
+// EvalInput.Assignment set and every user's attack = the job's
 // overlay; each operating point lands in its own population-indexed
 // slot. Every job is checked before the pass: its assignment must
 // cover the population and its overlay, when present, must cover the
@@ -173,6 +211,7 @@ type Scoring struct {
 func (w *Workspace) Score(f features.Feature, week int, jobs []Scoring, workers int) ([]*core.EvalResult, error) {
 	w.blockIndex(f, week) // panics on an invalid feature or week
 	out := make([]*core.EvalResult, len(jobs))
+	benign, overlaid := false, false
 	for i, job := range jobs {
 		if job.Assignment == nil {
 			return nil, fmt.Errorf("analysis: scoring job %d needs a configured assignment", i)
@@ -183,15 +222,34 @@ func (w *Workspace) Score(f features.Feature, week int, jobs []Scoring, workers 
 		if err := w.checkOverlay(job.Overlay); err != nil {
 			return nil, fmt.Errorf("analysis: scoring job %d: %w", i, err)
 		}
+		if job.Overlay == nil {
+			benign = true
+		} else {
+			overlaid = true
+		}
 		out[i] = &core.EvalResult{Assignment: job.Assignment, Points: make([]core.OperatingPoint, w.users)}
 	}
 	err := w.StreamShards(workers, func(view *Workspace, lo, hi int) error {
-		col := make([]float64, w.binsPerWeek)
+		var sorted [][]float64
+		if benign {
+			sorted = view.Sorted(f, week)
+		}
+		var col []float64
+		if overlaid {
+			col = make([]float64, w.binsPerWeek)
+		}
 		for u, m := range view.matrices {
-			wlo, whi := m.WeekRange(week)
-			m.ColumnInto(col, f, wlo, whi)
+			if overlaid {
+				wlo, whi := m.WeekRange(week)
+				m.ColumnInto(col, f, wlo, whi)
+			}
 			for i, job := range jobs {
-				pt, err := core.ScorePoint(lo+u, col, job.Overlay, job.Assignment.Thresholds[lo+u])
+				thr := job.Assignment.Thresholds[lo+u]
+				if job.Overlay == nil {
+					out[i].Points[lo+u] = core.BenignPoint(lo+u, sorted[u], thr)
+					continue
+				}
+				pt, err := core.ScorePoint(lo+u, col, job.Overlay, thr)
 				if err != nil {
 					return err
 				}

@@ -491,8 +491,9 @@ func (w *Workspace) Sweep(f features.Feature, trainWeek, n int) []float64 {
 }
 
 // Assignment returns the memoized threshold configuration of one
-// policy on one feature's training week, folded shard by shard through
-// core.StreamPlan (see configure). sweepKey must uniquely identify the
+// policy on one feature's training week: the policy's heuristic step
+// over the group fold every heuristic of the same (feature, week,
+// grouping) shares (see configure). sweepKey must uniquely identify the
 // attack-magnitude input (use "" for nil magnitudes): the cache key is
 // (feature, week, policy name, sweepKey). Percentile and MeanSigma
 // thresholds ignore attack magnitudes, so for them attack and sweepKey
@@ -536,10 +537,8 @@ func (w *Workspace) DaySorted(f features.Feature, week int) [][][]float64 {
 			par.ForEach(w.users, 0, func(u int) {
 				days := w.snap.DayColumns(w.userBase+u, week, int(f))
 				for d, day := range days {
-					for i, v := range day {
-						if math.IsNaN(v) || (i > 0 && v < day[i-1]) {
-							panic(fmt.Sprintf("analysis: snapshot user %d %s week %d day %d: day view not sorted at %d", w.userBase+u, f, week, d, i))
-						}
+					if i := stats.UnsortedAt(day); i >= 0 {
+						panic(fmt.Sprintf("analysis: snapshot user %d %s week %d day %d: day view not sorted at %d", w.userBase+u, f, week, d, i))
 					}
 				}
 				out[u] = days

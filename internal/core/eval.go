@@ -125,13 +125,30 @@ func ScorePoint(u int, test, attack []float64, thr float64) (OperatingPoint, err
 	if err != nil {
 		return OperatingPoint{}, fmt.Errorf("core: user %d: %w", u, err)
 	}
+	return pointOf(u, thr, conf), nil
+}
+
+// BenignPoint is ScorePoint with no attack overlay, counted off the
+// user's sorted test column instead of walking its windows: with no
+// attack a window alarms exactly when g > thr, so FP is the number of
+// sorted values above thr (one binary search) and TN the rest. The
+// point is bit-identical to ScorePoint(u, test, nil, thr) for any test
+// column holding the same values as sorted.
+func BenignPoint(u int, sorted []float64, thr float64) OperatingPoint {
+	fp := stats.CountAboveSorted(sorted, thr)
+	return pointOf(u, thr, stats.Confusion{FP: fp, TN: len(sorted) - fp})
+}
+
+// pointOf is the one OperatingPoint constructor: a user's confusion
+// counts at a threshold and the rates derived from them.
+func pointOf(u int, thr float64, conf stats.Confusion) OperatingPoint {
 	return OperatingPoint{
 		User:      u,
 		Threshold: thr,
 		FP:        conf.FalsePositiveRate(),
 		FN:        conf.FalseNegativeRate(),
 		Confusion: conf,
-	}, nil
+	}
 }
 
 // Utilities returns every user's utility for weight w.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/stats"
 )
@@ -63,12 +64,18 @@ func (m MeanSigma) threshold(mean, sd float64) float64 { return mean + m.K*sd }
 // maximizing an objective over the threshold frontier (stats.Frontier
 // — the exact ⟨threshold, fp, fn⟩ triples of every candidate
 // threshold). Implementations live in this package; StreamPlan
-// type-asserts on it to score a group's compressed frontier.
+// type-asserts on it to score a group's compressed frontier. Both
+// maximizations stop the sweep early through bound.
 type FrontierScorer interface {
 	Heuristic
 	// Score evaluates the objective at one frontier operating point;
 	// the heuristic's threshold is the frontier point maximizing it.
 	Score(fp, fn float64) float64
+	// bound returns an upper bound on Score(fp', fn') over every
+	// fn' >= fn and fp' >= 0 — every later candidate of a sweep, whose
+	// fn never decreases and whose fp is never negative — or +Inf
+	// when the objective has none (Frontier.Maximize's bound).
+	bound(fn float64) float64
 	// validateScorer checks the heuristic's parameters, returning the
 	// same error Threshold would.
 	validateScorer() error
@@ -95,6 +102,13 @@ func (u UtilityOptimal) Score(fp, fn float64) float64 {
 	return stats.Utility(fn, fp, u.W)
 }
 
+// bound implements FrontierScorer: 1 − w·fn. A later candidate has
+// w·fn' >= w·fn and (1−w)·fp' >= 0 (w is in [0, 1]), and rounding is
+// monotone, so its rounded sum is at least the rounded w·fn however
+// the products are rounded or fused; the explicit conversion keeps
+// this product from being fused into the subtraction.
+func (u UtilityOptimal) bound(fn float64) float64 { return 1 - float64(u.W*fn) }
+
 func (u UtilityOptimal) validateScorer() error {
 	if u.W < 0 || u.W > 1 {
 		return fmt.Errorf("core: utility weight %g outside [0, 1]", u.W)
@@ -107,7 +121,7 @@ func (u UtilityOptimal) Threshold(train *stats.Empirical, attack []float64) (flo
 	if err := u.validateScorer(); err != nil {
 		return 0, err
 	}
-	return maximizeOverFrontier(train, attack, u.Score)
+	return maximizeOverFrontier(train, attack, u)
 }
 
 // FMeasureOptimal picks the threshold maximizing the F1 measure (the
@@ -130,22 +144,27 @@ func (FMeasureOptimal) Score(fp, fn float64) float64 {
 	return stats.HarmonicMean(precision, recall)
 }
 
+// bound implements FrontierScorer: F1 has no exact float bound in fn
+// alone, so its sweeps run in full.
+func (FMeasureOptimal) bound(float64) float64 { return math.Inf(1) }
+
 func (FMeasureOptimal) validateScorer() error { return nil }
 
 // Threshold implements Heuristic.
-func (FMeasureOptimal) Threshold(train *stats.Empirical, attack []float64) (float64, error) {
-	return maximizeOverFrontier(train, attack, FMeasureOptimal{}.Score)
+func (m FMeasureOptimal) Threshold(train *stats.Empirical, attack []float64) (float64, error) {
+	return maximizeOverFrontier(train, attack, m)
 }
 
 // maximizeOverFrontier builds a (pooled) threshold frontier over the
-// training distribution and returns the candidate maximizing
-// score(fp, fn). The frontier enumerates exactly the candidate set
-// the pre-frontier brute-force scan used — every training sample plus
-// every coarse attack-shifted quantile — so thresholds are
-// bit-identical to it; the merge-sweep just computes all operating
-// points in one pass instead of 1+|attack| binary searches per
-// candidate over a freshly built, sorted candidate map.
-func maximizeOverFrontier(train *stats.Empirical, attack []float64, score func(fp, fn float64) float64) (float64, error) {
+// training distribution and returns the candidate maximizing the
+// scorer's objective, stopping the sweep at its bound. The frontier
+// enumerates exactly the candidate set the pre-frontier brute-force
+// scan used — every training sample plus every coarse attack-shifted
+// quantile — so thresholds are bit-identical to it; the merge-sweep
+// just computes all operating points in one pass instead of
+// 1+|attack| binary searches per candidate over a freshly built,
+// sorted candidate map.
+func maximizeOverFrontier(train *stats.Empirical, attack []float64, h FrontierScorer) (float64, error) {
 	if train == nil || train.N() == 0 {
 		return 0, stats.ErrNoSamples
 	}
@@ -157,5 +176,5 @@ func maximizeOverFrontier(train *stats.Empirical, attack []float64, score func(f
 		return 0, err
 	}
 	defer fr.Release()
-	return fr.Maximize(score), nil
+	return fr.Maximize(h.Score, h.bound), nil
 }

@@ -10,27 +10,35 @@ import (
 	"repro/internal/stats"
 )
 
-// StreamPlan derives a policy's Assignment from per-user training
-// distributions that are presented a shard at a time (in any order,
-// from any goroutine) instead of all resident at once; Configure is
-// its one-shard case. The protocol is
+// A configure runs in two halves. The GroupFold depends only on the
+// grouping: it partitions the population and folds every multi-user
+// group's members into a stats.Compressed accumulator. The StreamPlan
+// is the per-heuristic step: it reads the fold's accumulators for the
+// merged groups and takes each singleton group's threshold straight
+// from the member's own distribution. Every heuristic configured over
+// the same (feature, week, grouping) can read one fold — the analysis
+// workspace memoizes it — while NewStreamPlan runs both halves in one
+// pass. Either way the protocol is
 //
-//	plan, _ := NewStreamPlan(policy, stat, attack)
 //	// fan FoldShard(lo, dists) over shards/workers, each user exactly once
 //	asn, _ := plan.Finish()
 //
 // and the resulting Assignment is bit-identical to applying the
 // heuristic to each group's members' samples copied into one slice and
-// sorted: singleton groups take their threshold straight from the
-// member's own distribution (whose samples are exactly that copy), and
-// multi-user groups fold members into a stats.Compressed accumulator
-// whose quantiles, moments and threshold frontier reproduce the sorted
-// copy operand for operand. The fold is associative and commutative —
-// the accumulator state depends only on the multiset of samples — so
-// neither the shard size nor worker scheduling can change the result.
-type StreamPlan struct {
-	policy Policy
-	attack []float64
+// sorted: a singleton's member distribution is exactly that copy, and
+// the accumulator's quantiles, moments and threshold frontier
+// reproduce the sorted copy operand for operand. The fold is
+// associative and commutative — the accumulator state depends only on
+// the multiset of samples — so neither the shard size nor worker
+// scheduling can change the result.
+
+// GroupFold is the heuristic-independent half of a configure: the
+// grouping's partition and one accumulator per multi-user group. It
+// holds accumulators only, never a presented distribution. Once every
+// user has been folded — which only a partition with a Merged group
+// needs — the fold is read-only, and any number of plans may read it
+// concurrently.
+type GroupFold struct {
 	groups [][]int
 	// groupOf maps each user to its group index.
 	groupOf []int
@@ -38,6 +46,141 @@ type StreamPlan struct {
 	// group (nil for singletons), guarded by the matching mu entry.
 	acc []*stats.Compressed
 	mu  []sync.Mutex
+	// merged and singles report whether the partition has a
+	// multi-user group and a singleton group.
+	merged, singles bool
+	seen            claims
+}
+
+// NewGroupFold partitions the population with the grouping over the
+// per-user tail statistic (stat[u] must be user u's training
+// 0.99-quantile, exactly what Configure computes internally) and
+// prepares the per-group accumulators.
+func NewGroupFold(grouping Grouping, stat []float64) (*GroupFold, error) {
+	n := len(stat)
+	if n == 0 {
+		return nil, fmt.Errorf("core: empty population")
+	}
+	groups, err := grouping.Groups(stat)
+	if err != nil {
+		return nil, fmt.Errorf("core: grouping %s: %w", grouping.Name(), err)
+	}
+	if err := ValidatePartition(groups, n); err != nil {
+		return nil, err
+	}
+	f := &GroupFold{
+		groups:  groups,
+		groupOf: make([]int, n),
+		acc:     make([]*stats.Compressed, len(groups)),
+		mu:      make([]sync.Mutex, len(groups)),
+		seen:    make(claims, n),
+	}
+	for g, grp := range groups {
+		for _, u := range grp {
+			f.groupOf[u] = g
+		}
+		if len(grp) > 1 {
+			f.acc[g] = &stats.Compressed{}
+			f.merged = true
+		} else {
+			f.singles = true
+		}
+	}
+	return f, nil
+}
+
+// Merged reports whether the partition has a multi-user group: only
+// then does the fold need its users presented through FoldShard.
+func (f *GroupFold) Merged() bool { return f.merged }
+
+// Singletons reports whether the partition has a singleton group:
+// only then does a plan over the fold need its users presented
+// through the plan's FoldShard.
+func (f *GroupFold) Singletons() bool { return f.singles }
+
+// FoldShard presents the training distributions of the contiguous
+// users [lo, lo+len(dists)), typically one StreamShards shard, and
+// folds the members of multi-user groups. Each user must be folded
+// exactly once: a second fold of any user is an error naming it.
+// Concurrent calls over disjoint ranges are safe. The distributions
+// are not retained, so shard-backed callers may release the backing
+// memory as soon as the call returns.
+func (f *GroupFold) FoldShard(lo int, dists []*stats.Empirical) error {
+	if err := f.seen.claim(lo, dists); err != nil {
+		return err
+	}
+	f.add(lo, dists)
+	return nil
+}
+
+// foldLocals recycles the shard-local accumulators of add.
+var foldLocals = sync.Pool{New: func() any { return new(stats.Compressed) }}
+
+// add folds the multi-user group members among users
+// [lo, lo+len(dists)) into their group accumulators. The shard's
+// members of one group are folded together, by one AddEmpiricals. A
+// bucket holding the whole group folds straight into the group's
+// accumulator; otherwise other shards fold the same group, so the
+// bucket is folded into a pooled shard-local accumulator first and only
+// the Merge runs under the group's lock — concurrent shards of one
+// group fold in parallel.
+func (f *GroupFold) add(lo int, dists []*stats.Empirical) {
+	if !f.merged {
+		return
+	}
+	var multi []int // members of multi-user groups, bucketed by group below
+	for i := range dists {
+		if f.acc[f.groupOf[lo+i]] != nil {
+			multi = append(multi, lo+i)
+		}
+	}
+	slices.SortStableFunc(multi, func(a, b int) int { return cmp.Compare(f.groupOf[a], f.groupOf[b]) })
+	bucket := make([]*stats.Empirical, 0, len(multi))
+	for s := 0; s < len(multi); {
+		g := f.groupOf[multi[s]]
+		bucket = bucket[:0]
+		for ; s < len(multi) && f.groupOf[multi[s]] == g; s++ {
+			bucket = append(bucket, dists[multi[s]-lo])
+		}
+		if len(bucket) == len(f.groups[g]) {
+			f.mu[g].Lock()
+			f.acc[g].AddEmpiricals(bucket)
+			f.mu[g].Unlock()
+			continue
+		}
+		local := foldLocals.Get().(*stats.Compressed)
+		local.Reset()
+		local.AddEmpiricals(bucket)
+		f.mu[g].Lock()
+		f.acc[g].Merge(local)
+		f.mu[g].Unlock()
+		foldLocals.Put(local)
+	}
+}
+
+// complete reports a user the fold still needs: none when no group is
+// merged.
+func (f *GroupFold) complete() error {
+	if !f.merged {
+		return nil
+	}
+	return f.seen.complete()
+}
+
+// StreamPlan is the per-heuristic half of a configure: it derives a
+// policy's Assignment from a GroupFold and from the singleton groups'
+// own distributions, presented a shard at a time (in any order, from
+// any goroutine); Configure is its one-shard case.
+type StreamPlan struct {
+	fold *GroupFold
+	// own is set on a NewStreamPlan plan, which folds the groups
+	// itself: its FoldShard feeds the fold too and must see every
+	// user. A plan from GroupFold.Plan reads a fold completed by its
+	// own pass and needs only the singletons' users.
+	own       bool
+	seen      claims
+	heuristic Heuristic
+	attack    []float64
 	// err is the heuristic error of the lowest-indexed singleton group
 	// errGroup that failed, kept for Finish under errMu.
 	errMu    sync.Mutex
@@ -46,46 +189,34 @@ type StreamPlan struct {
 
 	thresholds []float64
 	groupThr   []float64
-	// folded[u] is set by the one fold that may present user u.
-	folded []atomic.Bool
 }
 
-// NewStreamPlan partitions the population with the policy's grouping
-// over the per-user tail statistic (stat[u] must be user u's training
-// 0.99-quantile, exactly what Configure computes internally) and
-// prepares per-group accumulators for the fold.
+// NewStreamPlan prepares a one-pass configure: a fresh GroupFold for
+// the policy's grouping (see NewGroupFold for stat) whose accumulators
+// the plan's own FoldShard fills.
 func NewStreamPlan(policy Policy, stat []float64, attack []float64) (*StreamPlan, error) {
-	n := len(stat)
-	if n == 0 {
-		return nil, fmt.Errorf("core: empty population")
-	}
-	groups, err := policy.Grouping.Groups(stat)
+	fold, err := NewGroupFold(policy.Grouping, stat)
 	if err != nil {
-		return nil, fmt.Errorf("core: grouping %s: %w", policy.Grouping.Name(), err)
-	}
-	if err := ValidatePartition(groups, n); err != nil {
 		return nil, err
 	}
-	p := &StreamPlan{
-		policy:     policy,
-		attack:     attack,
-		groups:     groups,
-		groupOf:    make([]int, n),
-		acc:        make([]*stats.Compressed, len(groups)),
-		mu:         make([]sync.Mutex, len(groups)),
-		thresholds: make([]float64, n),
-		groupThr:   make([]float64, len(groups)),
-		folded:     make([]atomic.Bool, n),
-	}
-	for g, grp := range groups {
-		for _, u := range grp {
-			p.groupOf[u] = g
-		}
-		if len(grp) > 1 {
-			p.acc[g] = &stats.Compressed{}
-		}
-	}
+	p := fold.Plan(policy.Heuristic, attack)
+	p.own = true
 	return p, nil
+}
+
+// Plan starts the heuristic's step over the fold. The fold must be
+// complete by Finish; the plan's FoldShard is needed only when the
+// partition has Singletons.
+func (f *GroupFold) Plan(h Heuristic, attack []float64) *StreamPlan {
+	n := len(f.groupOf)
+	return &StreamPlan{
+		fold:       f,
+		seen:       make(claims, n),
+		heuristic:  h,
+		attack:     attack,
+		thresholds: make([]float64, n),
+		groupThr:   make([]float64, len(f.groups)),
+	}
 }
 
 // FoldUser presents user u's training distribution: FoldShard over a
@@ -95,46 +226,30 @@ func (p *StreamPlan) FoldUser(u int, dist *stats.Empirical) error {
 }
 
 // FoldShard presents the training distributions of the contiguous
-// users [lo, lo+len(dists)), typically one StreamShards shard. Each
-// user must be folded exactly once: a second fold of any user is an
-// error naming it. Concurrent calls over disjoint ranges are safe.
-// Singleton groups take their threshold straight from the member's
-// distribution; a heuristic error there is kept for Finish, which
-// reports the lowest-indexed failing group whatever the fold order.
-// The shard's members of each multi-user group are
-// folded into the group accumulator together, by one
-// stats.Compressed.AddEmpiricals under the group's lock, so the lock
-// is taken once per (shard, group) instead of once per user. The
-// distributions are not retained, so shard-backed callers may release
-// the backing memory as soon as the call returns.
+// users [lo, lo+len(dists)), under GroupFold.FoldShard's contract
+// (each user exactly once, concurrent disjoint calls safe, nothing
+// retained). A NewStreamPlan plan folds the shard's multi-user group
+// members into its fold. Singleton groups take their threshold
+// straight from the member's distribution; a heuristic error there is
+// kept for Finish, which reports the lowest-indexed failing group
+// whatever the fold order.
 func (p *StreamPlan) FoldShard(lo int, dists []*stats.Empirical) error {
-	hi := lo + len(dists)
-	if lo < 0 || hi > len(p.groupOf) {
-		return fmt.Errorf("core: users [%d, %d) outside population of %d", lo, hi, len(p.groupOf))
+	if err := p.seen.claim(lo, dists); err != nil {
+		return err
+	}
+	if p.own {
+		p.fold.add(lo, dists)
+	}
+	if !p.fold.singles {
+		return nil
 	}
 	for i, d := range dists {
-		if d == nil || d.N() == 0 {
-			return fmt.Errorf("core: user %d has no training data", lo+i)
-		}
-	}
-	for u := lo; u < hi; u++ {
-		if !p.folded[u].CompareAndSwap(false, true) {
-			// Release this call's claims so Finish reports them
-			// missing rather than folded.
-			for v := lo; v < u; v++ {
-				p.folded[v].Store(false)
-			}
-			return fmt.Errorf("core: user %d folded twice", u)
-		}
-	}
-	var multi []int // members of multi-user groups, bucketed by group below
-	for u := lo; u < hi; u++ {
-		g := p.groupOf[u]
-		if p.acc[g] != nil {
-			multi = append(multi, u)
+		u := lo + i
+		g := p.fold.groupOf[u]
+		if p.fold.acc[g] != nil {
 			continue
 		}
-		t, err := p.policy.Heuristic.Threshold(dists[u-lo], p.attack)
+		t, err := p.heuristic.Threshold(d, p.attack)
 		if err != nil {
 			p.errMu.Lock()
 			if p.err == nil || g < p.errGroup {
@@ -144,47 +259,34 @@ func (p *StreamPlan) FoldShard(lo int, dists []*stats.Empirical) error {
 		}
 		p.thresholds[u], p.groupThr[g] = t, t
 	}
-	slices.SortStableFunc(multi, func(a, b int) int { return cmp.Compare(p.groupOf[a], p.groupOf[b]) })
-	bucket := make([]*stats.Empirical, 0, len(multi))
-	for s := 0; s < len(multi); {
-		g := p.groupOf[multi[s]]
-		bucket = bucket[:0]
-		for ; s < len(multi) && p.groupOf[multi[s]] == g; s++ {
-			bucket = append(bucket, dists[multi[s]-lo])
-		}
-		p.mu[g].Lock()
-		p.acc[g].AddEmpiricals(bucket)
-		p.mu[g].Unlock()
-	}
 	return nil
 }
 
 // Finish derives the multi-user group thresholds from the folded
-// accumulators and assembles the Assignment. Every user must have been
-// folded. A heuristic error is reported for the lowest-indexed group
-// it fails on.
+// accumulators and assembles the Assignment. Every user the plan and
+// its fold need must have been folded. A heuristic error is reported
+// for the lowest-indexed group it fails on.
 func (p *StreamPlan) Finish() (*Assignment, error) {
-	n, got, missing := len(p.groupOf), 0, -1
-	for u := range p.folded {
-		if p.folded[u].Load() {
-			got++
-		} else if missing < 0 {
-			missing = u
+	if p.own || p.fold.singles {
+		if err := p.seen.complete(); err != nil {
+			return nil, err
 		}
 	}
-	if got != n {
-		return nil, fmt.Errorf("core: streaming configure folded %d of %d users (user %d missing)", got, n, missing)
+	if !p.own {
+		if err := p.fold.complete(); err != nil {
+			return nil, err
+		}
 	}
-	for g, grp := range p.groups {
+	for g, grp := range p.fold.groups {
 		if len(grp) == 1 {
 			if p.err != nil && g == p.errGroup {
-				return nil, fmt.Errorf("core: heuristic %s on group %d: %w", p.policy.Heuristic.Name(), g, p.err)
+				return nil, fmt.Errorf("core: heuristic %s on group %d: %w", p.heuristic.Name(), g, p.err)
 			}
 			continue
 		}
-		t, err := p.mergedThreshold(g)
+		t, err := p.mergedThreshold(p.fold.acc[g])
 		if err != nil {
-			return nil, fmt.Errorf("core: heuristic %s on group %d: %w", p.policy.Heuristic.Name(), g, err)
+			return nil, fmt.Errorf("core: heuristic %s on group %d: %w", p.heuristic.Name(), g, err)
 		}
 		p.groupThr[g] = t
 		for _, u := range grp {
@@ -193,19 +295,19 @@ func (p *StreamPlan) Finish() (*Assignment, error) {
 	}
 	return &Assignment{
 		Thresholds:     p.thresholds,
-		Groups:         p.groups,
+		Groups:         p.fold.groups,
 		GroupThreshold: p.groupThr,
 	}, nil
 }
 
-// mergedThreshold reproduces Heuristic.Threshold over the group's
-// merged distribution from the compressed accumulator.
-func (p *StreamPlan) mergedThreshold(g int) (float64, error) {
-	switch h := p.policy.Heuristic.(type) {
+// mergedThreshold reproduces Heuristic.Threshold over a group's
+// merged distribution from its compressed accumulator.
+func (p *StreamPlan) mergedThreshold(acc *stats.Compressed) (float64, error) {
+	switch h := p.heuristic.(type) {
 	case Percentile:
-		return p.acc[g].Quantile(h.Q)
+		return acc.Quantile(h.Q)
 	case MeanSigma:
-		return h.threshold(p.acc[g].Mean(), p.acc[g].StdDev()), nil
+		return h.threshold(acc.Mean(), acc.StdDev()), nil
 	case FrontierScorer:
 		if err := h.validateScorer(); err != nil {
 			return 0, err
@@ -213,11 +315,56 @@ func (p *StreamPlan) mergedThreshold(g int) (float64, error) {
 		if len(p.attack) == 0 {
 			return 0, fmt.Errorf("core: objective-optimizing heuristic requires attack magnitudes")
 		}
-		fr, err := stats.NewFrontierCompressed(p.acc[g], p.attack)
+		fr, err := stats.NewFrontierCompressed(acc, p.attack)
 		if err != nil {
 			return 0, err
 		}
-		return fr.Maximize(h.Score), nil
+		return fr.Maximize(h.Score, h.bound), nil
 	}
-	return 0, fmt.Errorf("core: heuristic %s has no fold over merged groups", p.policy.Heuristic.Name())
+	return 0, fmt.Errorf("core: heuristic %s has no fold over merged groups", p.heuristic.Name())
+}
+
+// claims records which users a pass has been presented, so that each
+// is presented exactly once.
+type claims []atomic.Bool
+
+// claim checks the shard of users [lo, lo+len(dists)) and claims
+// them, or claims none: a user already claimed is an error naming it.
+func (c claims) claim(lo int, dists []*stats.Empirical) error {
+	hi := lo + len(dists)
+	if lo < 0 || hi > len(c) {
+		return fmt.Errorf("core: users [%d, %d) outside population of %d", lo, hi, len(c))
+	}
+	for i, d := range dists {
+		if d == nil || d.N() == 0 {
+			return fmt.Errorf("core: user %d has no training data", lo+i)
+		}
+	}
+	for u := lo; u < hi; u++ {
+		if !c[u].CompareAndSwap(false, true) {
+			// Release this call's claims so Finish reports them
+			// missing rather than folded.
+			for v := lo; v < u; v++ {
+				c[v].Store(false)
+			}
+			return fmt.Errorf("core: user %d folded twice", u)
+		}
+	}
+	return nil
+}
+
+// complete reports the lowest-indexed user not yet claimed.
+func (c claims) complete() error {
+	got, missing := 0, -1
+	for u := range c {
+		if c[u].Load() {
+			got++
+		} else if missing < 0 {
+			missing = u
+		}
+	}
+	if got != len(c) {
+		return fmt.Errorf("core: streaming configure folded %d of %d users (user %d missing)", got, len(c), missing)
+	}
+	return nil
 }

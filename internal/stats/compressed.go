@@ -40,6 +40,12 @@ type Compressed struct {
 	segs []int
 }
 
+// Reset empties the accumulator, keeping its buffers for the next
+// fold.
+func (c *Compressed) Reset() {
+	c.uniq, c.cum = c.uniq[:0], c.cum[:0]
+}
+
 // N returns the total number of samples folded in.
 func (c *Compressed) N() int64 {
 	if len(c.cum) == 0 {
@@ -57,13 +63,8 @@ func (c *Compressed) NumDistinct() int { return len(c.uniq) }
 // Empirical.AdoptSorted and is not retained. An empty column is a
 // no-op.
 func (c *Compressed) AddSorted(col []float64) error {
-	for i, v := range col {
-		if math.IsNaN(v) {
-			return fmt.Errorf("stats: sample %d is NaN", i)
-		}
-		if i > 0 && v < col[i-1] {
-			return fmt.Errorf("stats: samples not sorted at index %d (%g < %g)", i, v, col[i-1])
-		}
+	if err := checkSorted(col); err != nil {
+		return err
 	}
 	c.fold(1, func(int) []float64 { return col })
 	return nil

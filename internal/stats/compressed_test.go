@@ -182,7 +182,7 @@ func TestCompressedFrontierBitIdentical(t *testing.T) {
 			}
 		}
 		score := func(fp, fn float64) float64 { return Utility(fn, fp, 0.4) }
-		if wb, gb := want.Maximize(score), got.Maximize(score); math.Float64bits(wb) != math.Float64bits(gb) {
+		if wb, gb := want.Maximize(score, nil), got.Maximize(score, nil); math.Float64bits(wb) != math.Float64bits(gb) {
 			t.Fatalf("trial %d: Maximize %g != %g", trial, gb, wb)
 		}
 	}

@@ -71,19 +71,45 @@ func (e *Empirical) AdoptSorted(sorted []float64) error {
 	if len(sorted) == 0 {
 		return ErrNoSamples
 	}
-	if math.IsNaN(sorted[0]) {
-		return fmt.Errorf("stats: sample 0 is NaN")
-	}
-	for i := 1; i < len(sorted); i++ {
-		if math.IsNaN(sorted[i]) {
-			return fmt.Errorf("stats: sample %d is NaN", i)
-		}
-		if sorted[i] < sorted[i-1] {
-			return fmt.Errorf("stats: samples not sorted at index %d (%g < %g)", i, sorted[i], sorted[i-1])
-		}
+	if err := checkSorted(sorted); err != nil {
+		return err
 	}
 	e.sorted = sorted
 	return nil
+}
+
+// UnsortedAt returns the index of the first sample of s that is NaN or
+// smaller than its predecessor, or -1 when s is sorted ascending and
+// NaN-free. It makes one comparison per sample: !(s[i] >= s[i-1])
+// holds exactly when s[i] is NaN or out of order, because s[i-1]
+// already passed the same test (and s[0] the NaN test).
+func UnsortedAt(s []float64) int {
+	if len(s) == 0 {
+		return -1
+	}
+	if math.IsNaN(s[0]) {
+		return 0
+	}
+	for i := 1; i < len(s); i++ {
+		if !(s[i] >= s[i-1]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkSorted is the sorted, NaN-free contract of AdoptSorted and
+// Compressed.AddSorted, diagnosed at UnsortedAt's index.
+func checkSorted(s []float64) error {
+	i := UnsortedAt(s)
+	switch {
+	case i < 0:
+		return nil
+	case math.IsNaN(s[i]):
+		return fmt.Errorf("stats: sample %d is NaN", i)
+	default:
+		return fmt.Errorf("stats: samples not sorted at index %d (%g < %g)", i, s[i], s[i-1])
+	}
 }
 
 // MustEmpirical is NewEmpirical that panics on error; intended for

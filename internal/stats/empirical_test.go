@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -275,5 +276,72 @@ func TestMeanStdDevAgainstKnown(t *testing.T) {
 	want := math.Sqrt(32.0 / 7.0)
 	if got := e.StdDev(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("StdDev = %g, want %g", got, want)
+	}
+}
+
+// TestSortedValidationTexts pins the sorted-column contract of
+// AdoptSorted and Compressed.AddSorted: the first failing index and
+// the error text for a NaN at the head, a NaN mid-column and an
+// out-of-order sample, and ±0 ties accepted as sorted.
+func TestSortedValidationTexts(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name string
+		col  []float64
+		at   int
+		err  string
+	}{
+		{"NaN at index 0", []float64{math.NaN(), 1, 2}, 0, "stats: sample 0 is NaN"},
+		{"NaN mid-column", []float64{1, 2, math.NaN(), 3}, 2, "stats: sample 2 is NaN"},
+		{"unsorted", []float64{1, 3, 2, 4}, 2, "stats: samples not sorted at index 2 (2 < 3)"},
+		{"unsorted before a NaN", []float64{5, 4, math.NaN()}, 1, "stats: samples not sorted at index 1 (4 < 5)"},
+		{"-Inf after a value", []float64{0, math.Inf(-1)}, 1, "stats: samples not sorted at index 1 (-Inf < 0)"},
+		{"±0 ties", []float64{negZero, 0, negZero, 0, 1}, -1, ""},
+		{"±Inf ends", []float64{math.Inf(-1), 0, math.Inf(1)}, -1, ""},
+		{"one sample", []float64{7}, -1, ""},
+	} {
+		if got := UnsortedAt(tc.col); got != tc.at {
+			t.Fatalf("%s: UnsortedAt = %d, want %d", tc.name, got, tc.at)
+		}
+		var e Empirical
+		err := e.AdoptSorted(tc.col)
+		var c Compressed
+		cerr := c.AddSorted(tc.col)
+		if tc.err == "" {
+			if err != nil || cerr != nil || e.N() != len(tc.col) || c.N() != int64(len(tc.col)) {
+				t.Fatalf("%s: rejected: AdoptSorted %v, AddSorted %v", tc.name, err, cerr)
+			}
+			continue
+		}
+		if err == nil || err.Error() != tc.err {
+			t.Fatalf("%s: AdoptSorted err = %v, want %q", tc.name, err, tc.err)
+		}
+		if cerr == nil || cerr.Error() != tc.err {
+			t.Fatalf("%s: AddSorted err = %v, want %q", tc.name, cerr, tc.err)
+		}
+		if e.N() != 0 || c.N() != 0 {
+			t.Fatalf("%s: a rejected column was adopted", tc.name)
+		}
+	}
+	if err := new(Empirical).AdoptSorted(nil); err != ErrNoSamples {
+		t.Fatalf("empty column: err = %v", err)
+	}
+}
+
+// BenchmarkAdoptSorted times the validation pass of one user-week
+// column (672 sorted window counts).
+func BenchmarkAdoptSorted(b *testing.B) {
+	r := xrand.New(3)
+	col := make([]float64, 672)
+	for i := range col {
+		col[i] = math.Floor(r.LogNormal(3, 1))
+	}
+	sort.Float64s(col)
+	var e Empirical
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.AdoptSorted(col); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -44,9 +44,7 @@ var frontierQuantiles = [...]float64{0, 0.25, 0.5, 0.75, 0.9, 0.99, 1}
 // and not retained. The zero value is empty; Reset before use. After
 // Reset, Visit and Maximize are read-only (sweep cursors live on the
 // caller's stack), so one built frontier may be swept from many
-// goroutines concurrently — the analysis workspace's memoized
-// per-user frontiers are shared by parallel Assignment builds. Reset
-// itself must not race with sweeps.
+// goroutines concurrently. Reset itself must not race with sweeps.
 type Frontier struct {
 	attack  []float64 // attack magnitudes (shared, read-only)
 	shifted []float64 // sorted attack-shifted coarse quantiles (owned)
@@ -110,15 +108,25 @@ func (f *Frontier) Reset(train *Empirical, attack []float64) error {
 // threshold in strictly ascending order with its exact (fp, fn)
 // operating point. The arithmetic reproduces the brute-force scan
 // bit for bit: fp = 1 - |{g <= T}|/n, fn = (Σ_b |{g <= T-b}|/n)/|b|
-// with the per-magnitude terms accumulated in attack order.
+// with the per-magnitude terms accumulated in attack order. Along the
+// sweep fp never increases and is never negative, and fn never
+// decreases: every count is monotone in T and float rounding is
+// monotone.
 func (f *Frontier) Visit(visit func(t, fp, fn float64)) {
+	f.sweep(func(t, fp, fn float64) bool {
+		visit(t, fp, fn)
+		return true
+	})
+}
+
+// sweep is Visit that stops as soon as visit returns false.
+func (f *Frontier) sweep(visit func(t, fp, fn float64) bool) {
 	uniq, shifted, attack, pcdf := f.uniq, f.shifted, f.attack, f.pcdf
 	nU := len(uniq)
 	nMag := float64(len(attack))
 	// The per-magnitude cursors live on this call's stack (heap only
 	// for outlandish magnitude counts), so concurrent sweeps of one
-	// shared frontier never touch common mutable state — memoized
-	// frontiers are swept by parallel Assignment builds.
+	// shared frontier never touch common mutable state.
 	var cursorBuf [64]int
 	cursors := cursorBuf[:0]
 	if len(attack) <= len(cursorBuf) {
@@ -157,23 +165,33 @@ func (f *Frontier) Visit(visit func(t, fp, fn float64)) {
 		if len(attack) > 0 {
 			fn /= nMag
 		}
-		visit(t, fp, fn)
+		if !visit(t, fp, fn) {
+			return
+		}
 	}
 }
 
 // Maximize returns the candidate threshold maximizing score(fp, fn).
 // Ties (scores within 1e-15) prefer the smallest threshold — the more
 // sensitive detector — matching the brute-force scan's rule exactly.
-func (f *Frontier) Maximize(score func(fp, fn float64) float64) float64 {
+//
+// bound, when not nil, is an upper bound on the score of every
+// candidate from the current one on, given the current fn: because fn
+// never decreases along the sweep and fp is never negative, a score
+// that cannot rise with fn or fall below it with fp admits one. The
+// sweep stops once bound(fn) <= best + 1e-15, where no later candidate
+// can pass the tie rule, so the result is exactly the full sweep's.
+func (f *Frontier) Maximize(score func(fp, fn float64) float64, bound func(fn float64) float64) float64 {
 	bestT, bestScore := 0.0, -1.0
 	first := true
-	f.Visit(func(t, fp, fn float64) {
+	f.sweep(func(t, fp, fn float64) bool {
 		if first {
 			bestT, first = t, false
 		}
 		if s := score(fp, fn); s > bestScore+1e-15 {
 			bestT, bestScore = t, s
 		}
+		return bound == nil || bound(fn) > bestScore+1e-15
 	})
 	return bestT
 }

@@ -147,9 +147,9 @@ func TestFrontierRepeatedSweepsIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	score := func(fp, fn float64) float64 { return Utility(fn, fp, 0.4) }
-	first := f.Maximize(score)
+	first := f.Maximize(score, nil)
 	for i := 0; i < 3; i++ {
-		if again := f.Maximize(score); again != first {
+		if again := f.Maximize(score, nil); again != first {
 			t.Fatalf("sweep %d: %v != first sweep %v (cursor scratch leaked)", i, again, first)
 		}
 	}
@@ -175,7 +175,7 @@ func TestFrontierConcurrentSweeps(t *testing.T) {
 		}
 		return HarmonicMean(recall/(recall+fp), recall)
 	}
-	wantU, wantF := f.Maximize(utility), f.Maximize(fmeasure)
+	wantU, wantF := f.Maximize(utility, nil), f.Maximize(fmeasure, nil)
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
 	for g := 0; g < 8; g++ {
@@ -183,11 +183,11 @@ func TestFrontierConcurrentSweeps(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for iter := 0; iter < 50; iter++ {
-				if got := f.Maximize(utility); got != wantU {
+				if got := f.Maximize(utility, nil); got != wantU {
 					errs <- fmt.Sprintf("goroutine %d: utility %v != %v", g, got, wantU)
 					return
 				}
-				if got := f.Maximize(fmeasure); got != wantF {
+				if got := f.Maximize(fmeasure, nil); got != wantF {
 					errs <- fmt.Sprintf("goroutine %d: f-measure %v != %v", g, got, wantF)
 					return
 				}
@@ -252,9 +252,13 @@ func TestCountShiftedAboveMatchesWalk(t *testing.T) {
 	}
 }
 
+// BenchmarkFrontierBuildAndMaximize times one singleton's utility
+// configure: build a pooled frontier over a user-week column and
+// maximize w = 0.4 utility under its bound, 1 − w·fn.
 func BenchmarkFrontierBuildAndMaximize(b *testing.B) {
 	train, attack := frontierFixture(11, 672) // one user-week column
 	score := func(fp, fn float64) float64 { return Utility(fn, fp, 0.4) }
+	bound := func(fn float64) float64 { return 1 - float64(0.4*fn) }
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -262,7 +266,40 @@ func BenchmarkFrontierBuildAndMaximize(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = f.Maximize(score)
+		_ = f.Maximize(score, bound)
 		f.Release()
+	}
+}
+
+// TestMaximizeBoundStopsOnlyPastTies pins Maximize's early stop to the
+// tie rule: on objectives whose scores climb in steps below, at and
+// above the 1e-15 tie tolerance toward a known cap, the bounded sweep
+// (bound = the cap) returns exactly the full sweep's threshold. A stop
+// test looser than bound <= best + 1e-15 ends some of these sweeps
+// before a later candidate passes the tie rule.
+func TestMaximizeBoundStopsOnlyPastTies(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 40} {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64(i)
+		}
+		f, err := NewFrontier(MustEmpirical(v), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []float64{0, 0.5, 1} {
+			for _, step := range []float64{0.3e-15, 0.9e-15, 1e-15, 1.1e-15, 2e-15, 1e-14} {
+				// 1 − fp climbs 1/n per candidate, so the score
+				// climbs step·n·(1/n) ≈ step per candidate to the cap.
+				k := step * float64(n)
+				score := func(fp, _ float64) float64 { return c + (1-fp)*k }
+				cap := c + k
+				bound := func(float64) float64 { return cap }
+				full, bounded := f.Maximize(score, nil), f.Maximize(score, bound)
+				if math.Float64bits(full) != math.Float64bits(bounded) {
+					t.Fatalf("n=%d c=%g step=%g: bounded Maximize %v != full sweep %v", n, c, step, bounded, full)
+				}
+			}
+		}
 	}
 }
