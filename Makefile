@@ -41,7 +41,8 @@ chaos-soak:
 
 # fuzz runs each native fuzz target for a bounded time: the console
 # frame reader and its two binary payload codecs, the remote build
-# transport's frames, and the snapshot and part header parsers. Seed corpora live in each package's
+# transport's frames, the snapshot and part header parsers, and the
+# .etr trace reader. Seed corpora live in each package's
 # testdata/fuzz; go test runs them as plain tests too. CI runs this as
 # its own job.
 fuzz:
@@ -50,6 +51,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAlertBatch$$' -fuzztime 10s ./internal/console
 	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime 10s ./internal/remotework
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotHeader$$' -fuzztime 10s ./internal/snapshot
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime 10s ./internal/netsim
 
 # bench runs the per-experiment benchmarks — root package, the
 # generation-path microbenches in internal/trace and internal/xrand,

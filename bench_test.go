@@ -564,7 +564,7 @@ func BenchmarkEvaluateSharded100k(b *testing.B) {
 func BenchmarkStreamRunners1000(b *testing.B) { benchShardRunners1000(b, 128) }
 
 // BenchmarkWholeHeapRunners1000 is BenchmarkStreamRunners1000 over the
-// same store unarmed: unbounded, one shard per CPU, no pages released.
+// same store unarmed: unbounded, four shards per CPU, no pages released.
 // Together they guard both sides of the bounded/unbounded choice.
 func BenchmarkWholeHeapRunners1000(b *testing.B) { benchShardRunners1000(b, 0) }
 

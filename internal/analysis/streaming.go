@@ -16,9 +16,10 @@ package analysis
 //   - Every other workspace (in-memory, or mapped but unarmed) is
 //     unbounded: it already holds, or may keep, the whole population.
 //     Its views are O(1) windows onto the parent's memoized blocks,
-//     nothing is copied or released, and shards are one per worker so
-//     per-user work keeps the whole-heap parallelism. Whole-heap
-//     evaluation is simply this one-shard-per-worker stream.
+//     nothing is copied or released, and shards are four per worker
+//     so per-user work keeps the whole-heap parallelism and the pool
+//     can balance heavy-tailed users. Whole-heap evaluation is simply
+//     this unbounded stream.
 //
 // Either way every per-user value a view serves is bit-identical to
 // what the full workspace serves for the same user. The
@@ -37,6 +38,7 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -100,22 +102,24 @@ func (w *Workspace) ViewRange(lo, hi int) *Workspace {
 // its armed size and, after fn returns for a shard, releases the
 // shard's mapped pages from the resident set; fn must not retain views
 // or any slice obtained from one past its return, except data it
-// copied. An unbounded workspace cuts one shard per worker and
-// releases nothing. Shards run concurrently: fn writes to shared state
+// copied. An unbounded workspace cuts min(users, 4·workers) shards of
+// near-equal size and releases nothing: several shards per worker let
+// the pool's dynamic hand-out even out heavy-tailed users, where one
+// shard per worker could leave a worker idle while another finishes
+// the heavy half. Shards run concurrently: fn writes to shared state
 // must target disjoint [lo, hi) slices or take their own locks. The
 // lowest-indexed error wins, matching par.ForEachErr.
 func (w *Workspace) StreamShards(workers int, fn func(view *Workspace, lo, hi int) error) error {
 	bounded := w.bounded()
-	shard := w.streamShard
-	if !bounded {
-		n := par.Workers(workers, w.users)
-		shard = (w.users + n - 1) / n
+	nShards := min(w.users, 4*par.Workers(workers, w.users))
+	cut := func(s int) int { return s * w.users / nShards }
+	if bounded {
+		shard := min(w.streamShard, w.users)
+		nShards = (w.users + shard - 1) / shard
+		cut = func(s int) int { return min(s*shard, w.users) }
 	}
-	shard = min(shard, w.users)
-	nShards := (w.users + shard - 1) / shard
 	return par.ForEachErr(nShards, workers, func(s int) error {
-		lo := s * shard
-		hi := min(lo+shard, w.users)
+		lo, hi := cut(s), cut(s+1)
 		if err := fn(w.ViewRange(lo, hi), lo, hi); err != nil {
 			return err
 		}
@@ -195,23 +199,37 @@ type Scoring struct {
 }
 
 // Score scores every job over one test week in a single shard pass,
-// so k policies cost one pass instead of k. A job with an attack
-// overlay is scored window by window with core.ScorePoint over the
-// user's time-ordered test column, extracted once per user into the
-// shard's scratch column and only when some job has an overlay. A
-// benign job (nil overlay) reads its counts off the user's sorted test
-// column with core.BenignPoint — one binary search, no window walk.
-// out[i] is job i's result, bit-identical to core.EvaluatePolicy with
-// EvalInput.Assignment set and every user's attack = the job's
-// overlay; each operating point lands in its own population-indexed
-// slot. Every job is checked before the pass: its assignment must
-// cover the population and its overlay, when present, must cover the
-// week with finite, non-negative values. workers < 1 means one worker
-// per CPU. Panics on an invalid feature or week, like Raw.
+// so k policies cost one pass instead of k. Every job reads its counts
+// off the user's sorted test column with core.SortedPoint — one binary
+// search for the windows above the threshold — plus, for a job with an
+// attack overlay, a walk of the overlay's attacked windows (a > 0)
+// alone: TP and the attacked windows' share of those above the
+// threshold are counted there, and the rest is derived. Each distinct
+// overlay's attacked windows are listed once per call, and jobs
+// sharing an overlay slice share one per-user read of the user's
+// values at those windows, taken straight from the matrix rows. A
+// benign job (nil overlay) walks nothing. out[i] is job i's result,
+// bit-identical to core.EvaluatePolicy with EvalInput.Assignment set
+// and every user's attack = the job's overlay; each operating point
+// lands in its own population-indexed slot. Every job is checked
+// before the pass: its assignment must cover the population and its
+// overlay, when present, must cover the week with finite, non-negative
+// values. workers < 1 means one worker per CPU. Panics on an invalid
+// feature or week, like Raw.
 func (w *Workspace) Score(f features.Feature, week int, jobs []Scoring, workers int) ([]*core.EvalResult, error) {
 	w.blockIndex(f, week) // panics on an invalid feature or week
 	out := make([]*core.EvalResult, len(jobs))
-	benign, overlaid := false, false
+	// overlays lists each distinct overlay (nil, the benign week, among
+	// them) with its attacked windows and their values; group[i] is job
+	// i's entry.
+	type attacked struct {
+		overlay []float64
+		windows []int
+		values  []float64
+	}
+	var overlays []attacked
+	group := make([]int, len(jobs))
+	most := 0
 	for i, job := range jobs {
 		if job.Assignment == nil {
 			return nil, fmt.Errorf("analysis: scoring job %d needs a configured assignment", i)
@@ -222,38 +240,54 @@ func (w *Workspace) Score(f features.Feature, week int, jobs []Scoring, workers 
 		if err := w.checkOverlay(job.Overlay); err != nil {
 			return nil, fmt.Errorf("analysis: scoring job %d: %w", i, err)
 		}
-		if job.Overlay == nil {
-			benign = true
-		} else {
-			overlaid = true
-		}
 		out[i] = &core.EvalResult{Assignment: job.Assignment, Points: make([]core.OperatingPoint, w.users)}
+		group[i] = slices.IndexFunc(overlays, func(a attacked) bool {
+			// A valid overlay is nil or covers the week, so the first
+			// element's address identifies the slice.
+			return len(a.overlay) == len(job.Overlay) && (a.overlay == nil || &a.overlay[0] == &job.Overlay[0])
+		})
+		if group[i] < 0 {
+			a := attacked{overlay: job.Overlay}
+			for b, v := range job.Overlay {
+				if v > 0 {
+					a.windows = append(a.windows, b)
+					a.values = append(a.values, v)
+				}
+			}
+			group[i] = len(overlays)
+			overlays = append(overlays, a)
+			most = max(most, len(a.windows))
+		}
 	}
 	err := w.StreamShards(workers, func(view *Workspace, lo, hi int) error {
-		var sorted [][]float64
-		if benign {
-			sorted = view.Sorted(f, week)
-		}
-		var col []float64
-		if overlaid {
-			col = make([]float64, w.binsPerWeek)
-		}
+		sorted := view.Sorted(f, week)
+		// benign[k] and hit[k] are the user's value g and g+a at the
+		// k-th attacked window of the overlay being scored.
+		benign, hit := make([]float64, most), make([]float64, most)
 		for u, m := range view.matrices {
-			if overlaid {
-				wlo, whi := m.WeekRange(week)
-				m.ColumnInto(col, f, wlo, whi)
-			}
-			for i, job := range jobs {
-				thr := job.Assignment.Thresholds[lo+u]
-				if job.Overlay == nil {
-					out[i].Points[lo+u] = core.BenignPoint(lo+u, sorted[u], thr)
-					continue
+			wlo, _ := m.WeekRange(week)
+			for g, a := range overlays {
+				for k, b := range a.windows {
+					v := m.Rows[wlo+b][f]
+					benign[k], hit[k] = v, v+a.values[k]
 				}
-				pt, err := core.ScorePoint(lo+u, col, job.Overlay, thr)
-				if err != nil {
-					return err
+				n := len(a.windows)
+				for i, job := range jobs {
+					if group[i] != g {
+						continue
+					}
+					thr := job.Assignment.Thresholds[lo+u]
+					tp, fp := 0, 0
+					for k := range n {
+						if hit[k] > thr {
+							tp++
+						}
+						if benign[k] > thr {
+							fp++
+						}
+					}
+					out[i].Points[lo+u] = core.SortedPoint(lo+u, sorted[u], thr, n, tp, fp)
 				}
-				out[i].Points[lo+u] = pt
 			}
 		}
 		return nil

@@ -56,7 +56,7 @@ func loadArmed(t *testing.T, dir string, key snapshot.Key, shardUsers int) *Work
 // the population is cut. The inputs are one mapped store read at shard
 // sizes bracketing the geometry (single user, an odd size that leaves
 // a ragged tail, larger than the population, exactly the population),
-// the same store unarmed (one shard per worker), and an in-memory
+// the same store unarmed (four shards per worker), and an in-memory
 // workspace over the same matrices, for a heavy-tail seed on each.
 // Evaluations are also pinned to core.EvaluatePolicy over the
 // population's raw test columns.

@@ -128,15 +128,17 @@ func ScorePoint(u int, test, attack []float64, thr float64) (OperatingPoint, err
 	return pointOf(u, thr, conf), nil
 }
 
-// BenignPoint is ScorePoint with no attack overlay, counted off the
-// user's sorted test column instead of walking its windows: with no
-// attack a window alarms exactly when g > thr, so FP is the number of
-// sorted values above thr (one binary search) and TN the rest. The
-// point is bit-identical to ScorePoint(u, test, nil, thr) for any test
-// column holding the same values as sorted.
-func BenignPoint(u int, sorted []float64, thr float64) OperatingPoint {
-	fp := stats.CountAboveSorted(sorted, thr)
-	return pointOf(u, thr, stats.Confusion{FP: fp, TN: len(sorted) - fp})
+// SortedPoint is ScorePoint counted from the user's sorted test column
+// and the attacked windows alone. attacked is the number of windows
+// with a > 0; of those, tp have g+a > thr and fpAttacked have g > thr.
+// A window with a = 0 alarms exactly when g > thr, so FP is the number
+// of sorted values above thr (one binary search) less fpAttacked,
+// FN = attacked − tp and TN the rest. The point is bit-identical to
+// ScorePoint(u, test, attack, thr) for any test column holding the same
+// values as sorted; with no attack every count is 0.
+func SortedPoint(u int, sorted []float64, thr float64, attacked, tp, fpAttacked int) OperatingPoint {
+	fp := stats.CountAboveSorted(sorted, thr) - fpAttacked
+	return pointOf(u, thr, stats.Confusion{TP: tp, FN: attacked - tp, FP: fp, TN: len(sorted) - attacked - fp})
 }
 
 // pointOf is the one OperatingPoint constructor: a user's confusion

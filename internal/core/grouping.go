@@ -154,8 +154,10 @@ type KMeansGrouping struct {
 	Seed uint64
 }
 
-// Name implements Grouping.
-func (g KMeansGrouping) Name() string { return fmt.Sprintf("kmeans(%d)", g.K) }
+// Name implements Grouping. It names the seed too: two seeds can
+// cluster differently, and memo keys built from Name must tell them
+// apart.
+func (g KMeansGrouping) Name() string { return fmt.Sprintf("kmeans(%d,seed=%d)", g.K, g.Seed) }
 
 // Groups implements Grouping.
 func (g KMeansGrouping) Groups(stat []float64) ([][]int, error) {

@@ -334,17 +334,16 @@ func NewFrontierCompressed(c *Compressed, attack []float64) (*Frontier, error) {
 	if c == nil || c.N() == 0 {
 		return nil, ErrNoSamples
 	}
-	f := &Frontier{attack: attack}
-	for _, q := range frontierQuantiles {
-		base, err := c.Quantile(q)
+	f := &Frontier{}
+	var bases ladderBases
+	for q, p := range frontierQuantiles {
+		base, err := c.Quantile(p)
 		if err != nil {
 			return nil, err
 		}
-		for _, b := range attack {
-			f.shifted = append(f.shifted, base+b)
-		}
+		bases[q] = base
 	}
-	sort.Float64s(f.shifted)
+	f.setAttack(attack, &bases)
 	nF := float64(c.N())
 	f.uniq = append([]float64(nil), c.uniq...)
 	f.pcdf = make([]float64, 0, len(c.cum)+1)

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"sort"
 	"sync"
 )
@@ -38,6 +39,19 @@ var frontierQuantiles = [...]float64{0, 0.25, 0.5, 0.75, 0.9, 0.99, 1}
 // Reset/Visit cycle performs zero allocations once those buffers have
 // grown.
 //
+// Attack sweeps are ascending in practice (core's sweeps come from
+// GeomSpace), and the frontier exploits that exactly when it holds —
+// every magnitude finite, none −0, each at least the one before:
+//
+//   - the shifted ladder is a merge of its sorted rows, one per coarse
+//     quantile, rather than a sort of the whole ladder;
+//   - the sweep sums fn over only the magnitudes whose cursor has
+//     left the column's start (a prefix of the attack that only grows
+//     with T); the others would each add pcdf[0] = +0.
+//
+// Any other attack takes the plain sort and the full cursor loop. Both
+// paths visit the same (t, fp, fn) sequence, bits included.
+//
 // A Frontier retains a (read-only) reference to the attack slice,
 // which must stay unmodified for as long as the frontier is used; the
 // training distribution is compressed into owned buffers during Reset
@@ -48,6 +62,9 @@ var frontierQuantiles = [...]float64{0, 0.25, 0.5, 0.75, 0.9, 0.99, 1}
 type Frontier struct {
 	attack  []float64 // attack magnitudes (shared, read-only)
 	shifted []float64 // sorted attack-shifted coarse quantiles (owned)
+	// ordered reports that attack is ascending, finite and free of
+	// −0: the precondition of the ladder merge and the sweep's prefix.
+	ordered bool
 	// uniq and pcdf are the run-length-compressed training column:
 	// uniq holds the distinct sample values ascending and pcdf[i] is
 	// the empirical CDF after consuming the first i of them —
@@ -78,15 +95,11 @@ func (f *Frontier) Reset(train *Empirical, attack []float64) error {
 	if train == nil || len(train.sorted) == 0 {
 		return ErrNoSamples
 	}
-	f.attack = attack
-	f.shifted = f.shifted[:0]
-	for _, q := range frontierQuantiles {
-		base := train.MustQuantile(q)
-		for _, b := range attack {
-			f.shifted = append(f.shifted, base+b)
-		}
+	var bases ladderBases
+	for q, p := range frontierQuantiles {
+		bases[q] = train.MustQuantile(p)
 	}
-	sort.Float64s(f.shifted)
+	f.setAttack(attack, &bases)
 	// Run-length-compress the sorted column into (uniq, pcdf).
 	sorted := train.sorted
 	n := len(sorted)
@@ -102,6 +115,72 @@ func (f *Frontier) Reset(train *Empirical, attack []float64) error {
 		f.pcdf = append(f.pcdf, float64(idx)/nF)
 	}
 	return nil
+}
+
+// ladderBases holds the training column's value at each coarse
+// quantile of frontierQuantiles.
+type ladderBases [len(frontierQuantiles)]float64
+
+// ascendingFinite reports whether every attack magnitude is finite,
+// not −0, and at least the one before it. An infinite magnitude is
+// excluded because it can meet an infinite base or threshold and make
+// a NaN, which neither the merge nor the sweep's prefix can order.
+func ascendingFinite(attack []float64) bool {
+	for k, b := range attack {
+		if math.IsInf(b, 0) || math.IsNaN(b) || b == 0 && math.Signbit(b) || k > 0 && b < attack[k-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// setAttack targets the frontier at an attack set and fills f.shifted
+// with every base shifted by every magnitude, ascending: bit-identical
+// to appending the sums row by row and running sort.Float64s over
+// them. With an ordered attack and no NaN base each row bases[q]+attack
+// is ascending (float addition is monotone) and no sum is NaN or −0,
+// so equal sums have equal bits and merging the rows yields the sort's
+// output exactly; otherwise the ladder is sorted.
+func (f *Frontier) setAttack(attack []float64, bases *ladderBases) {
+	f.attack, f.ordered = attack, ascendingFinite(attack)
+	f.shifted = f.shifted[:0]
+	merge := f.ordered && len(attack) > 0
+	for _, base := range bases {
+		merge = merge && !math.IsNaN(base)
+	}
+	if !merge {
+		for _, base := range bases {
+			for _, b := range attack {
+				f.shifted = append(f.shifted, base+b)
+			}
+		}
+		sort.Float64s(f.shifted)
+		return
+	}
+	// head[q] is row q's smallest unmerged sum, base[q]+attack[next[q]-1];
+	// an exhausted row is swapped out of the first rows slots.
+	base := *bases
+	var head ladderBases
+	var next [len(frontierQuantiles)]int
+	for q := range head {
+		head[q], next[q] = base[q]+attack[0], 1
+	}
+	for rows := len(head); rows > 0; {
+		m := 0
+		for q := 1; q < rows; q++ {
+			if head[q] < head[m] {
+				m = q
+			}
+		}
+		f.shifted = append(f.shifted, head[m])
+		if next[m] < len(attack) {
+			head[m] = base[m] + attack[next[m]]
+			next[m]++
+			continue
+		}
+		rows--
+		head[m], base[m], next[m] = head[rows], base[rows], next[rows]
+	}
 }
 
 // Visit sweeps the frontier, calling visit for every candidate
@@ -134,6 +213,15 @@ func (f *Frontier) sweep(visit func(t, fp, fn float64) bool) {
 	} else {
 		cursors = make([]int, len(attack))
 	}
+	// live is the prefix of magnitudes whose cursor may have moved. With
+	// an ordered attack, t-b falls as b rises and rises with t, so the
+	// magnitudes with uniq[0] <= t-b are a prefix that only grows; the
+	// rest keep cursor 0 and would add pcdf[0] = +0, which leaves fn's
+	// bits alone. Any other attack sums every magnitude.
+	live := len(attack)
+	if f.ordered {
+		live = 0
+	}
 	i, j := 0, 0
 	for i < nU || j < len(shifted) {
 		var t float64
@@ -152,8 +240,11 @@ func (f *Frontier) sweep(visit func(t, fp, fn float64) bool) {
 			j++
 		}
 		fp := 1 - pcdf[i]
+		for live < len(attack) && uniq[0] <= t-attack[live] {
+			live++
+		}
 		var fn float64
-		for k, b := range attack {
+		for k, b := range attack[:live] {
 			x := t - b
 			c := cursors[k]
 			for c < nU && uniq[c] <= x {
