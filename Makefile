@@ -41,10 +41,10 @@ chaos-soak:
 
 # fuzz runs each native fuzz target for a bounded time: the console
 # frame reader and its two binary payload codecs, the remote build
-# transport's frames, the snapshot and part header parsers, and the
-# .etr trace reader. Seed corpora live in each package's
-# testdata/fuzz; go test runs them as plain tests too. CI runs this as
-# its own job.
+# transport's frames, the snapshot and part header parsers, the .etr
+# trace reader, and the window-count sort against sort.Float64s. Seed
+# corpora live in each package's testdata/fuzz; go test runs them as
+# plain tests too. CI runs this as its own job.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMsg$$' -fuzztime 10s ./internal/console
 	$(GO) test -run '^$$' -fuzz '^FuzzDistUpload$$' -fuzztime 10s ./internal/console
@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime 10s ./internal/remotework
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotHeader$$' -fuzztime 10s ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime 10s ./internal/netsim
+	$(GO) test -run '^$$' -fuzz '^FuzzSortCounts$$' -fuzztime 10s ./internal/stats
 
 # bench runs the per-experiment benchmarks — root package, the
 # generation-path microbenches in internal/trace and internal/xrand,
@@ -59,12 +60,13 @@ fuzz:
 # configure (internal/core), the frontier and sorted-column
 # microbenches (internal/stats), the 1000-user configure and score
 # passes and cold builds (internal/analysis), and the detection loop's wire codec
-# (internal/console), 250-agent fleet run (internal/fleet) and the
+# (internal/console), 250- and 1000-agent fleet runs (internal/fleet)
+# and collaborative quorum (internal/collab), and the
 # remote build transport's chunk fetch (internal/remotework) — and
 # records them as BENCH_repro.json, the
 # perf trajectory checked in with each PR. The hand-recorded
 # before_after section of the old file is carried over.
-BENCH_PKGS = . ./internal/trace ./internal/xrand ./internal/snapshot ./internal/core ./internal/stats ./internal/analysis ./internal/console ./internal/fleet ./internal/remotework
+BENCH_PKGS = . ./internal/trace ./internal/xrand ./internal/snapshot ./internal/core ./internal/stats ./internal/analysis ./internal/console ./internal/fleet ./internal/collab ./internal/remotework
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -timeout 60m $(BENCH_PKGS) | tee /tmp/bench_repro.txt
 	./scripts/bench_json.sh /tmp/bench_repro.txt scripts/seed_baseline.bench BENCH_repro.json > /tmp/bench_repro.json

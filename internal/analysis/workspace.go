@@ -36,7 +36,6 @@ package analysis
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -272,7 +271,7 @@ func (b *block) fillUser(m *features.Matrix, u int, f features.Feature, week int
 	m.ColumnInto(raw, f, lo, hi)
 	sorted := b.sortedBuf[u*bpw : (u+1)*bpw : (u+1)*bpw]
 	copy(sorted, raw)
-	sort.Float64s(sorted)
+	stats.SortCounts(sorted)
 	if err := b.emp[u].AdoptSorted(sorted); err != nil {
 		// Matrices are counters: never NaN, never empty for a
 		// complete week. Reaching here is a corrupted matrix.
@@ -554,7 +553,7 @@ func (w *Workspace) DaySorted(f features.Feature, week int) [][][]float64 {
 			for d := 0; d < 7; d++ {
 				col := buf[d*binsPerDay : (d+1)*binsPerDay]
 				copy(col, raw[u][d*binsPerDay:(d+1)*binsPerDay])
-				sort.Float64s(col)
+				stats.SortCounts(col)
 				days[d] = col
 			}
 			out[u] = days

@@ -3,14 +3,15 @@ package console
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/features"
+	"repro/internal/stats"
 	"repro/internal/wire"
 	"repro/internal/xrand"
 )
@@ -526,18 +527,28 @@ func (a *Agent) targetUploadEpoch() int {
 }
 
 // UploadDistribution ships one feature's training samples. It sorts a
-// copy; samples is left as it is.
+// copy; samples is left as it is. Samples the console would refuse —
+// none, or any NaN or ±Inf — are rejected here with an error, before
+// they can cost the agent its link.
 func (a *Agent) UploadDistribution(f features.Feature, samples []float64) error {
 	if !f.Valid() {
 		return fmt.Errorf("console: invalid feature %d", int(f))
 	}
 	sorted := slices.Clone(samples)
-	sort.Float64s(sorted)
+	stats.SortCounts(sorted)
 	return a.uploadDistribution(f, sorted, a.targetUploadEpoch())
 }
 
-// uploadDistribution ships one feature's sorted training samples.
+// uploadDistribution ships one feature's sorted training samples. The
+// sort puts NaNs and −Inf first and +Inf last, so the ends alone show
+// whether every sample is finite.
 func (a *Agent) uploadDistribution(f features.Feature, sorted []float64, epoch int) error {
+	if len(sorted) == 0 {
+		return fmt.Errorf("console: empty %s distribution", f)
+	}
+	if lo, hi := sorted[0], sorted[len(sorted)-1]; math.IsNaN(lo) || math.IsInf(lo, -1) || math.IsInf(hi, 1) {
+		return fmt.Errorf("console: %s distribution has a non-finite sample", f)
+	}
 	return a.rpc(MsgDistUpload, DistUpload{
 		HostID: a.hostID, Feature: int(f), Samples: sorted, Epoch: epoch,
 	})
@@ -545,12 +556,16 @@ func (a *Agent) uploadDistribution(f features.Feature, sorted []float64, epoch i
 
 // UploadMatrix ships all six features' training windows [lo, hi). The
 // target epoch is snapshotted once so a re-learning round stays in one
-// epoch even if thresholds arrive mid-upload.
+// epoch even if thresholds arrive mid-upload. Every feature is
+// gathered into one buffer: rpc encodes the frame and waits for its
+// ack before returning, so no upload still holds the slice when the
+// next feature overwrites it.
 func (a *Agent) UploadMatrix(m *features.Matrix, lo, hi int) error {
 	epoch := a.targetUploadEpoch()
+	col := make([]float64, hi-lo)
 	for _, f := range features.All() {
-		col := m.ColumnSlice(f, lo, hi) // a fresh copy, ours to sort
-		sort.Float64s(col)
+		m.ColumnInto(col, f, lo, hi)
+		stats.SortCounts(col)
 		if err := a.uploadDistribution(f, col, epoch); err != nil {
 			return fmt.Errorf("console: uploading %s: %w", f, err)
 		}
@@ -600,22 +615,6 @@ func (a *Agent) WaitThresholdsEpoch(epoch int, timeout time.Duration) (Threshold
 	}
 }
 
-// Detectors builds the per-feature detectors from the pushed
-// thresholds. It returns an error when no thresholds have arrived.
-func (a *Agent) Detectors() ([features.NumFeatures]core.Detector, error) {
-	var out [features.NumFeatures]core.Detector
-	a.mu.Lock()
-	thr := a.thresholds
-	a.mu.Unlock()
-	if thr == nil {
-		return out, errors.New("console: no thresholds received")
-	}
-	for _, f := range features.All() {
-		out[f] = core.Detector{Feature: f, Threshold: thr.Values[f]}
-	}
-	return out, nil
-}
-
 // ObserveWindow evaluates one window's feature counts against the
 // current thresholds, queueing alerts for any exceedance. bin is the
 // window index reported to the console.
@@ -629,22 +628,22 @@ func (a *Agent) ObserveWindow(bin int, counts features.Counts) error {
 // arithmetic the in-memory evaluation path (core.Evaluate) performs,
 // so wire-level and in-memory alarm decisions are bit-identical.
 func (a *Agent) ObserveVector(bin int, vec [features.NumFeatures]float64) error {
-	dets, err := a.Detectors()
-	if err != nil {
-		return err
-	}
 	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.thresholds == nil {
+		return errors.New("console: no thresholds received")
+	}
 	for _, f := range features.All() {
-		if dets[f].Alarm(vec[f]) {
+		det := core.Detector{Feature: f, Threshold: a.thresholds.Values[f]}
+		if det.Alarm(vec[f]) {
 			a.pending = append(a.pending, Alert{
 				Feature:   int(f),
 				Bin:       bin,
 				Value:     vec[f],
-				Threshold: dets[f].Threshold,
+				Threshold: det.Threshold,
 			})
 		}
 	}
-	a.mu.Unlock()
 	return nil
 }
 

@@ -2,6 +2,7 @@ package console
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -382,10 +383,14 @@ func TestDuplicateHostRejected(t *testing.T) {
 	}
 }
 
+// TestUploadValidation: uploads the console would refuse — an invalid
+// feature, no samples, a NaN or an infinite sample — fail client-side
+// with an error, and the single-shot agent keeps its link: it then
+// uploads a valid week and receives thresholds.
 func TestUploadValidation(t *testing.T) {
 	_, addr := startServer(t, ServerConfig{
 		Policy:        policy99(core.Homogeneous{}),
-		ExpectedHosts: 2,
+		ExpectedHosts: 1,
 	})
 	a, err := Dial(addr, 1, "")
 	if err != nil {
@@ -395,9 +400,22 @@ func TestUploadValidation(t *testing.T) {
 	if err := a.UploadDistribution(features.Feature(42), []float64{1}); err == nil {
 		t.Fatal("invalid feature accepted client-side")
 	}
-	// Empty sample set is rejected by the server.
-	if err := a.UploadDistribution(features.TCP, nil); err == nil {
-		t.Fatal("empty distribution accepted")
+	for _, bad := range [][]float64{nil, {}, {1, math.NaN()}, {2, math.Inf(1)}, {math.Inf(-1), 3}} {
+		if err := a.UploadDistribution(features.TCP, bad); err == nil || errors.Is(err, ErrAgentDead) {
+			t.Fatalf("upload of %v: err = %v, want a client-side rejection", bad, err)
+		}
+	}
+	samples := make([]float64, 40)
+	for i := range samples {
+		samples[i] = float64(40 - i)
+	}
+	for _, f := range features.All() {
+		if err := a.UploadDistribution(f, samples); err != nil {
+			t.Fatalf("valid %s upload after the rejections: %v", f, err)
+		}
+	}
+	if _, err := a.WaitThresholds(10 * time.Second); err != nil {
+		t.Fatalf("no thresholds after the rejections: %v", err)
 	}
 }
 

@@ -1,7 +1,9 @@
 package console
 
 import (
+	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -61,10 +63,17 @@ func uploadAll(t *testing.T, conn net.Conn, host uint32, epoch int, samples []fl
 
 func memServer(t *testing.T, hosts int) (*Server, *netsim.MemNetwork) {
 	t.Helper()
-	srv, err := NewServer(ServerConfig{
+	return memServerConfig(t, ServerConfig{
 		Policy:        policy99(core.FullDiversity{}),
 		ExpectedHosts: hosts,
 	})
+}
+
+// memServerConfig serves a console configured by cfg on a fresh
+// in-memory network under the address "console".
+func memServerConfig(t *testing.T, cfg ServerConfig) (*Server, *netsim.MemNetwork) {
+	t.Helper()
+	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +145,144 @@ func TestUploadEpochGuard(t *testing.T) {
 	}
 	if thr.Epoch != 1 || srv.Epoch() != 1 {
 		t.Fatalf("re-learned push epoch = %d (server %d), want 1", thr.Epoch, srv.Epoch())
+	}
+}
+
+// TestConfigureWaitsForEveryCompleteHost pins when the console
+// configures: only once every expected host has uploaded all six
+// features of the open epoch. Two complete hosts while the third has
+// not connected, or has uploaded five features of six, must not
+// configure; a re-sent upload for an already configured epoch is
+// dropped without counting toward the open one; the last feature of
+// the last host configures exactly once; and the next round waits for
+// all three hosts again.
+func TestConfigureWaitsForEveryCompleteHost(t *testing.T) {
+	var (
+		mu         sync.Mutex
+		configures int
+	)
+	srv, network := memServerConfig(t, ServerConfig{
+		Policy:        policy99(core.FullDiversity{}),
+		ExpectedHosts: 3,
+		Logf: func(format string, _ ...any) {
+			if strings.Contains(format, "configured for") {
+				mu.Lock()
+				configures++
+				mu.Unlock()
+			}
+		},
+	})
+	samples := make([]float64, 40)
+	for i := range samples {
+		samples[i] = float64(i + 1)
+	}
+	// The in-memory pipes are synchronous and the console pushes to
+	// every host from the handler of the last upload, so each
+	// connection gets a reader that queues its frames; a queue of 16
+	// holds more than one stage of this script ever sends a host.
+	type frame struct {
+		typ  MsgType
+		body []byte
+		err  error
+	}
+	var live []uint32
+	conns := make(map[uint32]net.Conn)
+	frames := make(map[uint32]chan frame)
+	dial := func(h uint32) {
+		conn := rawDial(t, network, h, false)
+		t.Cleanup(func() { _ = conn.Close() })
+		ch := make(chan frame, 16)
+		go func() {
+			for {
+				typ, body, err := ReadMsg(conn)
+				ch <- frame{typ, body, err}
+				if err != nil {
+					return
+				}
+			}
+		}()
+		live = append(live, h)
+		conns[h], frames[h] = conn, ch
+	}
+	next := func(h uint32, want MsgType) []byte {
+		t.Helper()
+		select {
+		case fr := <-frames[h]:
+			if fr.err != nil || fr.typ != want {
+				t.Fatalf("host %d: got %s frame (err %v), want %s", h, fr.typ, fr.err, want)
+			}
+			return fr.body
+		case <-time.After(10 * time.Second):
+			t.Fatalf("host %d: no %s frame", h, want)
+			return nil
+		}
+	}
+	upload := func(h uint32, epoch int, f features.Feature) {
+		t.Helper()
+		if err := WriteMsg(conns[h], MsgDistUpload, DistUpload{HostID: h, Feature: int(f), Samples: samples, Epoch: epoch}); err != nil {
+			t.Fatal(err)
+		}
+		next(h, MsgAck)
+	}
+	// check waits until every handler has finished its last upload —
+	// including the configure decision that follows the ack — by a
+	// round trip of an empty alert batch, then counts configures. A
+	// thresholds push nobody expected fails the batch's ack read.
+	check := func(stage string, want int) {
+		t.Helper()
+		for _, h := range live {
+			if err := WriteMsg(conns[h], MsgAlertBatch, AlertBatch{HostID: h}); err != nil {
+				t.Fatal(err)
+			}
+			next(h, MsgAck)
+		}
+		mu.Lock()
+		got := configures
+		mu.Unlock()
+		if got != want {
+			t.Fatalf("%s: console configured %d times, want %d", stage, got, want)
+		}
+	}
+	all := features.All()
+	last := all[len(all)-1]
+	dial(1)
+	dial(2)
+	for epoch := 0; epoch < 2; epoch++ {
+		for _, h := range []uint32{1, 2} {
+			for _, f := range all {
+				upload(h, epoch, f)
+			}
+		}
+		if epoch == 0 {
+			// Two complete hosts of three, the third not even
+			// connected: nothing to configure yet.
+			check("epoch 0, host 3 not connected", 0)
+			dial(3)
+		}
+		for _, f := range all[:len(all)-1] {
+			upload(3, epoch, f)
+		}
+		check(fmt.Sprintf("epoch %d, host 3 five of six", epoch), epoch)
+		if epoch > 0 {
+			upload(3, epoch-1, last)
+			check(fmt.Sprintf("epoch %d, host 3 re-sent its epoch %d feature", epoch, epoch-1), epoch)
+		}
+		upload(3, epoch, last)
+		for _, h := range live {
+			var thr Thresholds
+			if err := decode(MsgThresholds, next(h, MsgThresholds), &thr); err != nil {
+				t.Fatal(err)
+			}
+			if thr.Epoch != epoch {
+				t.Fatalf("host %d pushed epoch %d thresholds, want %d", h, thr.Epoch, epoch)
+			}
+		}
+		check(fmt.Sprintf("epoch %d, last feature", epoch), epoch+1)
+		upload(1, epoch, all[0]) // re-sent after the push: dropped
+		check(fmt.Sprintf("epoch %d, re-sent after the push", epoch), epoch+1)
+		if srv.Epoch() != epoch {
+			t.Fatalf("console at epoch %d, want %d", srv.Epoch(), epoch)
+		}
 	}
 }
 

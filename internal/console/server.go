@@ -51,7 +51,7 @@ type Server struct {
 	epoch       int
 	conns       map[uint32]*serverConn
 	dists       map[uint32]*hostDists
-	complete    map[uint32]bool
+	complete    map[uint32]bool // hosts with all six features this epoch (only true entries)
 	pushed      bool
 	alertTally  map[uint32]int
 	alertLog    []AlertBatch
@@ -370,9 +370,7 @@ func (s *Server) acceptUpload(sc *serverConn, up DistUpload) error {
 		for id := range s.dists {
 			s.dists[id] = &hostDists{}
 		}
-		for id := range s.complete {
-			s.complete[id] = false
-		}
+		clear(s.complete)
 		s.cfg.Logf("console: epoch %d opened by host %d", s.epoch, sc.hostID)
 	}
 	s.dists[sc.hostID][f] = dist
@@ -383,7 +381,12 @@ func (s *Server) acceptUpload(sc *serverConn, up DistUpload) error {
 			break
 		}
 	}
-	s.complete[sc.hostID] = all
+	// Uploads only fill slots within an epoch, so a host's entry is
+	// only ever set true, and len(complete) counts the complete hosts
+	// for maybeConfigure without a walk.
+	if all {
+		s.complete[sc.hostID] = true
+	}
 	return nil
 }
 
@@ -392,16 +395,6 @@ func (s *Server) acceptUpload(sc *serverConn, up DistUpload) error {
 func (s *Server) maybeConfigure() {
 	s.mu.Lock()
 	if s.pushed || s.configuring || len(s.complete) < s.cfg.ExpectedHosts {
-		s.mu.Unlock()
-		return
-	}
-	n := 0
-	for _, done := range s.complete {
-		if done {
-			n++
-		}
-	}
-	if n < s.cfg.ExpectedHosts {
 		s.mu.Unlock()
 		return
 	}

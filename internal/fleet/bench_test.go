@@ -12,12 +12,27 @@ import (
 
 // BenchmarkFleetRun250 is one fleet run at the scale and configuration
 // of hidsbench's fleet workload (seed 1): 250 agents over the in-memory
-// network, two weeks of 5-minute bins, a naive attack on 30% of the
+// network, two weeks of 15-minute bins, a naive attack on 30% of the
 // hosts and a 10% collaborative quorum. The population is built once;
 // an iteration is the whole detection loop — connect, upload,
 // configure, push, replay and quorum.
-func BenchmarkFleetRun250(b *testing.B) {
-	const agents = 250
+func BenchmarkFleetRun250(b *testing.B) { benchFleetRun(b, 250) }
+
+// BenchmarkFleetRun1000 is BenchmarkFleetRun250's configuration at
+// 1000 agents, where the console's per-upload bookkeeping is four
+// times as many hosts deep. Building its population takes seconds, so
+// -short skips it.
+func BenchmarkFleetRun1000(b *testing.B) {
+	if testing.Short() {
+		b.Skip("1000-agent population is slow to build")
+	}
+	benchFleetRun(b, 1000)
+}
+
+// benchFleetRun times whole fleet runs of the given size and reports
+// ticks/s: logical clock ticks, one fleet-wide flush round per
+// simulated day of the monitored week, per second of run.
+func benchFleetRun(b *testing.B, agents int) {
 	pop := trace.MustPopulation(trace.Config{Users: agents, Weeks: 2, Seed: 1})
 	mats := make([]*features.Matrix, agents)
 	par.ForEach(agents, 0, func(u int) { mats[u] = pop.Users[u].Series() })
@@ -30,10 +45,14 @@ func BenchmarkFleetRun250(b *testing.B) {
 		},
 		Collab: &collab.Config{QuorumFraction: 0.1},
 	}
+	ticks := 0
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := Run(cfg); err != nil {
+		res, err := Run(cfg)
+		if err != nil {
 			b.Fatal(err)
 		}
+		ticks += res.TestBins / (pop.Cfg.BinsPerWeek() / 7)
 	}
+	b.ReportMetric(float64(ticks)/b.Elapsed().Seconds(), "ticks/s")
 }

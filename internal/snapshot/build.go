@@ -8,11 +8,11 @@ package snapshot
 
 import (
 	"context"
-	"sort"
 	"unsafe"
 
 	"repro/internal/features"
 	"repro/internal/par"
+	"repro/internal/stats"
 )
 
 // DefaultShardUsers is the shard granularity used when a caller does
@@ -93,7 +93,7 @@ func rowsView(rec []float64, lay Layout) [][features.NumFeatures]float64 {
 // fillDerived computes a record's sorted columns and day views from
 // its rows region, in place. The arithmetic mirrors analysis's
 // block.fillUser and Workspace.DaySorted exactly — same extraction
-// order, same sort.Float64s — so a loaded snapshot is bit-identical
+// order, same stats.SortCounts — so a loaded snapshot is bit-identical
 // to the in-memory build.
 func fillDerived(rec []float64, lay Layout) {
 	rows := rowsView(rec, lay)
@@ -110,9 +110,9 @@ func fillDerived(rec []float64, lay Layout) {
 			day := rec[doff : doff+7*bpd : doff+7*bpd]
 			copy(day, col[:7*bpd])
 			for d := 0; d < 7; d++ {
-				sort.Float64s(day[d*bpd : (d+1)*bpd])
+				stats.SortCounts(day[d*bpd : (d+1)*bpd])
 			}
-			sort.Float64s(col)
+			stats.SortCounts(col)
 		}
 	}
 }
