@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
+	"os/exec"
 	"reflect"
 	"runtime"
 	"sync"
@@ -492,12 +494,41 @@ func TestSnapshotRawColumnsAreLazy(t *testing.T) {
 	}
 }
 
+// measuredAloneEnv names the test a re-executed test binary runs on
+// its own (see runAlone).
+const measuredAloneEnv = "REPRO_ANALYSIS_MEASURED_ALONE"
+
+// runAlone makes an allocation measurement deterministic. In the test
+// binary go test started, it re-executes the binary to run only the
+// calling test, fails the caller with the child's output if the child
+// fails, and returns false: the caller returns without measuring. In
+// that child it returns true and the caller measures. A process that
+// runs one test has no other test's goroutines allocating, so
+// runtime.MemStats.TotalAlloc, which counts the whole process, counts
+// only the measured calls, whatever the test order or the load.
+func runAlone(t *testing.T) bool {
+	t.Helper()
+	if os.Getenv(measuredAloneEnv) == t.Name() {
+		return true
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$", "-test.count=1", "-test.v")
+	cmd.Env = append(os.Environ(), measuredAloneEnv+"="+t.Name())
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("%s run alone: %v\n%s", t.Name(), err, out)
+	}
+	return false
+}
+
 // TestBoundedAssignmentReleasesShards pins that every policy's
 // Assignment on a bounded workspace — MeanSigma over a merged group
 // included — folds shard by shard: the full workspace never wires the
 // training block, and the pass allocates less than one raw block, the
-// size of a merged copy of the population's samples.
+// size of a merged copy of the population's samples. It measures in a
+// process of its own (runAlone).
 func TestBoundedAssignmentReleasesShards(t *testing.T) {
+	if !runAlone(t) {
+		return
+	}
 	const users, shard = 64, 16
 	pop, key := popAndKey(t, users, 2, 53, 15*time.Minute)
 	dir := t.TempDir()
@@ -531,6 +562,7 @@ func TestBoundedAssignmentReleasesShards(t *testing.T) {
 		}
 		budget := uint64(users * w.BinsPerWeek() * 8)
 		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: Assignment allocated %d bytes of a %d-byte budget", pol.Name(), got, budget)
 		if got >= budget {
 			t.Fatalf("%s: Assignment allocated %d bytes, want < %d (one raw block)", pol.Name(), got, budget)
 		}

@@ -287,8 +287,10 @@ func (b *block) fillUser(m *features.Matrix, u int, f features.Feature, week int
 // workspace that is the extract-and-sort of fillUser, raw columns
 // included. On a snapshot-backed workspace, full or bounded view
 // alike, it only wires the sorted columns and the distributions
-// adopting them as zero-copy views of the mapping; the raw columns
-// wait for Raw, so a pass that reads only sorted data copies nothing.
+// adopting them as zero-copy views of the mapping, without a
+// validation pass (the part gate ran it before the store was sealed),
+// so a pass touches only the pages it reads; the raw columns wait for
+// Raw, so a pass that reads only sorted data copies nothing.
 // A view of an unbounded workspace has no blocks: its column accessors
 // window the parent's instead.
 func (w *Workspace) ensureBlock(f features.Feature, week int) *block {
@@ -303,12 +305,10 @@ func (w *Workspace) ensureBlock(f features.Feature, week int) *block {
 				emp:    make([]stats.Empirical, w.users),
 			}
 			par.ForEach(w.users, 0, func(u int) {
+				// The part gate proved the column sorted when it was
+				// sealed, and Open's checksum binds those bytes.
 				s := w.snap.SortedColumn(w.userBase+u, week, int(f))
-				if err := b.emp[u].AdoptSorted(s); err != nil {
-					// The checksum passed, so this is a logically
-					// malformed writer, not disk corruption.
-					panic(fmt.Sprintf("analysis: snapshot user %d %s week %d: %v", w.userBase+u, f, week, err))
-				}
+				b.emp[u].AdoptSealed(s)
 				b.sorted[u] = s
 				b.dists[u] = &b.emp[u]
 			})
@@ -527,20 +527,12 @@ func (w *Workspace) DaySorted(f features.Feature, week int) [][][]float64 {
 	key := fmt.Sprintf("daysorted/%d/%d", int(f), week)
 	v, _ := w.Memo(key, func() (any, error) {
 		if w.snap != nil {
-			// Day views ship pre-sorted in the snapshot: serve them
-			// as zero-copy views of the mapping, after the same
-			// malformed-writer scan ensureBlock runs on the sorted
-			// columns (the checksum only proves the bytes are what
-			// the writer produced, not that the writer was right).
+			// Day views ship pre-sorted in the snapshot, proven so by
+			// the part gate that sealed them: serve them as zero-copy
+			// views of the mapping.
 			out := make([][][]float64, w.users)
 			par.ForEach(w.users, 0, func(u int) {
-				days := w.snap.DayColumns(w.userBase+u, week, int(f))
-				for d, day := range days {
-					if i := stats.UnsortedAt(day); i >= 0 {
-						panic(fmt.Sprintf("analysis: snapshot user %d %s week %d day %d: day view not sorted at %d", w.userBase+u, f, week, d, i))
-					}
-				}
-				out[u] = days
+				out[u] = w.snap.DayColumns(w.userBase+u, week, int(f))
 			})
 			return out, nil
 		}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/stats"
 	"repro/internal/xrand"
@@ -139,7 +139,19 @@ func sortedIndices(stat []float64) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return stat[order[a]] < stat[order[b]] })
+	// A stable sort by plain <, not cmp.Compare: a NaN statistic
+	// compares equal to everything, and the insertion-plus-symMerge
+	// algorithm (the one sort.SliceStable runs too) decides where it
+	// lands, so Table 2's groups do not move.
+	slices.SortStableFunc(order, func(a, b int) int {
+		switch {
+		case stat[a] < stat[b]:
+			return -1
+		case stat[b] < stat[a]:
+			return 1
+		}
+		return 0
+	})
 	return order
 }
 

@@ -8,6 +8,8 @@ package snapshot
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"unsafe"
 
 	"repro/internal/features"
@@ -115,4 +117,42 @@ func fillDerived(rec []float64, lay Layout) {
 			stats.SortCounts(col)
 		}
 	}
+}
+
+// checkSorted proves a record's derived sections well formed: every
+// sorted week column and every day of every day view sorted ascending
+// and NaN-free, the contract stats.Empirical adopts them under. The
+// sections are contiguous and of equal width — Weeks × NumFeatures
+// columns of BinsPerWeek, then Weeks × NumFeatures × 7 days of
+// BinsPerDay — so the scan steps through them without per-column
+// offsets. The part gate (spliceOnePart) runs it on every record, so
+// a writer that fillDerived did not drive cannot seal a store its
+// readers would mis-adopt.
+func (l Layout) checkSorted(rec []float64) error {
+	sorted := rec[l.SortedOff(0, 0):l.DayOff(0, 0)]
+	for c := 0; c*l.BinsPerWeek < len(sorted); c++ {
+		col := sorted[c*l.BinsPerWeek : (c+1)*l.BinsPerWeek]
+		if i := stats.UnsortedAt(col); i >= 0 {
+			week, f := c/features.NumFeatures, features.Feature(c%features.NumFeatures)
+			return fmt.Errorf("%s week %d sorted column: sample %d %s", f, week, i, unsortedWhy(col, i))
+		}
+	}
+	days := rec[l.DayOff(0, 0):]
+	for d := 0; d*l.BinsPerDay < len(days); d++ {
+		col := days[d*l.BinsPerDay : (d+1)*l.BinsPerDay]
+		if i := stats.UnsortedAt(col); i >= 0 {
+			c := d / 7
+			week, f := c/features.NumFeatures, features.Feature(c%features.NumFeatures)
+			return fmt.Errorf("%s week %d day %d view: sample %d %s", f, week, d%7, i, unsortedWhy(col, i))
+		}
+	}
+	return nil
+}
+
+// unsortedWhy names what is wrong with col at UnsortedAt's index i.
+func unsortedWhy(col []float64, i int) string {
+	if math.IsNaN(col[i]) {
+		return "is NaN"
+	}
+	return fmt.Sprintf("%g is below its predecessor %g", col[i], col[i-1])
 }

@@ -468,39 +468,60 @@ func MergeShards(dir string, key Key) (int, error) {
 	return len(parts), nil
 }
 
+// spliceBuf is the largest read buffer spliceOnePart holds: it reads
+// as many whole records as fit, or one record when a record is larger.
+const spliceBuf = 1 << 20
+
 // spliceOnePart bulk-copies one part's payload bytes into the
 // destination, re-verifying the part checksum as the bytes stream
-// through (so a part corrupted after pass 1 still cannot seal).
+// through (so a part corrupted after pass 1 still cannot seal), and
+// proves every record's sorted week columns and day views sorted and
+// NaN-free on the same read (Layout.checkSorted). It reads whole
+// records, so no column straddles a buffer. A checksum mismatch is
+// reported ahead of an unsorted column: a corrupt part is corrupt,
+// and only a part whose bytes are exactly what its writer sealed is
+// blamed on the writer.
 func spliceOnePart(dst io.Writer, key Key, p partRange, wantCRC uint32) error {
 	f, err := os.Open(p.path)
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	defer f.Close()
-	payloadBytes := int64(p.hi-p.lo) * int64(key.Layout().RecordFloats()) * 8
 	if _, err := f.Seek(partHdrBytes, io.SeekStart); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
+	lay := key.Layout()
+	rf := lay.RecordFloats()
+	chunkRecs := min(max(spliceBuf/(rf*8), 1), p.hi-p.lo)
+	// A float64 buffer keeps the 8-byte alignment the scan's view of
+	// the bytes needs.
+	buf := make([]float64, chunkRecs*rf)
 	crc := uint32(0)
-	buf := make([]byte, 1<<20)
-	for rem := payloadBytes; rem > 0; {
-		n := int64(len(buf))
-		if n > rem {
-			n = rem
-		}
-		if _, err := io.ReadFull(f, buf[:n]); err != nil {
+	var unsorted error
+	for u := p.lo; u < p.hi; {
+		n := min(chunkRecs, p.hi-u)
+		b := floatBytes(buf[:n*rf])
+		if _, err := io.ReadFull(f, b); err != nil {
 			return fmt.Errorf("snapshot: part %s: %w", filepath.Base(p.path), err)
 		}
-		crc = crc32.Update(crc, crcTable, buf[:n])
-		if _, err := dst.Write(buf[:n]); err != nil {
+		for i := 0; i < n; i++ {
+			rec := buf[i*rf : (i+1)*rf]
+			crc = crc32.Update(crc, crcTable, floatBytes(rec))
+			if unsorted == nil {
+				if err := lay.checkSorted(rec); err != nil {
+					unsorted = fmt.Errorf("snapshot: part %s user %d: %w", filepath.Base(p.path), u+i, err)
+				}
+			}
+		}
+		if _, err := dst.Write(b); err != nil {
 			return fmt.Errorf("snapshot: %w", err)
 		}
-		rem -= n
+		u += n
 	}
 	if crc != wantCRC {
 		return fmt.Errorf("snapshot: part %s payload checksum %08x != header %08x (corrupt)", filepath.Base(p.path), crc, wantCRC)
 	}
-	return nil
+	return unsorted
 }
 
 // PartInfo describes one sealed part file of a distributed build.
@@ -539,10 +560,15 @@ func ListParts(dir string, key Key) ([]PartInfo, error) {
 // VerifyPart proves one sealed part sound end to end: size, header
 // (against the key and the range), record-CRC table self-checksum,
 // table-vs-payload-checksum consistency, and a full streaming read of
-// the payload against the sealed CRC. It is the resume gate of a
-// fault-tolerant coordinator — only a part that passes may be adopted
-// as done work; anything else is quarantined and rebuilt. The returned
-// PartInfo carries the sealed size and payload CRC.
+// the payload against the sealed CRC that also proves every sorted
+// week column and day view sorted and NaN-free. It is the gate every
+// part passes — built locally, received from a remote builder, or
+// left over by an earlier run — before it may be adopted as done
+// work; anything else is quarantined and rebuilt. MergeShards re-runs
+// the same read, so no sealed store holds a column that failed it,
+// and readers of an opened store (whose checksum binds these bytes)
+// adopt the columns without rescanning them. The returned PartInfo
+// carries the sealed size and payload CRC.
 func VerifyPart(dir string, key Key, lo, hi int) (PartInfo, error) {
 	if err := key.validate(); err != nil {
 		return PartInfo{}, err
@@ -557,7 +583,8 @@ func VerifyPart(dir string, key Key, lo, hi int) (PartInfo, error) {
 		return PartInfo{}, err
 	}
 	// readPartMeta proves header and table; the payload bytes
-	// themselves still need one streaming pass against the sealed CRC.
+	// themselves still need one streaming pass against the sealed CRC
+	// and the sorted-section check.
 	if err := spliceOnePart(io.Discard, key, p, crc); err != nil {
 		return PartInfo{}, err
 	}

@@ -4,27 +4,38 @@ import (
 	"bytes"
 	"errors"
 	"io/fs"
+	"math"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/features"
 	"repro/internal/xrand"
 )
 
 // testPayload returns the same deterministic payload fillTestRecords
-// seals, without writing anything.
+// seals, without writing anything: pseudo-random matrix rows, with
+// each record's sorted columns and day views derived from them by
+// fillDerived, as the part builder derives them — the part gate
+// refuses a record whose derived sections are not sorted.
 func testPayload(key Key) []float64 {
 	lay := key.Layout()
 	payload := make([]float64, lay.PayloadFloats())
 	r := xrand.New(41)
-	for i := range payload {
-		payload[i] = float64(r.Intn(1 << 20))
+	rf, rows := lay.RecordFloats(), lay.Bins()*features.NumFeatures
+	for u := 0; u < lay.Users; u++ {
+		rec := payload[u*rf : (u+1)*rf]
+		for i := range rec[:rows] {
+			rec[i] = float64(r.Intn(1 << 20))
+		}
+		fillDerived(rec, lay)
 	}
 	return payload
 }
 
 // sealParts writes the payload's user ranges as sealed part files.
-func sealParts(t *testing.T, dir string, key Key, payload []float64, cuts []int) {
+func sealParts(t testing.TB, dir string, key Key, payload []float64, cuts []int) {
 	t.Helper()
 	rf := key.Layout().RecordFloats()
 	for i := 0; i+1 < len(cuts); i++ {
@@ -175,4 +186,59 @@ func TestMergeRejectsCorruptPart(t *testing.T) {
 	if _, err := os.Stat(key.Path(dir)); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("failed merge left a sealed snapshot: %v", err)
 	}
+}
+
+// TestPartGateRefusesUnsortedSections seals parts whose checksums are
+// all valid but whose derived sections break the sorted, NaN-free
+// contract readers adopt them under: an unsorted week column, and a
+// NaN in a day view. VerifyPart and MergeShards must both refuse them
+// and name the column, and no store may be sealed. The same bytes
+// flipped after sealing must read as corruption instead.
+func TestPartGateRefusesUnsortedSections(t *testing.T) {
+	key := testKey(8, 2, 6*time.Hour)
+	lay := key.Layout()
+	rf, bpw, bpd := lay.RecordFloats(), lay.BinsPerWeek, lay.BinsPerDay
+	for _, tc := range []struct {
+		name   string
+		mutate func(payload []float64)
+		want   string
+	}{
+		{"unsorted week column", func(p []float64) {
+			col := p[5*rf+lay.SortedOff(1, 2):][:bpw]
+			col[0], col[bpw-1] = col[bpw-1], col[0]
+		}, "week 1 sorted column: sample 1 "},
+		{"NaN in a day view", func(p []float64) {
+			p[6*rf+lay.DayOff(0, 4)+3*bpd+1] = math.NaN()
+		}, "week 0 day 3 view: sample 1 is NaN"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			payload := testPayload(key)
+			tc.mutate(payload)
+			dir := t.TempDir()
+			sealParts(t, dir, key, payload, []int{0, 4, 8})
+			if _, err := VerifyPart(dir, key, 0, 4); err != nil {
+				t.Fatalf("VerifyPart refused the sound part: %v", err)
+			}
+			if _, err := VerifyPart(dir, key, 4, 8); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("VerifyPart = %v, want a refusal naming %q", err, tc.want)
+			}
+			if _, err := MergeShards(dir, key); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("MergeShards = %v, want a refusal naming %q", err, tc.want)
+			}
+			if _, err := os.Stat(key.Path(dir)); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("failed merge left a sealed snapshot: %v", err)
+			}
+		})
+	}
+	t.Run("corrupted after sealing", func(t *testing.T) {
+		dir := t.TempDir()
+		sealParts(t, dir, key, testPayload(key), []int{0, 8})
+		corrupt(t, key.PartPath(dir, 0, 8), func(b []byte) []byte {
+			b[partHdrBytes+8*(2*rf+lay.SortedOff(0, 0))+7] ^= 0x40 // sign-adjacent exponent bit
+			return b
+		})
+		if _, err := VerifyPart(dir, key, 0, 8); err == nil || !strings.Contains(err.Error(), "payload checksum") {
+			t.Fatalf("VerifyPart = %v, want the checksum refusal", err)
+		}
+	})
 }

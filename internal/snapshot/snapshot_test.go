@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/trace"
-	"repro/internal/xrand"
 )
 
 func testKey(users, weeks int, binWidth time.Duration) Key {
@@ -34,15 +33,10 @@ func fillTestRecords(t *testing.T, dir string, key Key) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay := w.Layout()
-	payload := make([]float64, lay.PayloadFloats())
-	r := xrand.New(41)
-	for i := range payload {
-		payload[i] = float64(r.Intn(1 << 20))
-	}
+	payload := testPayload(key)
 	// Append in deliberately ragged chunks (1 user, then the rest) to
 	// exercise multi-append accounting.
-	rf := lay.RecordFloats()
+	rf := w.Layout().RecordFloats()
 	if err := w.AppendUsers(payload[:rf]); err != nil {
 		t.Fatal(err)
 	}

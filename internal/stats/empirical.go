@@ -78,6 +78,16 @@ func (e *Empirical) AdoptSorted(sorted []float64) error {
 	return nil
 }
 
+// AdoptSealed initializes e in place to adopt a sealed snapshot
+// column without AdoptSorted's validation pass. It is only for columns
+// whose sorted, NaN-free, non-empty contract was proven where their
+// bytes were made — the snapshot part gate scans every sorted column
+// and day view before a part is adopted or merged, and the store's
+// checksum binds the bytes it saw — so rescanning them on every read
+// would only fault their pages in again. Every other column, and
+// anything received from a peer, goes through AdoptSorted.
+func (e *Empirical) AdoptSealed(sorted []float64) { e.sorted = sorted }
+
 // UnsortedAt returns the index of the first sample of s that is NaN or
 // smaller than its predecessor, or -1 when s is sorted ascending and
 // NaN-free. It makes one comparison per sample: !(s[i] >= s[i-1])
