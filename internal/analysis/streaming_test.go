@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -500,10 +501,12 @@ const measuredAloneEnv = "REPRO_ANALYSIS_MEASURED_ALONE"
 
 // runAlone makes an allocation measurement deterministic. In the test
 // binary go test started, it re-executes the binary to run only the
-// calling test, fails the caller with the child's output if the child
-// fails, and returns false: the caller returns without measuring. In
-// that child it returns true and the caller measures. A process that
-// runs one test has no other test's goroutines allocating, so
+// calling test and returns false: the caller returns without
+// measuring. The caller fails with the child's output unless the child
+// reports the test passed, so a child that ran nothing does not pass
+// it, and the child's output is logged, so its measurements show under
+// -v. In that child it returns true and the caller measures. A process
+// that runs one test has no other test's goroutines allocating, so
 // runtime.MemStats.TotalAlloc, which counts the whole process, counts
 // only the measured calls, whatever the test order or the load.
 func runAlone(t *testing.T) bool {
@@ -513,9 +516,11 @@ func runAlone(t *testing.T) bool {
 	}
 	cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$", "-test.count=1", "-test.v")
 	cmd.Env = append(os.Environ(), measuredAloneEnv+"="+t.Name())
-	if out, err := cmd.CombinedOutput(); err != nil {
+	out, err := cmd.CombinedOutput()
+	if err != nil || !bytes.Contains(out, []byte("--- PASS: "+t.Name()+" ")) {
 		t.Fatalf("%s run alone: %v\n%s", t.Name(), err, out)
 	}
+	t.Logf("%s run alone:\n%s", t.Name(), out)
 	return false
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -42,14 +43,13 @@ type GroupFold struct {
 	groups [][]int
 	// groupOf maps each user to its group index.
 	groupOf []int
-	// pending is each multi-user group's binary counter of shard-local
-	// partials (see carry), guarded by the matching mu entry, until
-	// the completed fold combines what is left, once, into acc (nil
-	// for singletons).
-	pending     [][]*stats.Compressed
-	mu          []sync.Mutex
-	combineOnce sync.Once
-	acc         []*stats.Compressed
+	// acc holds one merged-distribution accumulator per multi-user
+	// group (nil for singletons), guarded by the matching mu entry.
+	acc []*stats.Compressed
+	mu  []sync.Mutex
+	// release drops the accumulators' fold buffers once the fold is
+	// complete.
+	release sync.Once
 	// merged and singles report whether the partition has a
 	// multi-user group and a singleton group.
 	merged, singles bool
@@ -75,9 +75,8 @@ func NewGroupFold(grouping Grouping, stat []float64) (*GroupFold, error) {
 	f := &GroupFold{
 		groups:  groups,
 		groupOf: make([]int, n),
-		pending: make([][]*stats.Compressed, len(groups)),
-		mu:      make([]sync.Mutex, len(groups)),
 		acc:     make([]*stats.Compressed, len(groups)),
+		mu:      make([]sync.Mutex, len(groups)),
 		seen:    make(claims, n),
 	}
 	for g, grp := range groups {
@@ -85,6 +84,7 @@ func NewGroupFold(grouping Grouping, stat []float64) (*GroupFold, error) {
 			f.groupOf[u] = g
 		}
 		if len(grp) > 1 {
+			f.acc[g] = &stats.Compressed{}
 			f.merged = true
 		} else {
 			f.singles = true
@@ -92,10 +92,6 @@ func NewGroupFold(grouping Grouping, stat []float64) (*GroupFold, error) {
 	}
 	return f, nil
 }
-
-// multi reports whether group g has more than one member, so its
-// threshold comes from the fold's accumulator.
-func (f *GroupFold) multi(g int) bool { return len(f.groups[g]) > 1 }
 
 // Merged reports whether the partition has a multi-user group: only
 // then does the fold need its users presented through FoldShard.
@@ -121,97 +117,75 @@ func (f *GroupFold) FoldShard(lo int, dists []*stats.Empirical) error {
 	return nil
 }
 
-// foldLocals recycles the shard-local accumulators of add.
-var foldLocals = sync.Pool{New: func() any { return new(stats.Compressed) }}
+// foldLocals recycles the shard-local accumulators of add. It is a
+// leaky free list rather than a sync.Pool, so whether a fold finds a
+// warm accumulator depends neither on garbage collection nor, under
+// the race detector, on Put's random drops; it keeps at most one
+// accumulator per CPU.
+var foldLocals = make(chan *stats.Compressed, runtime.GOMAXPROCS(0))
+
+func getLocal() *stats.Compressed {
+	select {
+	case c := <-foldLocals:
+		return c
+	default:
+		return new(stats.Compressed)
+	}
+}
+
+func putLocal(c *stats.Compressed) {
+	select {
+	case foldLocals <- c:
+	default:
+	}
+}
 
 // add folds the multi-user group members among users
-// [lo, lo+len(dists)) into shard-local partials, one per group: the
-// shard's members of a group are folded together, by one
-// AddEmpiricals into a pooled accumulator the call reuses for each of
-// its groups, outside any lock, and carry hands the partial to the
-// group's binary counter.
+// [lo, lo+len(dists)) into their group accumulators. The shard's
+// members of one group are folded together, by one AddEmpiricals. A
+// bucket holding the whole group folds straight into the group's
+// accumulator; otherwise other shards fold the same group, so the
+// bucket is folded into a pooled shard-local accumulator first and only
+// the Merge runs under the group's lock — concurrent shards of one
+// group fold in parallel.
 func (f *GroupFold) add(lo int, dists []*stats.Empirical) {
 	if !f.merged {
 		return
 	}
-	var members []int // members of multi-user groups, bucketed by group below
+	var multi []int // members of multi-user groups, bucketed by group below
 	for i := range dists {
-		if f.multi(f.groupOf[lo+i]) {
-			members = append(members, lo+i)
+		if f.acc[f.groupOf[lo+i]] != nil {
+			multi = append(multi, lo+i)
 		}
 	}
-	slices.SortStableFunc(members, func(a, b int) int { return cmp.Compare(f.groupOf[a], f.groupOf[b]) })
-	bucket := make([]*stats.Empirical, 0, len(members))
-	local := foldLocals.Get().(*stats.Compressed)
-	for s := 0; s < len(members); {
-		g := f.groupOf[members[s]]
+	slices.SortStableFunc(multi, func(a, b int) int { return cmp.Compare(f.groupOf[a], f.groupOf[b]) })
+	bucket := make([]*stats.Empirical, 0, len(multi))
+	for s := 0; s < len(multi); {
+		g := f.groupOf[multi[s]]
 		bucket = bucket[:0]
-		for ; s < len(members) && f.groupOf[members[s]] == g; s++ {
-			bucket = append(bucket, dists[members[s]-lo])
+		for ; s < len(multi) && f.groupOf[multi[s]] == g; s++ {
+			bucket = append(bucket, dists[multi[s]-lo])
 		}
+		if len(bucket) == len(f.groups[g]) {
+			f.mu[g].Lock()
+			f.acc[g].AddEmpiricals(bucket)
+			f.mu[g].Unlock()
+			continue
+		}
+		local := getLocal()
 		local.Reset()
 		local.AddEmpiricals(bucket)
-		f.carry(g, local)
-	}
-	foldLocals.Put(local)
-}
-
-// carry adds a shard's partial of group g, folded in local, to the
-// group's binary counter: pending[g][r] holds at most one partial,
-// folded from 2^r shard buckets. While local's rank is taken, local
-// takes the holder out, merges it in outside the lock and moves up a
-// rank; at a free rank it leaves an exact-size Clone and is free for
-// the shard's next group. So a group holds O(log shards) partials,
-// each run is merged O(log shards) times rather than once per shard
-// into one growing accumulator, and concurrent shards of a group still
-// merge in parallel.
-func (f *GroupFold) carry(g int, local *stats.Compressed) {
-	for r := 0; ; r++ {
 		f.mu[g].Lock()
-		if r == len(f.pending[g]) {
-			f.pending[g] = append(f.pending[g], nil)
-		}
-		held := f.pending[g][r]
-		if held == nil {
-			f.pending[g][r] = local.Clone()
-			f.mu[g].Unlock()
-			return
-		}
-		f.pending[g][r] = nil
+		f.acc[g].Merge(local)
 		f.mu[g].Unlock()
-		local.Merge(held)
+		putLocal(local)
 	}
-}
-
-// combine folds each multi-user group's remaining partials into its
-// accumulator, once, after every user has been folded: a lone partial
-// is the accumulator, more are combined pairwise
-// (stats.Compressed.Combine) in a pooled accumulator and kept as an
-// exact-size Clone. The state depends only on the multiset of samples,
-// so neither the shard count nor the order the partials arrived in can
-// change it.
-func (f *GroupFold) combine() {
-	f.combineOnce.Do(func() {
-		for g, pending := range f.pending {
-			parts := slices.DeleteFunc(pending, func(c *stats.Compressed) bool { return c == nil })
-			switch len(parts) {
-			case 0:
-			case 1:
-				f.acc[g] = parts[0]
-			default:
-				work := foldLocals.Get().(*stats.Compressed)
-				work.Reset()
-				work.Combine(parts)
-				f.acc[g] = work.Clone()
-				foldLocals.Put(work)
-			}
-			f.pending[g] = nil
-		}
-	})
 }
 
 // complete reports a user the fold still needs: none when no group is
-// merged. A complete fold has its partials combined.
+// merged. The first call that finds the fold complete releases its
+// accumulators' fold buffers (stats.Compressed.Release), which a
+// memoized fold would otherwise keep for as long as its workspace.
 func (f *GroupFold) complete() error {
 	if !f.merged {
 		return nil
@@ -219,7 +193,13 @@ func (f *GroupFold) complete() error {
 	if err := f.seen.complete(); err != nil {
 		return err
 	}
-	f.combine()
+	f.release.Do(func() {
+		for _, acc := range f.acc {
+			if acc != nil {
+				acc.Release()
+			}
+		}
+	})
 	return nil
 }
 
@@ -302,7 +282,7 @@ func (p *StreamPlan) FoldShard(lo int, dists []*stats.Empirical) error {
 	for i, d := range dists {
 		u := lo + i
 		g := p.fold.groupOf[u]
-		if p.fold.multi(g) {
+		if p.fold.acc[g] != nil {
 			continue
 		}
 		t, err := p.heuristic.Threshold(d, p.attack)
@@ -328,11 +308,10 @@ func (p *StreamPlan) Finish() (*Assignment, error) {
 			return nil, err
 		}
 	}
-	if p.own {
-		// The plan's claims are the fold's: every user is folded.
-		p.fold.combine()
-	} else if err := p.fold.complete(); err != nil {
-		return nil, err
+	if !p.own {
+		if err := p.fold.complete(); err != nil {
+			return nil, err
+		}
 	}
 	for g, grp := range p.fold.groups {
 		if len(grp) == 1 {

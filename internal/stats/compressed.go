@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 )
 
@@ -39,6 +38,12 @@ type Compressed struct {
 	// segs holds run-list boundaries between AddEmpiricals' merge
 	// levels.
 	segs []int
+}
+
+// Release drops c's generation buffers, keeping its runs: the form to
+// hold once folding is done. A later fold allocates them again.
+func (c *Compressed) Release() {
+	c.uniqScratch, c.cumScratch, c.segs = nil, nil, nil
 }
 
 // Reset empties the accumulator, keeping its buffers for the next
@@ -148,17 +153,6 @@ func (c *Compressed) fold(n int, leaf func(i int) []float64) int {
 	if cap(du) < len(u) {
 		du, dk = make([]float64, 0, cap(u)), make([]int64, 0, cap(u))
 	}
-	c.mergeLevels(u, k, du, dk, segs)
-	return taken
-}
-
-// mergeLevels merges the run lists (u, k)[segs[i]:segs[i+1]] into one,
-// bottom-up: each level pass merges neighbouring pairs into (du, dk)
-// and the two buffer pairs swap, so every run is copied once per
-// level, O(log leaves) times in all. The merged runs become c's state
-// and the other pair its scratch. du and dk must have room for every
-// run of (u, k).
-func (c *Compressed) mergeLevels(u []float64, k []int64, du []float64, dk []int64, segs []int) {
 	for len(segs) > 2 {
 		du, dk = du[:0], dk[:0]
 		// Level pass: merge leaf pairs (2t, 2t+1), carrying an odd
@@ -181,6 +175,7 @@ func (c *Compressed) mergeLevels(u []float64, k []int64, du []float64, dk []int6
 	}
 	c.uniq, c.cum = u, k
 	c.uniqScratch, c.cumScratch, c.segs = du[:0], dk[:0], segs[:0]
+	return taken
 }
 
 // numRuns returns the number of distinct values in a sorted column.
@@ -257,60 +252,14 @@ func (c *Compressed) Merge(o *Compressed) {
 	}
 	u, k := c.uniqScratch[:0], c.cumScratch[:0]
 	if n := len(c.uniq) + len(o.uniq); cap(u) < n {
-		// Grow once to the merge's bound, not by append's doubling.
-		u, k = make([]float64, 0, n), make([]int64, 0, n)
+		// Grow once, to twice the merge's bound: an accumulator that
+		// takes one Merge per shard then reuses its buffers for the
+		// next merges instead of regrowing them by append, run by run.
+		u, k = make([]float64, 0, 2*n), make([]int64, 0, 2*n)
 	}
 	u, k = mergeRuns(u, k, c.uniq, c.cum, o.uniq, o.cum)
 	c.uniqScratch, c.cumScratch = c.uniq[:0], c.cum[:0]
 	c.uniq, c.cum = u, k
-}
-
-// Combine folds every accumulator of parts into c at once: the same
-// state as Merge over each part in turn, but the parts' runs (and c's
-// own) are laid side by side and merged pairwise, level by level, so
-// each run is copied O(log len(parts)) times rather than once per
-// later Merge. c's two generation buffers hold the merge levels,
-// growing to the parts' total runs only when they are smaller. parts
-// are left unchanged; nil and empty parts are skipped.
-func (c *Compressed) Combine(parts []*Compressed) {
-	total := len(c.uniq)
-	for _, p := range parts {
-		if p != nil {
-			total += len(p.uniq)
-		}
-	}
-	u, k := c.uniqScratch[:0], c.cumScratch[:0]
-	if cap(u) < total {
-		u, k = make([]float64, 0, total), make([]int64, 0, total)
-	}
-	segs := append(c.segs[:0], 0)
-	for _, p := range parts {
-		if p != nil && len(p.uniq) > 0 {
-			u, k = append(u, p.uniq...), append(k, p.cum...)
-			segs = append(segs, len(u))
-		}
-	}
-	if len(c.uniq) > 0 {
-		u, k = append(u, c.uniq...), append(k, c.cum...)
-		segs = append(segs, len(u))
-	}
-	if len(segs) == 1 {
-		return // nothing to combine
-	}
-	// c's runs are now a leaf, so its buffers are free for the other
-	// half of the ping-pong pair.
-	du, dk := c.uniq[:0], c.cum[:0]
-	if cap(du) < total && len(segs) > 2 {
-		du, dk = make([]float64, 0, total), make([]int64, 0, total)
-	}
-	c.mergeLevels(u, k, du, dk, segs)
-}
-
-// Clone returns a copy of c's runs in buffers of exactly their size,
-// without the generation buffers folding keeps: the form to hold once
-// folding is done.
-func (c *Compressed) Clone() *Compressed {
-	return &Compressed{uniq: slices.Clone(c.uniq), cum: slices.Clone(c.cum)}
 }
 
 // at returns the k-th (0-based) order statistic of the virtual

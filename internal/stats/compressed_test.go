@@ -149,58 +149,6 @@ func TestCompressedFoldOrderInvariant(t *testing.T) {
 	}
 }
 
-// TestCompressedCombineMatchesMerge pins the pairwise combine of
-// shard-local partials: the same state as the sequential fold and as
-// Merge of each part in turn, for one to nine parts (odd counts carry
-// a leaf over a level), with nil and empty parts, onto an empty or a
-// pre-filled accumulator, and with the parts left unchanged.
-func TestCompressedCombineMatchesMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 40; trial++ {
-		cols := randColumns(rng, 1+rng.Intn(9))
-		var prefill []float64
-		if trial%2 == 1 {
-			prefill = []float64{0.5, 4, 4, 9}
-		}
-		seq := foldAll(t, append([][]float64{prefill}, cols...))
-		parts := []*Compressed{nil, {}}
-		for _, col := range cols {
-			parts = append(parts, foldAll(t, [][]float64{col}))
-		}
-		rng.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
-		var before [][]float64
-		for _, p := range parts {
-			if p != nil {
-				before = append(before, append([]float64(nil), p.uniq...))
-			}
-		}
-		merged, combined := foldAll(t, [][]float64{prefill}), foldAll(t, [][]float64{prefill})
-		for _, p := range parts {
-			merged.Merge(p)
-		}
-		combined.Combine(parts)
-		for _, got := range []*Compressed{merged, combined} {
-			if !reflect.DeepEqual(got.uniq, seq.uniq) || !reflect.DeepEqual(got.cum, seq.cum) {
-				t.Fatalf("trial %d: %d parts combine to a state other than the sequential fold's", trial, len(cols))
-			}
-		}
-		var after [][]float64
-		for _, p := range parts {
-			if p != nil {
-				after = append(after, p.uniq)
-			}
-		}
-		if !reflect.DeepEqual(before, after) {
-			t.Fatalf("trial %d: Combine modified a part", trial)
-		}
-	}
-	var empty Compressed
-	empty.Combine(nil)
-	if empty.N() != 0 {
-		t.Fatal("Combine of no parts is not empty")
-	}
-}
-
 func TestCompressedFrontierBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type point struct{ t, fp, fn float64 }
