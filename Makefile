@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify soak chaos-soak fuzz bench bench-check experiments snapshot-smoke eval-smoke hidsbench-smoke build-chaos-smoke remote-chaos-smoke
+.PHONY: all build vet test race verify deadcode soak chaos-soak fuzz bench bench-check experiments snapshot-smoke eval-smoke hidsbench-smoke build-chaos-smoke remote-chaos-smoke
 
 all: verify
 
@@ -23,6 +23,14 @@ race:
 # under the race detector (the experiment engine is parallel; every
 # PR must stay race-clean).
 verify: vet build race
+
+# deadcode links every cmd/* command and bench/cmd/hidsbench with the
+# linker's -dumpdep and fails on any library function none of them
+# reaches that is not on scripts/deadcode/allow.txt, and on any
+# allowlist entry that is reached again or names no function. CI runs
+# it in the verify job.
+deadcode:
+	$(GO) run ./scripts/deadcode
 
 # soak runs the fleet end-to-end suite — console + 1000 agents over
 # the in-memory transport, twice, asserting identical Results — under

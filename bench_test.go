@@ -306,7 +306,11 @@ func BenchmarkAblationDrift(b *testing.B) {
 		for u := range train {
 			d := stats.MustEmpirical(train[u])
 			thr := d.MustQuantile(0.99)
-			sum += core.FalsePositiveRate(test[u], thr)
+			c, err := core.Evaluate(test[u], nil, thr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sum += c.FalsePositiveRate()
 		}
 		realized = sum / float64(len(train))
 	}
@@ -451,7 +455,7 @@ func BenchmarkOpenUser20000(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = rec.Record()[0]
+		_ = rec.Rows()[0]
 	}
 	for i := 0; i < 16; i++ {
 		openUser(i)

@@ -63,10 +63,7 @@ func Example_collaborative() {
 		sorted[0], sorted[len(sorted)/2], sorted[len(sorted)-1])
 
 	// Fleet-level quorum detection with sentinel weighting.
-	alarms, err := collab.AlarmSeries(test, overlay, asn.Thresholds)
-	if err != nil {
-		log.Fatal(err)
-	}
+	alarms := alarmMatrix(test, overlay, asn.Thresholds)
 	attacked := make([]bool, len(overlay))
 	for b, v := range overlay {
 		attacked[b] = v > 0
@@ -85,10 +82,7 @@ func Example_collaborative() {
 			log.Fatal(err)
 		}
 		// False-event rate on the clean week.
-		clean, err := collab.AlarmSeries(test, nil, asn.Thresholds)
-		if err != nil {
-			log.Fatal(err)
-		}
+		clean := alarmMatrix(test, nil, asn.Thresholds)
 		events, err := d.Events(clean)
 		if err != nil {
 			log.Fatal(err)
@@ -114,4 +108,20 @@ func Example_collaborative() {
 	//
 	// lesson: even users whose own thresholds miss the bot are covered
 	// once a handful of well-placed (low-threshold) users raise the alarm.
+}
+
+// alarmMatrix marks window b of host u when test[u][b] + overlay[b]
+// exceeds the host's threshold; overlay may be nil (no attack).
+func alarmMatrix(test [][]float64, overlay, thresholds []float64) [][]bool {
+	out := make([][]bool, len(test))
+	for u, series := range test {
+		out[u] = make([]bool, len(series))
+		for b, v := range series {
+			if overlay != nil {
+				v += overlay[b]
+			}
+			out[u][b] = v > thresholds[u]
+		}
+	}
+	return out
 }

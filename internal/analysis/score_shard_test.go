@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/par"
-	"repro/internal/trace"
 )
 
 // TestOverlayScoreMatchesEvaluate pins Score's attacked-window walk to
@@ -157,34 +156,5 @@ func TestUnboundedShardsBalance(t *testing.T) {
 				t.Fatalf("%s, %d workers: shards %v end at %d, want %d", names[i], workers, shards, next, users)
 			}
 		}
-	}
-}
-
-// TestKMeansSeedsAssignSeparately pins that Workspace.Assignment keys
-// k-means groupings by seed: on a 40-user workspace two seeds cluster
-// differently, and each seed's memoized assignment is DeepEqual to
-// core.Configure's for that seed.
-func TestKMeansSeedsAssignSeparately(t *testing.T) {
-	pop := trace.MustPopulation(trace.Config{Users: 40, Weeks: 2, Seed: 5})
-	w := NewGenerated(len(pop.Users), func(u int) *features.Matrix { return pop.Users[u].Series() })
-	f, week := features.TCP, 0
-	var want []*core.Assignment
-	for _, seed := range []uint64{1, 2} {
-		pol := core.Policy{Heuristic: core.Percentile{Q: 0.99}, Grouping: core.KMeansGrouping{K: 4, Seed: seed}}
-		exp, err := core.Configure(w.Dists(f, week), pol, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := w.Assignment(f, week, pol, nil, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, exp) {
-			t.Fatalf("seed %d: Workspace.Assignment diverges from core.Configure", seed)
-		}
-		want = append(want, exp)
-	}
-	if reflect.DeepEqual(want[0], want[1]) {
-		t.Fatal("seeds 1 and 2 configure alike; the test needs groupings that differ")
 	}
 }

@@ -68,7 +68,7 @@ func requireEqualWorkspaces(t *testing.T, got, want *Workspace) {
 				t.Fatalf("%s week %d: tail stats diverge", f, week)
 			}
 			for u := 0; u < want.Users(); u++ {
-				gd, wd := got.Dist(u, f, week), want.Dist(u, f, week)
+				gd, wd := got.Dists(f, week)[u], want.Dists(f, week)[u]
 				if gd.N() != wd.N() || gd.Min() != wd.Min() || gd.Max() != wd.Max() ||
 					gd.MustQuantile(0.999) != wd.MustQuantile(0.999) {
 					t.Fatalf("%s week %d user %d: distributions diverge", f, week, u)

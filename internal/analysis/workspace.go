@@ -107,7 +107,7 @@ type block struct {
 
 	// raw holds the time-ordered columns. In-memory blocks extract them
 	// together with the sorted ones; snapshot-backed blocks leave raw
-	// nil until Raw or RawUser fires rawOnce, because rows interleave
+	// nil until Raw fires rawOnce, because rows interleave
 	// the six features and a raw column is the one view the file cannot
 	// serve without copying.
 	raw     [][]float64
@@ -173,10 +173,9 @@ func New(matrices []*features.Matrix) *Workspace {
 // user's matrix from matrixOf (typically a trace.Generator filling
 // rows week by week) and immediately extracts, sorts and wraps every
 // (feature, week) column while the freshly generated rows are still
-// cache-hot. This replaces the two-pass materialize-then-Warm flow —
-// there is no intermediate per-bin Counts round-trip and no second
-// sweep over cold matrices. matrixOf runs on the shared worker pool:
-// it must be safe for concurrent calls with distinct u and must
+// cache-hot: there is no intermediate per-bin Counts round-trip and no
+// second sweep over cold matrices. matrixOf runs on the shared worker
+// pool: it must be safe for concurrent calls with distinct u and must
 // return matrices of identical geometry covering at least one
 // complete week (panics otherwise, matching New).
 func NewGenerated(users int, matrixOf func(u int) *features.Matrix) *Workspace {
@@ -232,25 +231,11 @@ func (w *Workspace) Matrices() []*features.Matrix { return w.matrices }
 // Users returns the population size.
 func (w *Workspace) Users() int { return w.users }
 
-// Weeks returns the number of complete weeks covered.
-func (w *Workspace) Weeks() int { return w.weeks }
-
 // BinsPerWeek returns the number of aggregation windows per week.
 func (w *Workspace) BinsPerWeek() int { return w.binsPerWeek }
 
 // BinWidth returns the aggregation window width.
 func (w *Workspace) BinWidth() time.Duration { return w.binWidth }
-
-// Warm eagerly builds every (feature, week) columnar block in one
-// parallel pass. Enterprise.Materialize calls this so that all
-// subsequent analysis runs from the cache.
-func (w *Workspace) Warm() {
-	for week := 0; week < w.weeks; week++ {
-		for _, f := range features.All() {
-			w.Sorted(f, week)
-		}
-	}
-}
 
 func (w *Workspace) blockIndex(f features.Feature, week int) int {
 	if !f.Valid() {
@@ -353,12 +338,6 @@ func (w *Workspace) Raw(f features.Feature, week int) [][]float64 {
 	return b.raw
 }
 
-// RawUser returns one user's time-ordered column (shared, read-only),
-// with Raw's cost on first use.
-func (w *Workspace) RawUser(u int, f features.Feature, week int) []float64 {
-	return w.Raw(f, week)[u]
-}
-
 // Sorted returns every user's pre-sorted column of one feature-week
 // (shared, read-only) — the input shape of the stats fast path.
 func (w *Workspace) Sorted(f features.Feature, week int) [][]float64 {
@@ -376,11 +355,6 @@ func (w *Workspace) Dists(f features.Feature, week int) []*stats.Empirical {
 		return window(w.parent.Dists(f, week), w.parentLo, w.users)
 	}
 	return w.ensureBlock(f, week).dists
-}
-
-// Dist returns one user's memoized distribution.
-func (w *Workspace) Dist(u int, f features.Feature, week int) *stats.Empirical {
-	return w.Dists(f, week)[u]
 }
 
 // window returns the n-element window of a parent-indexed slice that

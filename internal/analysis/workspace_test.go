@@ -423,7 +423,7 @@ func TestNewGeneratedMatchesNewWarm(t *testing.T) {
 						t.Fatalf("%s week %d user %d: fused columns diverge", f, week, u)
 					}
 				}
-				if fused.Dist(u, f, week).N() != ref.Dist(u, f, week).N() {
+				if fused.Dists(f, week)[u].N() != ref.Dists(f, week)[u].N() {
 					t.Fatalf("%s week %d user %d: dists diverge", f, week, u)
 				}
 			}
@@ -473,5 +473,17 @@ func TestNewGeneratedPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// Weeks returns the number of complete weeks covered.
+func (w *Workspace) Weeks() int { return w.weeks }
+
+// Warm builds every (feature, week) columnar block.
+func (w *Workspace) Warm() {
+	for week := 0; week < w.weeks; week++ {
+		for _, f := range features.All() {
+			w.Sorted(f, week)
+		}
 	}
 }

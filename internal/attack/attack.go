@@ -28,34 +28,6 @@ type Additive struct {
 	Overlay []float64
 }
 
-// Magnitude returns the constant per-window size for constant
-// attacks, or the mean positive overlay otherwise.
-func (a Additive) Magnitude() float64 {
-	var sum float64
-	var n int
-	for _, v := range a.Overlay {
-		if v > 0 {
-			sum += v
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// Windows returns the number of attacked windows.
-func (a Additive) Windows() int {
-	n := 0
-	for _, v := range a.Overlay {
-		if v > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Naive builds the naive attacker of Fig 4(a): a constant additive
 // size injected into every window of the range [from, to) of a series
 // of length total. The attacker knows nothing about the host, so the
@@ -100,22 +72,6 @@ func MimicrySize(profile *stats.Empirical, threshold, evadeProb float64) (float6
 		b = 0
 	}
 	return b, nil
-}
-
-// Mimicry builds a constant overlay at the host's mimicry size over
-// all windows of a series of length total. The attacker sends this
-// volume continuously, staying below the detection radar with
-// probability ~evadeProb per window.
-func Mimicry(profile *stats.Empirical, threshold, evadeProb float64, total int) (Additive, error) {
-	size, err := MimicrySize(profile, threshold, evadeProb)
-	if err != nil {
-		return Additive{}, err
-	}
-	ov := make([]float64, total)
-	for b := range ov {
-		ov[b] = size
-	}
-	return Additive{Overlay: ov}, nil
 }
 
 // HiddenTraffic is the attacker-effectiveness metric of Fig 4(b): the

@@ -106,14 +106,3 @@ func NewStorm(cfg StormConfig) (*StormBot, error) {
 func (s *StormBot) Overlay() Additive {
 	return Additive{Overlay: append([]float64(nil), s.Distinct...)}
 }
-
-// CampaignFraction returns the fraction of windows in campaign mode.
-func (s *StormBot) CampaignFraction() float64 {
-	n := 0
-	for _, c := range s.Campaign {
-		if c {
-			n++
-		}
-	}
-	return float64(n) / float64(len(s.Campaign))
-}

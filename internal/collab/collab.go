@@ -210,28 +210,3 @@ func (t *Tally) Mark(host, bin int) error {
 // Alarms returns the accumulated alarm matrix. The matrix is shared
 // with the tally: callers should be done marking before use.
 func (t *Tally) Alarms() [][]bool { return t.alarms }
-
-// AlarmSeries converts per-host feature series plus thresholds into
-// the boolean alarm matrix Votes consumes. overlay may be nil (no
-// attack).
-func AlarmSeries(test [][]float64, overlay []float64, thresholds []float64) ([][]bool, error) {
-	if len(test) != len(thresholds) {
-		return nil, fmt.Errorf("collab: %d hosts but %d thresholds", len(test), len(thresholds))
-	}
-	out := make([][]bool, len(test))
-	for u := range test {
-		if overlay != nil && len(overlay) != len(test[u]) {
-			return nil, fmt.Errorf("collab: host %d series %d windows, overlay %d", u, len(test[u]), len(overlay))
-		}
-		row := make([]bool, len(test[u]))
-		for b, g := range test[u] {
-			v := g
-			if overlay != nil {
-				v += overlay[b]
-			}
-			row[b] = v > thresholds[u]
-		}
-		out[u] = row
-	}
-	return out, nil
-}

@@ -222,30 +222,6 @@ func TestEvaluateConfusion(t *testing.T) {
 	}
 }
 
-func TestAlarmSeries(t *testing.T) {
-	test := [][]float64{{1, 5, 2}, {10, 1, 1}}
-	overlay := []float64{0, 0, 4}
-	thr := []float64{3, 5}
-	alarms, err := AlarmSeries(test, overlay, thr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]bool{{false, true, true}, {true, false, false}}
-	for u := range want {
-		for b := range want[u] {
-			if alarms[u][b] != want[u][b] {
-				t.Fatalf("alarms = %v, want %v", alarms, want)
-			}
-		}
-	}
-	if _, err := AlarmSeries(test, overlay, []float64{1}); err == nil {
-		t.Fatal("threshold count mismatch accepted")
-	}
-	if _, err := AlarmSeries(test, []float64{1}, thr); err == nil {
-		t.Fatal("overlay length mismatch accepted")
-	}
-}
-
 // TestCollaborationCompensatesForPoorDetectors reproduces the paper's
 // §6.2 observation on generated data: under full diversity some users
 // have poor individual detection of the Storm bot, but "those users
@@ -294,10 +270,7 @@ func TestCollaborationCompensatesForPoorDetectors(t *testing.T) {
 
 	// Collaborative fleet detection with a small quorum and the
 	// Table-2 sentinels carrying double weight.
-	alarms, err := AlarmSeries(test, overlay, asn.Thresholds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	alarms := alarmMatrix(test, overlay, asn.Thresholds)
 	attacked := make([]bool, len(overlay))
 	for b, v := range overlay {
 		attacked[b] = v > 0
@@ -315,10 +288,7 @@ func TestCollaborationCompensatesForPoorDetectors(t *testing.T) {
 		t.Fatalf("fleet detection %.2f not above median individual %.2f", fleetDet, medianDet)
 	}
 	// Fleet-level false positives on clean windows must stay rare.
-	cleanAlarms, err := AlarmSeries(test, nil, asn.Thresholds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cleanAlarms := alarmMatrix(test, nil, asn.Thresholds)
 	cleanEvents, err := d.Events(cleanAlarms)
 	if err != nil {
 		t.Fatal(err)
@@ -332,4 +302,20 @@ func TestCollaborationCompensatesForPoorDetectors(t *testing.T) {
 	if frac := float64(fp) / float64(len(cleanEvents)); frac > 0.05 {
 		t.Fatalf("fleet false-event rate %.3f too high", frac)
 	}
+}
+
+// alarmMatrix marks window b of host u when test[u][b] + overlay[b]
+// exceeds the host's threshold; overlay may be nil (no attack).
+func alarmMatrix(test [][]float64, overlay, thresholds []float64) [][]bool {
+	out := make([][]bool, len(test))
+	for u, series := range test {
+		out[u] = make([]bool, len(series))
+		for b, v := range series {
+			if overlay != nil {
+				v += overlay[b]
+			}
+			out[u][b] = v > thresholds[u]
+		}
+	}
+	return out
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
@@ -168,29 +167,14 @@ var ErrAgentClosed = errors.New("console: agent closed")
 // function was configured.
 var ErrAgentDead = errors.New("console: agent connection permanently lost")
 
-// ErrThresholdsTimeout is returned by WaitThresholds(Epoch) when the
+// ErrThresholdsTimeout is returned by WaitThresholdsEpoch when the
 // timeout expires before thresholds arrive. Callers that wait in
 // slices (the fleet runner polls between slices for fleet-wide
 // aborts) test for it to distinguish "not yet" from a dead agent.
 var ErrThresholdsTimeout = errors.New("console: timeout waiting for thresholds")
 
-// DefaultDialTimeout bounds Dial's TCP connection establishment.
+// DefaultDialTimeout bounds an agent's TCP connection establishment.
 const DefaultDialTimeout = 30 * time.Second
-
-// Dial connects an agent to the console at addr over TCP (bounded by
-// DefaultDialTimeout) and completes the hello handshake.
-func Dial(addr string, hostID uint32, hostname string) (*Agent, error) {
-	return DialTimeout(addr, hostID, hostname, DefaultDialTimeout)
-}
-
-// DialTimeout is Dial with an explicit connection-establishment bound.
-func DialTimeout(addr string, hostID uint32, hostname string, timeout time.Duration) (*Agent, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("console: dialing %s: %w", addr, err)
-	}
-	return Connect(AgentConfig{HostID: hostID, Hostname: hostname, Conn: conn})
-}
 
 // NewAgent runs the agent protocol over an existing connection (the
 // tests use net.Pipe). Without a Dial function the agent cannot
@@ -485,9 +469,11 @@ func (a *Agent) waitAckOn(l *link, timeout time.Duration) (Ack, error) {
 }
 
 // rpc performs one acknowledged operation, retrying across link
-// failures within the policy's budget. Any failure fails the current
-// link (so the ack FIFO of a retried attempt is always fresh) and
-// waits for the manager to heal it.
+// failures within the policy's budget. A link failure fails the
+// current link (so the ack FIFO of a retried attempt is always fresh)
+// and waits for the manager to heal it. A payload the codec refuses
+// before writing (wire.ErrUnsendable) is the caller's fault: rpc
+// returns that error at once and the link carries on.
 func (a *Agent) rpc(t MsgType, payload any) error {
 	tries := a.retry.MaxOpRetries
 	var lastErr error
@@ -501,6 +487,9 @@ func (a *Agent) rpc(t MsgType, payload any) error {
 			continue
 		}
 		if err := a.writeTo(l, t, payload); err != nil {
+			if errors.Is(err, wire.ErrUnsendable) {
+				return err
+			}
 			l.fail(err)
 			lastErr = err
 			continue
@@ -524,19 +513,6 @@ func (a *Agent) targetUploadEpoch() int {
 		return 0
 	}
 	return a.thresholds.Epoch + 1
-}
-
-// UploadDistribution ships one feature's training samples. It sorts a
-// copy; samples is left as it is. Samples the console would refuse —
-// none, or any NaN or ±Inf — are rejected here with an error, before
-// they can cost the agent its link.
-func (a *Agent) UploadDistribution(f features.Feature, samples []float64) error {
-	if !f.Valid() {
-		return fmt.Errorf("console: invalid feature %d", int(f))
-	}
-	sorted := slices.Clone(samples)
-	stats.SortCounts(sorted)
-	return a.uploadDistribution(f, sorted, a.targetUploadEpoch())
 }
 
 // uploadDistribution ships one feature's sorted training samples. The
@@ -571,12 +547,6 @@ func (a *Agent) UploadMatrix(m *features.Matrix, lo, hi int) error {
 		}
 	}
 	return nil
-}
-
-// WaitThresholds blocks until the console pushes thresholds (or the
-// timeout expires).
-func (a *Agent) WaitThresholds(timeout time.Duration) (Thresholds, error) {
-	return a.WaitThresholdsEpoch(0, timeout)
 }
 
 // WaitThresholdsEpoch blocks until thresholds of at least the given
@@ -615,19 +585,21 @@ func (a *Agent) WaitThresholdsEpoch(epoch int, timeout time.Duration) (Threshold
 	}
 }
 
-// ObserveWindow evaluates one window's feature counts against the
-// current thresholds, queueing alerts for any exceedance. bin is the
-// window index reported to the console.
-func (a *Agent) ObserveWindow(bin int, counts features.Counts) error {
-	return a.ObserveVector(bin, counts.AsVector())
-}
-
-// ObserveVector is ObserveWindow on a raw feature vector in canonical
-// order. The fleet simulator uses it to overlay fractional attack
-// volumes (a mimicry size is rarely integral) with exactly the float64
-// arithmetic the in-memory evaluation path (core.Evaluate) performs,
-// so wire-level and in-memory alarm decisions are bit-identical.
+// ObserveVector evaluates one window's feature vector, in canonical
+// order, against the current thresholds, queueing an alert for every
+// exceedance; bin is the window index reported to the console. The
+// fleet simulator overlays fractional attack volumes (a mimicry size
+// is rarely integral) with exactly the float64 arithmetic the
+// in-memory evaluation path (core.Evaluate) performs, so wire-level
+// and in-memory alarm decisions are bit-identical. A window with a NaN
+// or ±Inf value is refused with an error and queues nothing: the alert
+// codec could not send it.
 func (a *Agent) ObserveVector(bin int, vec [features.NumFeatures]float64) error {
+	for _, f := range features.All() {
+		if math.IsNaN(vec[f]) || math.IsInf(vec[f], 0) {
+			return fmt.Errorf("console: window %d: non-finite %s value %g", bin, f, vec[f])
+		}
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.thresholds == nil {
@@ -664,20 +636,6 @@ func (a *Agent) SpooledBatches() int {
 	return len(a.spool)
 }
 
-// Reconnects returns how many times the agent healed a lost link.
-func (a *Agent) Reconnects() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.reconnects
-}
-
-// Connected reports whether the agent currently holds a live link.
-func (a *Agent) Connected() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.link != nil
-}
-
 // Flush freezes pending alerts into a sequenced batch and delivers
 // every spooled batch in order, waiting for each ack. On failure the
 // undelivered batches stay spooled — with their already-assigned
@@ -709,22 +667,6 @@ func (a *Agent) Flush() error {
 		a.mu.Unlock()
 	}
 	return nil
-}
-
-// Ping sends a one-way keepalive on the current link (no ack): it
-// refreshes the console's liveness record for this host without
-// perturbing the per-connection ack FIFO that rpc relies on.
-func (a *Agent) Ping() error {
-	a.mu.Lock()
-	l, closed := a.link, a.closed
-	a.mu.Unlock()
-	if closed {
-		return ErrAgentClosed
-	}
-	if l == nil {
-		return errors.New("console: no live connection")
-	}
-	return a.writeTo(l, MsgPing, Ping{HostID: a.hostID})
 }
 
 // Close flushes pending alerts on a best-effort basis, closes the

@@ -15,6 +15,7 @@ import (
 	"repro/internal/features"
 	"repro/internal/netsim"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // TestWriteReadMsgRoundTrip sends a week of 5-minute bins with awkward
@@ -416,6 +417,86 @@ func TestUploadValidation(t *testing.T) {
 	}
 	if _, err := a.WaitThresholds(10 * time.Second); err != nil {
 		t.Fatalf("no thresholds after the rejections: %v", err)
+	}
+}
+
+// configuredAgent dials a single-shot agent as the only host of a
+// fresh console, uploads a 40-window training week for every feature
+// and waits for the thresholds.
+func configuredAgent(t *testing.T) (*Server, *Agent, Thresholds) {
+	t.Helper()
+	srv, addr := startServer(t, ServerConfig{
+		Policy:        policy99(core.Homogeneous{}),
+		ExpectedHosts: 1,
+	})
+	a, err := Dial(addr, 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = a.Close() })
+	samples := make([]float64, 40)
+	for i := range samples {
+		samples[i] = float64(i)
+	}
+	for _, f := range features.All() {
+		if err := a.UploadDistribution(f, samples); err != nil {
+			t.Fatal(err)
+		}
+	}
+	thr, err := a.WaitThresholds(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, a, thr
+}
+
+// TestNonFiniteWindowKeepsLink: a window holding +Inf is refused and
+// queues nothing, so a single-shot agent that observed it and then a
+// finite alarm gets the finite alert acked on its one link, instead of
+// spooling an alert the codec cannot send and losing the link to it.
+func TestNonFiniteWindowKeepsLink(t *testing.T) {
+	srv, a, thr := configuredAgent(t)
+	var vec [features.NumFeatures]float64
+	vec[features.TCP] = math.Inf(1)
+	infErr := a.ObserveVector(0, vec)
+	vec[features.TCP] = thr.Values[features.TCP] + 1
+	if err := a.ObserveVector(1, vec); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Flush(); err != nil {
+		t.Fatalf("flush after a +Inf window: %v", err)
+	}
+	if infErr == nil {
+		t.Fatal("a +Inf window was accepted")
+	}
+	if got := srv.AlertCount(1); got != 1 || a.SpooledBatches() != 0 {
+		t.Fatalf("console holds %d alerts, %d batches still spooled; want 1 and 0", got, a.SpooledBatches())
+	}
+	vec[features.TCP] = math.NaN()
+	if err := a.ObserveVector(2, vec); err == nil || a.PendingAlerts() != 0 {
+		t.Fatalf("NaN window: err %v, %d alerts queued", err, a.PendingAlerts())
+	}
+}
+
+// TestUnsendablePayloadKeepsLink: a payload the codec refuses before
+// writing fails only its own call with wire.ErrUnsendable; the next
+// operation goes out on the same link.
+func TestUnsendablePayloadKeepsLink(t *testing.T) {
+	srv, a, thr := configuredAgent(t)
+	bad := AlertBatch{HostID: 1, Seq: 99, Alerts: []Alert{{Value: math.Inf(1)}}}
+	if err := a.rpc(MsgAlertBatch, bad); !errors.Is(err, wire.ErrUnsendable) {
+		t.Fatalf("unsendable batch: err %v, want wire.ErrUnsendable", err)
+	}
+	var vec [features.NumFeatures]float64
+	vec[features.UDP] = thr.Values[features.UDP] + 1
+	if err := a.ObserveVector(0, vec); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Flush(); err != nil {
+		t.Fatalf("flush after an unsendable payload: %v", err)
+	}
+	if got := srv.AlertCount(1); got != 1 || a.Reconnects() != 0 {
+		t.Fatalf("console holds %d alerts after %d reconnects; want 1 and 0", got, a.Reconnects())
 	}
 }
 

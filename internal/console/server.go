@@ -504,13 +504,6 @@ func (s *Server) Epoch() int {
 	return s.epoch
 }
 
-// Configured reports whether thresholds have been computed.
-func (s *Server) Configured() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pushed
-}
-
 // AlertCount returns the number of alerts received from one host.
 func (s *Server) AlertCount(hostID uint32) int {
 	s.mu.Lock()
@@ -556,16 +549,6 @@ func (s *Server) DeadHosts(grace time.Duration) []uint32 {
 	}
 	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
 	return dead
-}
-
-// ActiveConns returns the number of currently registered agent
-// connections — the size of the conns table. A host that disconnects
-// must eventually disappear from it, or it could never reconnect; the
-// reconnect regression tests watch this.
-func (s *Server) ActiveConns() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
 }
 
 // TotalAlerts returns the number of alerts received from all hosts —

@@ -58,7 +58,7 @@ func TestFrontierBoundMatchesFullSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		var acc stats.Compressed
-		acc.AddEmpirical(train)
+		acc.AddEmpiricals([]*stats.Empirical{train})
 		merged, err := stats.NewFrontierCompressed(&acc, attack)
 		if err != nil {
 			t.Fatal(err)

@@ -32,34 +32,6 @@ type Detector struct {
 // Alarm reports whether one window's feature value raises an alert.
 func (d Detector) Alarm(value float64) bool { return value > d.Threshold }
 
-// CountAlarms returns the number of alarming windows in series.
-func (d Detector) CountAlarms(series []float64) int {
-	n := 0
-	for _, v := range series {
-		if d.Alarm(v) {
-			n++
-		}
-	}
-	return n
-}
-
-// AlarmBins returns the indices of alarming windows; these are what a
-// host agent batches to the central console.
-func (d Detector) AlarmBins(series []float64) []int {
-	var out []int
-	for b, v := range series {
-		if d.Alarm(v) {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// String describes the detector.
-func (d Detector) String() string {
-	return fmt.Sprintf("detector{%s > %.4g}", d.Feature, d.Threshold)
-}
-
 // Evaluate classifies every window of a test series against a
 // threshold. attack[b] is the additive malicious traffic overlaid on
 // window b (zero for benign windows); attack may be nil for an
@@ -94,15 +66,6 @@ func Evaluate(benign, attack []float64, threshold float64) (stats.Confusion, err
 	return c, nil
 }
 
-// FalsePositiveRate evaluates a threshold on an all-benign series.
-func FalsePositiveRate(benign []float64, threshold float64) float64 {
-	if len(benign) == 0 {
-		return 0
-	}
-	d := Detector{Threshold: threshold}
-	return float64(d.CountAlarms(benign)) / float64(len(benign))
-}
-
 // OperatingPoint is one user's ⟨FN_i, FP_i⟩ performance tuple (§6.1)
 // plus the utility that summarizes it.
 type OperatingPoint struct {
@@ -117,6 +80,3 @@ type OperatingPoint struct {
 func (o OperatingPoint) Utility(w float64) float64 {
 	return stats.Utility(o.FN, o.FP, w)
 }
-
-// DetectionRate returns 1 − FN_i, the y-axis of Fig 5.
-func (o OperatingPoint) DetectionRate() float64 { return 1 - o.FN }

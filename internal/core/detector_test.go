@@ -22,27 +22,6 @@ func TestDetectorAlarm(t *testing.T) {
 	}
 }
 
-func TestDetectorCountAndBins(t *testing.T) {
-	d := Detector{Threshold: 5}
-	series := []float64{1, 6, 5, 9, 2, 7}
-	if got := d.CountAlarms(series); got != 3 {
-		t.Fatalf("CountAlarms = %d, want 3", got)
-	}
-	bins := d.AlarmBins(series)
-	want := []int{1, 3, 5}
-	if len(bins) != len(want) {
-		t.Fatalf("AlarmBins = %v", bins)
-	}
-	for i := range want {
-		if bins[i] != want[i] {
-			t.Fatalf("AlarmBins = %v, want %v", bins, want)
-		}
-	}
-	if d.String() == "" {
-		t.Error("empty String()")
-	}
-}
-
 func TestEvaluateConfusion(t *testing.T) {
 	benign := []float64{1, 2, 3, 4, 100}
 	attack := []float64{0, 50, 0, 0.5, 0}
@@ -89,19 +68,10 @@ func TestEvaluateTotalsProperty(t *testing.T) {
 			}
 		}
 		c, err := Evaluate(benign, attack, float64(thrRaw))
-		return err == nil && c.Total() == n
+		return err == nil && c.TP+c.FP+c.TN+c.FN == n
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFalsePositiveRate(t *testing.T) {
-	if got := FalsePositiveRate([]float64{1, 2, 3, 40}, 10); got != 0.25 {
-		t.Fatalf("FPR = %g", got)
-	}
-	if got := FalsePositiveRate(nil, 10); got != 0 {
-		t.Fatalf("empty FPR = %g", got)
 	}
 }
 
@@ -109,8 +79,5 @@ func TestOperatingPoint(t *testing.T) {
 	o := OperatingPoint{FP: 0.1, FN: 0.4}
 	if got := o.Utility(0.4); math.Abs(got-(1-(0.4*0.4+0.6*0.1))) > 1e-12 {
 		t.Fatalf("Utility = %g", got)
-	}
-	if got := o.DetectionRate(); got != 0.6 {
-		t.Fatalf("DetectionRate = %g", got)
 	}
 }

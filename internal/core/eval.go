@@ -168,12 +168,6 @@ func (r *EvalResult) MeanUtility(w float64) float64 {
 	return stats.Mean(r.Utilities(w))
 }
 
-// UtilityBoxplot summarizes the distribution of per-host utilities,
-// the rendering of Fig 3(a).
-func (r *EvalResult) UtilityBoxplot(w float64) (stats.Boxplot, error) {
-	return stats.NewBoxplot(r.Utilities(w))
-}
-
 // TotalFalseAlarms sums false-positive windows across the population
 // — the number of benign alerts arriving at the central IT console
 // over the test period (Table 3).
@@ -183,21 +177,4 @@ func (r *EvalResult) TotalFalseAlarms() int {
 		n += p.Confusion.FP
 	}
 	return n
-}
-
-// FractionAlarming returns the fraction of users whose test period
-// raised at least one true-positive alarm — the y-axis of Fig 4(a)
-// ("the fraction of users that would have raised an alert" for a
-// given attack).
-func (r *EvalResult) FractionAlarming() float64 {
-	if len(r.Points) == 0 {
-		return 0
-	}
-	n := 0
-	for _, p := range r.Points {
-		if p.Confusion.TP > 0 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(r.Points))
 }

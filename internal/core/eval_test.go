@@ -181,30 +181,9 @@ func TestEvalResultAccessors(t *testing.T) {
 	if res.MeanUtility(0.4) != (u[0]+u[1])/2 {
 		t.Fatal("MeanUtility != mean of Utilities")
 	}
-	bp, err := res.UtilityBoxplot(0.4)
-	if err != nil || bp.N != 2 {
-		t.Fatalf("boxplot: %+v, %v", bp, err)
-	}
 	// User 0's 100 exceeds its q99 (~5); user 1's 50 exceeds its
 	// interpolated q99 (49.6).
 	if res.TotalFalseAlarms() != 2 {
 		t.Fatalf("false alarms = %d", res.TotalFalseAlarms())
-	}
-	if res.FractionAlarming() != 0 {
-		t.Fatalf("FractionAlarming = %g with no attack", res.FractionAlarming())
-	}
-}
-
-func TestFractionAlarming(t *testing.T) {
-	train := [][]float64{{1, 2, 3, 4, 5}, {1, 2, 3, 4, 5}}
-	test := [][]float64{{1, 1, 1}, {1, 1, 1}}
-	attack := [][]float64{{0, 100, 0}, {0, 0.1, 0}} // user 0 detected, user 1 missed
-	res, err := EvaluatePolicy(EvalInput{Train: train, Test: test, Attack: attack,
-		Policy: Policy{Percentile{0.99}, FullDiversity{}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.FractionAlarming(); got != 0.5 {
-		t.Fatalf("FractionAlarming = %g, want 0.5", got)
 	}
 }

@@ -3,9 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-
-	"repro/internal/stats"
-	"repro/internal/xrand"
 )
 
 // Grouping partitions a user population into configuration groups
@@ -153,48 +150,6 @@ func sortedIndices(stat []float64) []int {
 		return 0
 	})
 	return order
-}
-
-// KMeansGrouping clusters users on the tail statistic with k-means.
-// The paper tried this and found "no natural separation"; it is
-// provided both to reproduce that negative result (see the
-// SilhouetteScore tests) and as an alternative grouping method.
-type KMeansGrouping struct {
-	// K is the number of clusters.
-	K int
-	// Seed drives the k-means++ initialization.
-	Seed uint64
-}
-
-// Name implements Grouping. It names the seed too: two seeds can
-// cluster differently, and memo keys built from Name must tell them
-// apart.
-func (g KMeansGrouping) Name() string { return fmt.Sprintf("kmeans(%d,seed=%d)", g.K, g.Seed) }
-
-// Groups implements Grouping.
-func (g KMeansGrouping) Groups(stat []float64) ([][]int, error) {
-	if len(stat) == 0 {
-		return nil, fmt.Errorf("core: empty population")
-	}
-	k := g.K
-	if k > len(stat) {
-		k = len(stat)
-	}
-	res, err := stats.KMeans1D(xrand.New(g.Seed), stat, k, 200)
-	if err != nil {
-		return nil, err
-	}
-	byCluster := make([][]int, k)
-	for i, c := range res.Assign {
-		byCluster[c] = append(byCluster[c], i)
-	}
-	var groups [][]int
-	for _, grp := range byCluster {
-		if len(grp) > 0 {
-			groups = append(groups, grp)
-		}
-	}
-	return groups, nil
 }
 
 // ValidatePartition checks that groups form an exact partition of

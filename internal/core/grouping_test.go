@@ -165,30 +165,6 @@ func TestPartialDiversityProperty(t *testing.T) {
 	}
 }
 
-func TestKMeansGrouping(t *testing.T) {
-	stat := statVector(6, 100)
-	groups, err := (KMeansGrouping{K: 4, Seed: 9}).Groups(stat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidatePartition(groups, 100); err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) < 2 || len(groups) > 4 {
-		t.Fatalf("%d groups", len(groups))
-	}
-}
-
-func TestKMeansGroupingKAboveN(t *testing.T) {
-	groups, err := (KMeansGrouping{K: 10, Seed: 1}).Groups([]float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidatePartition(groups, 3); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestValidatePartitionRejects(t *testing.T) {
 	cases := map[string][][]int{
 		"missing user":   {{0, 1}},
@@ -207,7 +183,7 @@ func TestValidatePartitionRejects(t *testing.T) {
 }
 
 func TestGroupingNames(t *testing.T) {
-	for _, g := range []Grouping{Homogeneous{}, FullDiversity{}, PartialDiversity{NumGroups: 8}, KMeansGrouping{K: 3}} {
+	for _, g := range []Grouping{Homogeneous{}, FullDiversity{}, PartialDiversity{NumGroups: 8}} {
 		if g.Name() == "" {
 			t.Errorf("%T has empty name", g)
 		}

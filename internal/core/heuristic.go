@@ -141,7 +141,10 @@ func (FMeasureOptimal) Score(fp, fn float64) float64 {
 		return 0
 	}
 	precision := recall / (recall + fp)
-	return stats.HarmonicMean(precision, recall)
+	if precision <= 0 || recall <= 0 {
+		return 0
+	}
+	return 2 * precision * recall / (precision + recall)
 }
 
 // bound implements FrontierScorer: F1 has no exact float bound in fn

@@ -247,7 +247,10 @@ func TestFMeasureOptimal(t *testing.T) {
 			return 0
 		}
 		p := recall / (recall + fp)
-		return stats.HarmonicMean(p, recall)
+		if p <= 0 || recall <= 0 {
+			return 0
+		}
+		return 2 * p * recall / (p + recall)
 	}
 	if f1(thr) < f1(tr.Max()*10) {
 		t.Fatalf("chosen threshold %g has F1 %g below trivial threshold", thr, f1(thr))

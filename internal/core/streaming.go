@@ -255,12 +255,6 @@ func (f *GroupFold) Plan(h Heuristic, attack []float64) *StreamPlan {
 	}
 }
 
-// FoldUser presents user u's training distribution: FoldShard over a
-// one-user shard.
-func (p *StreamPlan) FoldUser(u int, dist *stats.Empirical) error {
-	return p.FoldShard(u, []*stats.Empirical{dist})
-}
-
 // FoldShard presents the training distributions of the contiguous
 // users [lo, lo+len(dists)), under GroupFold.FoldShard's contract
 // (each user exactly once, concurrent disjoint calls safe, nothing

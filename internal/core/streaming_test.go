@@ -73,7 +73,6 @@ func TestStreamPlanMatchesConfigure(t *testing.T) {
 		Homogeneous{},
 		FullDiversity{},
 		PartialDiversity{NumGroups: 4},
-		KMeansGrouping{K: 3, Seed: 9},
 	}
 	for _, seed := range []int64{53, 87} {
 		rng := rand.New(rand.NewSource(seed))
@@ -196,7 +195,7 @@ func TestStreamPlanFoldShardMatchesConfigure(t *testing.T) {
 	}
 	attack := []float64{3, 10, 45, 200}
 	for _, h := range []Heuristic{Percentile{Q: 0.99}, UtilityOptimal{W: 0.4}} {
-		for _, grp := range []Grouping{Homogeneous{}, FullDiversity{}, PartialDiversity{NumGroups: 8}, KMeansGrouping{K: 3, Seed: 9}} {
+		for _, grp := range []Grouping{Homogeneous{}, FullDiversity{}, PartialDiversity{NumGroups: 8}} {
 			policy := Policy{Heuristic: h, Grouping: grp}
 			want, err := Configure(dists, policy, attack)
 			if err != nil {
@@ -268,4 +267,10 @@ func TestStreamPlanFoldsEachUserOnce(t *testing.T) {
 			t.Fatalf("%s: double plus missing fold: asn = %v, err = %v", policy.Name(), asn, err)
 		}
 	}
+}
+
+// FoldUser presents user u's training distribution: FoldShard over a
+// one-user shard.
+func (p *StreamPlan) FoldUser(u int, dist *stats.Empirical) error {
+	return p.FoldShard(u, []*stats.Empirical{dist})
 }

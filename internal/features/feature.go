@@ -58,32 +58,6 @@ func (f Feature) String() string {
 // Valid reports whether f is one of the six defined features.
 func (f Feature) Valid() bool { return f >= 0 && int(f) < NumFeatures }
 
-// Parse resolves a feature by its paper name (as printed by String).
-func Parse(name string) (Feature, error) {
-	for i, n := range featureNames {
-		if n == name {
-			return Feature(i), nil
-		}
-	}
-	return 0, fmt.Errorf("features: unknown feature %q", name)
-}
-
-// Anomaly returns the anomaly class the feature targets (Table 1).
-func (f Feature) Anomaly() string {
-	switch f {
-	case DNS:
-		return "Botnet C&C"
-	case TCP, TCPSYN, UDP:
-		return "scans, DDoS"
-	case HTTP:
-		return "Clickfraud, DDoS"
-	case Distinct:
-		return "scans"
-	default:
-		return "unknown"
-	}
-}
-
 // Counts holds one window's values of all six features for one user.
 type Counts struct {
 	// DNS is num-DNS-connections: DNS queries issued.
@@ -109,39 +83,5 @@ func (c Counts) AsVector() [NumFeatures]float64 {
 	return [NumFeatures]float64{
 		float64(c.DNS), float64(c.TCP), float64(c.TCPSYN),
 		float64(c.HTTP), float64(c.Distinct), float64(c.UDP),
-	}
-}
-
-// Get returns the value of one feature. It panics on an invalid
-// feature.
-func (c Counts) Get(f Feature) int {
-	switch f {
-	case DNS:
-		return c.DNS
-	case TCP:
-		return c.TCP
-	case TCPSYN:
-		return c.TCPSYN
-	case HTTP:
-		return c.HTTP
-	case Distinct:
-		return c.Distinct
-	case UDP:
-		return c.UDP
-	default:
-		panic(fmt.Sprintf("features: Get(%d) on invalid feature", int(f)))
-	}
-}
-
-// Add returns the element-wise sum of c and o — the observable result
-// of overlaying additive attack traffic on benign traffic.
-func (c Counts) Add(o Counts) Counts {
-	return Counts{
-		DNS:      c.DNS + o.DNS,
-		TCP:      c.TCP + o.TCP,
-		TCPSYN:   c.TCPSYN + o.TCPSYN,
-		HTTP:     c.HTTP + o.HTTP,
-		Distinct: c.Distinct + o.Distinct,
-		UDP:      c.UDP + o.UDP,
 	}
 }

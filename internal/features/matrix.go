@@ -41,18 +41,6 @@ func FromCounts(binWidth time.Duration, startMicros int64, bins int, fn func(bin
 // Bins returns the number of windows.
 func (m *Matrix) Bins() int { return len(m.Rows) }
 
-// Column returns a copy of one feature's series.
-func (m *Matrix) Column(f Feature) []float64 {
-	if !f.Valid() {
-		panic(fmt.Sprintf("features: Column(%d) on invalid feature", int(f)))
-	}
-	out := make([]float64, len(m.Rows))
-	for b := range m.Rows {
-		out[b] = m.Rows[b][f]
-	}
-	return out
-}
-
 // ColumnSlice returns a copy of one feature's series over bins
 // [lo, hi). It panics if the range is out of bounds.
 func (m *Matrix) ColumnSlice(f Feature, lo, hi int) []float64 {
@@ -105,14 +93,6 @@ func (m *Matrix) WeekRange(w int) (lo, hi int) {
 		panic(fmt.Sprintf("features: week %d outside matrix with %d complete weeks", w, m.Weeks()))
 	}
 	return lo, hi
-}
-
-// AddRow accumulates counts into bin b (used by attack overlays).
-func (m *Matrix) AddRow(b int, c Counts) {
-	v := c.AsVector()
-	for f := range v {
-		m.Rows[b][f] += v[f]
-	}
 }
 
 // Clone returns a deep copy, so an attack overlay can be applied

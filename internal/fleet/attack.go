@@ -29,22 +29,6 @@ const (
 	AttackStorm
 )
 
-// String names the attack kind.
-func (k AttackKind) String() string {
-	switch k {
-	case AttackNone:
-		return "none"
-	case AttackNaive:
-		return "naive"
-	case AttackMimicry:
-		return "mimicry"
-	case AttackStorm:
-		return "storm"
-	default:
-		return fmt.Sprintf("attackkind(%d)", int(k))
-	}
-}
-
 // AttackPlan describes one campaign against a fleet: which threat
 // model, on which feature, against which victims, over which windows
 // of the test week. The zero value means no attack.

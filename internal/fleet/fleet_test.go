@@ -134,7 +134,7 @@ func fleetOverlays(t *testing.T, cfg Config, ws *analysis.Workspace, res *Result
 	for u := 0; u < cfg.Users; u++ {
 		var trainDist *stats.Empirical
 		if cfg.Attack.Kind == AttackMimicry {
-			trainDist = ws.Dist(u, cfg.Attack.Feature, cfg.TrainWeek)
+			trainDist = ws.Dists(cfg.Attack.Feature, cfg.TrainWeek)[u]
 		}
 		ov, err := cfg.Attack.overlayFor(u, victims, bins, storm,
 			trainDist, res.Thresholds[u][cfg.Attack.Feature])

@@ -26,15 +26,14 @@ type Tracker struct {
 	binWidth    int64 // microseconds
 	startMicros int64
 
-	cur        int // current bin index
-	curCounts  features.Counts
-	seenTCP    map[netsim.FlowKey]struct{}
-	seenUDP    map[netsim.FlowKey]struct{}
-	seenDNS    map[netsim.FlowKey]struct{}
-	seenDest   map[netsim.Addr]struct{}
-	finished   []features.Counts
-	nProcessed int64
-	lastTime   int64
+	cur       int // current bin index
+	curCounts features.Counts
+	seenTCP   map[netsim.FlowKey]struct{}
+	seenUDP   map[netsim.FlowKey]struct{}
+	seenDNS   map[netsim.FlowKey]struct{}
+	seenDest  map[netsim.Addr]struct{}
+	finished  []features.Counts
+	lastTime  int64
 }
 
 // NewTracker creates a tracker for the host with address local whose
@@ -100,7 +99,6 @@ func (t *Tracker) Observe(rec netsim.Record) error {
 		t.resetBin()
 		t.cur++
 	}
-	t.nProcessed++
 
 	if rec.Src.Addr != t.local {
 		return nil // inbound or foreign traffic: not per-source activity
@@ -143,9 +141,6 @@ func (t *Tracker) markDest(a netsim.Addr) {
 		t.curCounts.Distinct++
 	}
 }
-
-// Processed returns the number of records observed.
-func (t *Tracker) Processed() int64 { return t.nProcessed }
 
 // Finish closes the capture at totalBins windows and returns the
 // matrix (padding trailing idle bins with zeros). The tracker must

@@ -175,20 +175,3 @@ func (tr *TraceReader) Next(rec *Record) error {
 	DecodeRecord(tr.buf[:], rec)
 	return nil
 }
-
-// ReadAll drains the remaining records. Convenient for tests and
-// small traces; large traces should stream with Next.
-func (tr *TraceReader) ReadAll() ([]Record, error) {
-	var out []Record
-	for {
-		var rec Record
-		err := tr.Next(&rec)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-}

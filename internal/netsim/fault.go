@@ -274,9 +274,6 @@ func NewFaultNetwork(mem *MemNetwork, plan FaultPlan, ticker Ticker) (*FaultNetw
 	}, nil
 }
 
-// Plan returns the network's fault plan.
-func (n *FaultNetwork) Plan() FaultPlan { return n.plan }
-
 // Listen binds name on the underlying network, unfaulted.
 func (n *FaultNetwork) Listen(name string) (*MemListener, error) {
 	return n.mem.Listen(name)

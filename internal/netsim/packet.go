@@ -100,11 +100,6 @@ func AddrFromUint32(v uint32) Addr {
 	return Addr{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
 }
 
-// Uint32 returns the address as a big-endian uint32.
-func (a Addr) Uint32() uint32 {
-	return uint32(a[0])<<24 | uint32(a[1])<<16 | uint32(a[2])<<8 | uint32(a[3])
-}
-
 // Endpoint is one side of a conversation: address plus transport
 // port. It is a comparable value type usable as a map key.
 type Endpoint struct {
@@ -116,21 +111,10 @@ type Endpoint struct {
 func (e Endpoint) String() string { return fmt.Sprintf("%s:%d", e.Addr, e.Port) }
 
 // FlowKey identifies a unidirectional five-tuple flow. It is
-// comparable and usable as a map key; Reverse gives the opposite
-// direction (gopacket's Flow.Reverse analogue).
+// comparable and usable as a map key.
 type FlowKey struct {
 	Proto    Proto
 	Src, Dst Endpoint
-}
-
-// Reverse returns the key of the opposite direction.
-func (k FlowKey) Reverse() FlowKey {
-	return FlowKey{Proto: k.Proto, Src: k.Dst, Dst: k.Src}
-}
-
-// String renders "tcp 1.2.3.4:555->5.6.7.8:80".
-func (k FlowKey) String() string {
-	return fmt.Sprintf("%s %s->%s", k.Proto, k.Src, k.Dst)
 }
 
 // Well-known destination ports used for feature classification,
@@ -172,10 +156,6 @@ func (r Record) Key() FlowKey {
 // IsDNS reports whether the packet is addressed to the DNS port (UDP
 // or TCP port 53), the definition behind num-DNS-connections.
 func (r Record) IsDNS() bool { return r.Dst.Port == PortDNS }
-
-// IsHTTP reports whether the packet is TCP to port 80, the definition
-// behind num-HTTP-connections.
-func (r Record) IsHTTP() bool { return r.Proto == ProtoTCP && r.Dst.Port == PortHTTP }
 
 // String renders a one-line tcpdump-ish summary.
 func (r Record) String() string {

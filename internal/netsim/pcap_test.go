@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"testing"
 )
@@ -201,4 +203,95 @@ func BenchmarkPcapWrite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = pw.Write(r)
 	}
+}
+
+// PcapPacket is one decoded packet from a pcap file.
+type PcapPacket struct {
+	TimeMicros int64
+	OrigLen    int
+	Data       []byte // raw IP packet, possibly truncated at snap length
+}
+
+// PcapReader reads classic little-endian pcap files written by
+// PcapWriter (LINKTYPE_RAW, microsecond timestamps): the oracle the
+// round-trip tests read the writer's output back with.
+type PcapReader struct {
+	r       *bufio.Reader
+	snapLen uint32
+}
+
+// NewPcapReader validates the global header.
+func NewPcapReader(r io.Reader) (*PcapReader, error) {
+	br := bufio.NewReaderSize(r, 64<<10)
+	var hdr [24]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return nil, fmt.Errorf("netsim: reading pcap header: %w", err)
+	}
+	le := binary.LittleEndian
+	if le.Uint32(hdr[0:4]) != pcapMagic {
+		return nil, fmt.Errorf("netsim: not a little-endian microsecond pcap")
+	}
+	if lt := le.Uint32(hdr[20:24]); lt != pcapLinkTypeRaw {
+		return nil, fmt.Errorf("netsim: unsupported pcap link type %d", lt)
+	}
+	return &PcapReader{r: br, snapLen: le.Uint32(hdr[16:20])}, nil
+}
+
+// Next reads the next packet; io.EOF signals a clean end.
+func (pr *PcapReader) Next() (PcapPacket, error) {
+	var rec [16]byte
+	if _, err := io.ReadFull(pr.r, rec[:]); err != nil {
+		if err == io.EOF {
+			return PcapPacket{}, io.EOF
+		}
+		return PcapPacket{}, fmt.Errorf("netsim: reading pcap record header: %w", err)
+	}
+	le := binary.LittleEndian
+	inclLen := le.Uint32(rec[8:12])
+	if inclLen > pr.snapLen {
+		return PcapPacket{}, fmt.Errorf("netsim: pcap record of %d bytes exceeds snap length %d", inclLen, pr.snapLen)
+	}
+	data := make([]byte, inclLen)
+	if _, err := io.ReadFull(pr.r, data); err != nil {
+		return PcapPacket{}, fmt.Errorf("netsim: reading pcap packet: %w", err)
+	}
+	return PcapPacket{
+		TimeMicros: int64(le.Uint32(rec[0:4]))*1_000_000 + int64(le.Uint32(rec[4:8])),
+		OrigLen:    int(le.Uint32(rec[12:16])),
+		Data:       data,
+	}, nil
+}
+
+// DecodeIPv4 parses the record-relevant fields back out of a raw IP
+// packet produced by PcapWriter.
+func DecodeIPv4(data []byte) (Record, error) {
+	if len(data) < 20 || data[0]>>4 != 4 {
+		return Record{}, fmt.Errorf("netsim: not an IPv4 packet")
+	}
+	ihl := int(data[0]&0x0f) * 4
+	if ihl < 20 || len(data) < ihl {
+		return Record{}, fmt.Errorf("netsim: bad IPv4 header length %d", ihl)
+	}
+	var r Record
+	r.Length = binary.BigEndian.Uint16(data[2:4])
+	r.Proto = Proto(data[9])
+	copy(r.Src.Addr[:], data[12:16])
+	copy(r.Dst.Addr[:], data[16:20])
+	rest := data[ihl:]
+	switch r.Proto {
+	case ProtoTCP:
+		if len(rest) < 20 {
+			return Record{}, fmt.Errorf("netsim: truncated TCP header")
+		}
+		r.Src.Port = binary.BigEndian.Uint16(rest[0:2])
+		r.Dst.Port = binary.BigEndian.Uint16(rest[2:4])
+		r.Flags = TCPFlags(rest[13])
+	case ProtoUDP:
+		if len(rest) < 8 {
+			return Record{}, fmt.Errorf("netsim: truncated UDP header")
+		}
+		r.Src.Port = binary.BigEndian.Uint16(rest[0:2])
+		r.Dst.Port = binary.BigEndian.Uint16(rest[2:4])
+	}
+	return r, nil
 }

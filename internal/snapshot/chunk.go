@@ -14,7 +14,7 @@ package snapshot
 // host, because part builds are deterministic and every seal of a
 // range is byte-identical — by re-fetching from Offset(), so a reset
 // mid-transfer costs only the missing tail, never the whole part.
-// Restreamed() accounts the bytes that arrived more than once.
+// The receiver counts the bytes that arrived more than once.
 
 import (
 	"fmt"
@@ -171,10 +171,6 @@ func (r *PartReceiver) Expect(size int64, crc uint32) error {
 // Offset returns where the next fetch should start: the end of the
 // verified contiguous prefix.
 func (r *PartReceiver) Offset() int64 { return r.received }
-
-// Restreamed returns how many chunk bytes re-covered ground that had
-// already been received — the cost of resets, measured in bytes.
-func (r *PartReceiver) Restreamed() int64 { return r.restreamed }
 
 // WriteChunk verifies one chunk against its CRC and folds it into the
 // file. Chunks must extend the contiguous prefix: off may sit at or

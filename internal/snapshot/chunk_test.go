@@ -57,8 +57,8 @@ func TestChunkTransferRoundTrip(t *testing.T) {
 	if err := rcv.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if rcv.Restreamed() != 0 {
-		t.Fatalf("clean transfer restreamed %d bytes", rcv.Restreamed())
+	if rcv.restreamed != 0 {
+		t.Fatalf("clean transfer restreamed %d bytes", rcv.restreamed)
 	}
 	got, err := os.ReadFile(key.PartPath(dst, 0, key.Users))
 	if err != nil {
@@ -198,8 +198,8 @@ func TestChunkReceiverRejects(t *testing.T) {
 	if err := rcv.WriteChunk(0, data, crc); err != nil {
 		t.Fatal(err)
 	}
-	if rcv.Restreamed() != int64(len(data)) {
-		t.Fatalf("restreamed = %d, want %d", rcv.Restreamed(), len(data))
+	if rcv.restreamed != int64(len(data)) {
+		t.Fatalf("restreamed = %d, want %d", rcv.restreamed, len(data))
 	}
 	// A different end state discards the partial transfer.
 	if err := rcv.Expect(srv.Size(), srv.CRC()^1); err != nil {

@@ -207,48 +207,13 @@ func readManifest(path string, key Key) (shardCRCs, recCRCs []uint32, err error)
 // valid indefinitely, with the same view accessors as Snapshot minus
 // the mapping (nothing to Close).
 type UserRecord struct {
-	key Key
 	lay Layout
-	u   int
 	rec []float64
 }
-
-// Key returns the key the record was opened (and validated) under.
-func (r *UserRecord) Key() Key { return r.key }
-
-// Layout returns the payload geometry of the record's store.
-func (r *UserRecord) Layout() Layout { return r.lay }
-
-// User returns the record's user index.
-func (r *UserRecord) User() int { return r.u }
-
-// Record returns the whole record (rows ∥ sorted columns ∥ day views).
-func (r *UserRecord) Record() []float64 { return r.rec }
 
 // Rows returns the matrix rows (bin-major, canonical feature order).
 func (r *UserRecord) Rows() [][features.NumFeatures]float64 {
 	return rowsView(r.rec, r.lay)
-}
-
-// SortedColumn returns the sorted (week, feature) column.
-func (r *UserRecord) SortedColumn(week, f int) []float64 {
-	r.lay.checkWeekFeature(week, f)
-	off := r.lay.SortedOff(week, f)
-	return r.rec[off : off+r.lay.BinsPerWeek : off+r.lay.BinsPerWeek]
-}
-
-// DayColumns returns the (week, feature) day view: 7 per-day sorted
-// slices sharing one contiguous run of the record.
-func (r *UserRecord) DayColumns(week, f int) [][]float64 {
-	r.lay.checkWeekFeature(week, f)
-	off := r.lay.DayOff(week, f)
-	bpd := r.lay.BinsPerDay
-	days := make([][]float64, 7)
-	for d := 0; d < 7; d++ {
-		lo := off + d*bpd
-		days[d] = r.rec[lo : lo+bpd : lo+bpd]
-	}
-	return days
 }
 
 // OpenUser reads one user's record in O(record work, one-shard I/O):
@@ -336,5 +301,5 @@ func OpenUser(dir string, key Key, u int) (*UserRecord, error) {
 			return nil, fmt.Errorf("snapshot: user %d record checksum %08x != manifest %08x (corrupt)", u, got, recCRCs[u])
 		}
 	}
-	return &UserRecord{key: key, lay: lay, u: u, rec: rec}, nil
+	return &UserRecord{lay: lay, rec: rec}, nil
 }

@@ -185,9 +185,6 @@ func CreateShard(dir string, key Key, lo, hi int) (*ShardWriter, error) {
 	return w, nil
 }
 
-// Layout returns the writer's payload geometry (of the full key).
-func (w *ShardWriter) Layout() Layout { return w.lay }
-
 // AppendUsers appends whole user records (len must be a multiple of
 // Layout().RecordFloats()) in user order within the part's range.
 func (w *ShardWriter) AppendUsers(recs []float64) error {

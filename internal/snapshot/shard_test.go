@@ -103,7 +103,7 @@ func TestMergedShardsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenUser(%d) on merged store: %v", u, err)
 		}
-		if rec.Record()[3] != payload[u*rf+3] {
+		if rec.rec[3] != payload[u*rf+3] {
 			t.Fatalf("merged record %d diverges from payload", u)
 		}
 	}
@@ -127,7 +127,7 @@ func TestShardFinishRequiresFullRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf := w.Layout().RecordFloats()
+	rf := key.Layout().RecordFloats()
 	if err := w.AppendUsers(make([]float64, rf)); err != nil {
 		t.Fatal(err)
 	}

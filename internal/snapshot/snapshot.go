@@ -204,9 +204,6 @@ func (l Layout) RecordFloats() int {
 // PayloadFloats returns the float64 count of the whole payload.
 func (l Layout) PayloadFloats() int { return l.Users * l.RecordFloats() }
 
-// RowsOff returns the record-relative float offset of the matrix rows.
-func (l Layout) RowsOff() int { return 0 }
-
 // SortedOff returns the record-relative float offset of one sorted
 // (week, feature) column (BinsPerWeek floats).
 func (l Layout) SortedOff(week, f int) int {
@@ -457,9 +454,6 @@ func payloadCRC(f *os.File, off, n int64) (uint32, error) {
 	}
 	return crc, nil
 }
-
-// Key returns the key the snapshot was opened (and validated) under.
-func (s *Snapshot) Key() Key { return s.key }
 
 // Layout returns the payload geometry.
 func (s *Snapshot) Layout() Layout { return s.lay }

@@ -56,9 +56,6 @@ func BoxplotOf(e *Empirical) Boxplot {
 	return b
 }
 
-// IQR returns the interquartile range.
-func (b Boxplot) IQR() float64 { return b.Q3 - b.Q1 }
-
 // String renders the summary on one line, suitable for the textual
 // "figures" produced by cmd/experiments.
 func (b Boxplot) String() string {

@@ -21,7 +21,7 @@ import (
 // from one without ever building that copy.
 //
 // The zero value is an empty accumulator. Folding is commutative and
-// associative: any interleaving of AddSorted/AddEmpiricals/Merge calls
+// associative: any interleaving of AddEmpiricals/Merge calls
 // over the same multiset of samples yields the same accumulator state,
 // which is what makes the parallel shard fold deterministic regardless
 // of worker scheduling.
@@ -60,30 +60,8 @@ func (c *Compressed) N() int64 {
 	return c.cum[len(c.cum)-1]
 }
 
-// NumDistinct returns the number of distinct sample values — the
-// accumulator's memory footprint driver.
-func (c *Compressed) NumDistinct() int { return len(c.uniq) }
-
-// AddSorted folds an already-sorted, NaN-free sample column into the
-// accumulator. The input is validated under the same contract as
-// Empirical.AdoptSorted and is not retained. An empty column is a
-// no-op.
-func (c *Compressed) AddSorted(col []float64) error {
-	if err := checkSorted(col); err != nil {
-		return err
-	}
-	c.fold(1, func(int) []float64 { return col })
-	return nil
-}
-
-// AddEmpirical folds an Empirical's samples without the defensive
-// copy Samples() would force. A nil or empty distribution is a no-op.
-func (c *Compressed) AddEmpirical(e *Empirical) {
-	c.AddEmpiricals([]*Empirical{e})
-}
-
 // AddEmpiricals folds every member of es into the accumulator: the
-// same state as AddEmpirical over each member in turn, for a fraction
+// same state as folding each member in turn, for a fraction
 // of the work. Members are run-length compressed into leaf run lists,
 // the accumulator's own runs join as the last leaf, and neighbouring
 // leaves are merged pairwise, level by level, ping-ponging between the

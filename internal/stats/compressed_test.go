@@ -220,8 +220,8 @@ func TestCompressedValidation(t *testing.T) {
 	var d Compressed
 	d.Merge(&c)
 	d.Merge(nil)
-	if d.N() != 1 || d.NumDistinct() != 1 {
-		t.Fatalf("merge into empty: N=%d distinct=%d", d.N(), d.NumDistinct())
+	if d.N() != 1 || len(d.uniq) != 1 {
+		t.Fatalf("merge into empty: N=%d distinct=%d", d.N(), len(d.uniq))
 	}
 }
 
@@ -326,4 +326,22 @@ func TestCompressedAddEmpiricalsMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// AddSorted folds an already-sorted, NaN-free sample column into the
+// accumulator, validated under the same contract as
+// Empirical.AdoptSorted. An empty column is a no-op. The tests build
+// accumulators from raw columns with it.
+func (c *Compressed) AddSorted(col []float64) error {
+	if err := checkSorted(col); err != nil {
+		return err
+	}
+	c.fold(1, func(int) []float64 { return col })
+	return nil
+}
+
+// AddEmpirical folds one Empirical (nil or empty is a no-op): the
+// one-at-a-time reference that AddEmpiricals' batch fold must match.
+func (c *Compressed) AddEmpirical(e *Empirical) {
+	c.AddEmpiricals([]*Empirical{e})
 }

@@ -1,7 +1,7 @@
 // Package stats implements the statistical machinery the reproduction
-// needs: empirical distributions with quantile/tail queries, streaming
-// moments, histograms, boxplot summaries, precision/recall/F-measure,
-// correlation and k-means clustering.
+// needs: empirical distributions with quantile/tail queries, run-length
+// accumulators, the threshold frontier, boxplot summaries, detection
+// rates, utility and correlation.
 //
 // The paper's entire methodology is built on empirical per-user feature
 // distributions P(g_i^j): thresholds are percentiles of those
@@ -108,8 +108,8 @@ func UnsortedAt(s []float64) int {
 	return -1
 }
 
-// checkSorted is the sorted, NaN-free contract of AdoptSorted and
-// Compressed.AddSorted, diagnosed at UnsortedAt's index.
+// checkSorted is AdoptSorted's sorted, NaN-free contract, diagnosed at
+// UnsortedAt's index.
 func checkSorted(s []float64) error {
 	i := UnsortedAt(s)
 	switch {
@@ -221,35 +221,16 @@ func (e *Empirical) MustQuantile(q float64) float64 {
 	return v
 }
 
-// Percentile is shorthand for Quantile(p/100).
-func (e *Empirical) Percentile(p float64) (float64, error) {
-	return e.Quantile(p / 100)
-}
-
 // CDF returns the empirical P(X <= x): the fraction of samples that
 // are <= x. Returns 0 for an empty distribution.
 func (e *Empirical) CDF(x float64) float64 {
-	return CDFSorted(e.sorted, x)
-}
-
-// CDFSorted computes the empirical P(X <= x) directly on an
-// already-sorted slice — the zero-alloc counterpart of Empirical.CDF.
-// Returns 0 for an empty slice.
-func CDFSorted(sorted []float64, x float64) float64 {
-	n := len(sorted)
+	n := len(e.sorted)
 	if n == 0 {
 		return 0
 	}
 	// index of first sample > x
-	idx := sort.Search(n, func(i int) bool { return sorted[i] > x })
+	idx := sort.Search(n, func(i int) bool { return e.sorted[i] > x })
 	return float64(idx) / float64(n)
-}
-
-// TailProbSorted computes the empirical P(X > x) on an
-// already-sorted slice: the false-positive rate of a threshold
-// detector with threshold x, without building an Empirical.
-func TailProbSorted(sorted []float64, x float64) float64 {
-	return 1 - CDFSorted(sorted, x)
 }
 
 // TailProb returns the empirical P(X > x), the probability mass
@@ -285,30 +266,7 @@ func (e *Empirical) InverseCDF(p float64) (float64, error) {
 	return e.sorted[k], nil
 }
 
-// Samples returns a defensive copy of the sorted sample slice. The
-// internal slice is never exposed: Empirical values are shared across
-// goroutines by the analysis workspace, and a caller mutating the
-// returned slice must not be able to corrupt them. Allocation-averse
-// callers should iterate with N/At or use the *Sorted fast-path
-// functions instead.
-func (e *Empirical) Samples() []float64 {
-	cp := make([]float64, len(e.sorted))
-	copy(cp, e.sorted)
-	return cp
-}
-
 // At returns the i-th order statistic (the i-th smallest sample),
 // allocation-free. It panics if i is out of range, like a slice
 // index.
 func (e *Empirical) At(i int) float64 { return e.sorted[i] }
-
-// Shifted returns the distribution of X + delta — the attacked
-// traffic g + b for a constant additive attack b (paper §3: malicious
-// traffic is additive in the tracked feature).
-func (e *Empirical) Shifted(delta float64) *Empirical {
-	out := make([]float64, len(e.sorted))
-	for i, v := range e.sorted {
-		out[i] = v + delta
-	}
-	return &Empirical{sorted: out}
-}

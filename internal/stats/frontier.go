@@ -69,7 +69,7 @@ type Frontier struct {
 	// uniq holds the distinct sample values ascending and pcdf[i] is
 	// the empirical CDF after consuming the first i of them —
 	// pcdf[0] = 0 and pcdf[i] = float64(|{g <= uniq[i-1]}|)/n, the
-	// exact division CDFSorted performs, precomputed once. Feature
+	// exact division Empirical.CDF performs, precomputed once. Feature
 	// columns are window counts with heavy value repetition, so
 	// |uniq| is typically far below the raw sample count and every
 	// sweep runs over the compressed column with zero divisions.
@@ -231,7 +231,7 @@ func (f *Frontier) sweep(visit func(t, fp, fn float64) bool) {
 			t = shifted[j]
 		}
 		// Consume t from both streams; afterwards pcdf[i] is exactly
-		// the |{g <= t}|/n value CDFSorted's binary search would
+		// the |{g <= t}|/n value Empirical.CDF's binary search would
 		// return.
 		if i < nU && uniq[i] == t {
 			i++
@@ -316,16 +316,5 @@ func (f *Frontier) Release() {
 // binary search over an already-sorted slice.
 func CountAboveSorted(sorted []float64, x float64) int {
 	idx := sort.Search(len(sorted), func(i int) bool { return sorted[i] > x })
-	return len(sorted) - idx
-}
-
-// CountShiftedAbove returns |{v in sorted : v+shift > x}|: the number
-// of windows that alarm once a constant additive attack of size shift
-// is overlaid. Float addition is monotone non-decreasing in v, so the
-// alarm predicate is monotone over the sorted slice and the binary
-// search returns exactly the count a window-by-window walk computing
-// v+shift > x would — including at rounding boundaries.
-func CountShiftedAbove(sorted []float64, shift, x float64) int {
-	idx := sort.Search(len(sorted), func(i int) bool { return sorted[i]+shift > x })
 	return len(sorted) - idx
 }

@@ -7,23 +7,6 @@ type Confusion struct {
 	TP, FP, TN, FN int
 }
 
-// Add merges another confusion matrix into c.
-func (c *Confusion) Add(o Confusion) {
-	c.TP += o.TP
-	c.FP += o.FP
-	c.TN += o.TN
-	c.FN += o.FN
-}
-
-// Precision returns TP / (TP + FP), or 0 when no alarms were raised.
-func (c Confusion) Precision() float64 {
-	d := c.TP + c.FP
-	if d == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(d)
-}
-
 // Recall returns TP / (TP + FN) — the detection rate — or 0 when
 // there were no attack windows.
 func (c Confusion) Recall() float64 {
@@ -55,27 +38,6 @@ func (c Confusion) FalseNegativeRate() float64 {
 	return float64(c.FN) / float64(d)
 }
 
-// F1 returns the F-measure: the harmonic mean of precision and
-// recall, the threshold-selection objective the paper lists alongside
-// percentiles (§4).
-func (c Confusion) F1() float64 {
-	return HarmonicMean(c.Precision(), c.Recall())
-}
-
-// FBeta returns the F_beta measure, weighting recall beta times as
-// much as precision. Beta must be positive; beta == 1 gives F1.
-func (c Confusion) FBeta(beta float64) float64 {
-	p, r := c.Precision(), c.Recall()
-	if p <= 0 || r <= 0 || beta <= 0 {
-		return 0
-	}
-	b2 := beta * beta
-	return (1 + b2) * p * r / (b2*p + r)
-}
-
-// Total returns the number of classified windows.
-func (c Confusion) Total() int { return c.TP + c.FP + c.TN + c.FN }
-
 // Utility computes the paper's per-host utility
 //
 //	U_i = 1 − [w·FN_i + (1−w)·FP_i]
@@ -84,10 +46,4 @@ func (c Confusion) Total() int { return c.TP + c.FP + c.TN + c.FN }
 // [0, 1]. Higher is better; 1 is a perfect detector.
 func Utility(fn, fp, w float64) float64 {
 	return 1 - (w*fn + (1-w)*fp)
-}
-
-// UtilityOf computes the paper's utility directly from a confusion
-// matrix.
-func UtilityOf(c Confusion, w float64) float64 {
-	return Utility(c.FalseNegativeRate(), c.FalsePositiveRate(), w)
 }

@@ -2,82 +2,6 @@ package stats
 
 import "math"
 
-// Welford accumulates streaming mean and variance using Welford's
-// numerically stable online algorithm. The zero value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(x float64) {
-	if w.n == 0 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	w.n++
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
-}
-
-// N returns the number of observations added.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 if empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the sample variance (denominator n-1), or 0 when
-// fewer than two observations exist.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Min returns the smallest observation (0 if empty).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation (0 if empty).
-func (w *Welford) Max() float64 { return w.max }
-
-// Merge combines another accumulator into w using the parallel
-// variance formula (Chan et al.), so per-shard accumulators can be
-// reduced without losing precision.
-func (w *Welford) Merge(o *Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += delta * float64(o.n) / float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	w.n = n
-}
-
 // Mean returns the arithmetic mean of vals, or 0 for empty input.
 func Mean(vals []float64) float64 {
 	if len(vals) == 0 {
@@ -88,30 +12,6 @@ func Mean(vals []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(vals))
-}
-
-// StdDev returns the sample standard deviation (n-1) of vals, or 0
-// when fewer than two values exist.
-func StdDev(vals []float64) float64 {
-	if len(vals) < 2 {
-		return 0
-	}
-	mean := Mean(vals)
-	var ss float64
-	for _, v := range vals {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(vals)-1))
-}
-
-// HarmonicMean returns the harmonic mean of a and b (the combination
-// underlying the F-measure). It returns 0 when either input is 0.
-func HarmonicMean(a, b float64) float64 {
-	if a <= 0 || b <= 0 {
-		return 0
-	}
-	return 2 * a * b / (a + b)
 }
 
 // Pearson returns the Pearson correlation coefficient between x and y.

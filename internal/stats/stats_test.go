@@ -8,74 +8,6 @@ import (
 	"repro/internal/xrand"
 )
 
-func TestWelfordMatchesBatch(t *testing.T) {
-	r := xrand.New(1)
-	vals := make([]float64, 1000)
-	var w Welford
-	for i := range vals {
-		vals[i] = r.LogNormal(2, 1)
-		w.Add(vals[i])
-	}
-	if math.Abs(w.Mean()-Mean(vals)) > 1e-9 {
-		t.Fatalf("Welford mean %g != batch mean %g", w.Mean(), Mean(vals))
-	}
-	if math.Abs(w.StdDev()-StdDev(vals)) > 1e-9 {
-		t.Fatalf("Welford stddev %g != batch stddev %g", w.StdDev(), StdDev(vals))
-	}
-	e := MustEmpirical(vals)
-	if w.Min() != e.Min() || w.Max() != e.Max() {
-		t.Fatal("Welford min/max mismatch")
-	}
-}
-
-func TestWelfordMerge(t *testing.T) {
-	r := xrand.New(2)
-	var all, a, b Welford
-	for i := 0; i < 500; i++ {
-		v := r.Normal(5, 2)
-		all.Add(v)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-9 || math.Abs(a.Variance()-all.Variance()) > 1e-9 {
-		t.Fatalf("merged moments (%g, %g) != full (%g, %g)",
-			a.Mean(), a.Variance(), all.Mean(), all.Variance())
-	}
-}
-
-func TestWelfordMergeEmpty(t *testing.T) {
-	var a, b Welford
-	a.Add(3)
-	a.Merge(&b) // no-op
-	if a.N() != 1 || a.Mean() != 3 {
-		t.Fatal("merge with empty changed accumulator")
-	}
-	b.Merge(&a)
-	if b.N() != 1 || b.Mean() != 3 {
-		t.Fatal("merge into empty failed")
-	}
-}
-
-func TestHarmonicMean(t *testing.T) {
-	if got := HarmonicMean(1, 1); got != 1 {
-		t.Fatalf("HarmonicMean(1,1) = %g", got)
-	}
-	if got := HarmonicMean(0, 5); got != 0 {
-		t.Fatalf("HarmonicMean(0,5) = %g", got)
-	}
-	want := 2 * 0.5 * 0.25 / 0.75
-	if got := HarmonicMean(0.5, 0.25); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("HarmonicMean(0.5,0.25) = %g, want %g", got, want)
-	}
-}
-
 func TestPearsonKnown(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	y := []float64{2, 4, 6, 8, 10}
@@ -118,9 +50,6 @@ func TestRanksWithTies(t *testing.T) {
 
 func TestConfusionMetrics(t *testing.T) {
 	c := Confusion{TP: 8, FP: 2, TN: 88, FN: 2}
-	if got := c.Precision(); got != 0.8 {
-		t.Errorf("Precision = %g", got)
-	}
 	if got := c.Recall(); got != 0.8 {
 		t.Errorf("Recall = %g", got)
 	}
@@ -130,41 +59,12 @@ func TestConfusionMetrics(t *testing.T) {
 	if got := c.FalseNegativeRate(); got != 0.2 {
 		t.Errorf("FNR = %g", got)
 	}
-	if got := c.F1(); math.Abs(got-0.8) > 1e-12 {
-		t.Errorf("F1 = %g", got)
-	}
-	if got := c.Total(); got != 100 {
-		t.Errorf("Total = %d", got)
-	}
 }
 
 func TestConfusionZeroDenominators(t *testing.T) {
 	var c Confusion
-	if c.Precision() != 0 || c.Recall() != 0 || c.FalsePositiveRate() != 0 ||
-		c.FalseNegativeRate() != 0 || c.F1() != 0 {
+	if c.Recall() != 0 || c.FalsePositiveRate() != 0 || c.FalseNegativeRate() != 0 {
 		t.Fatal("zero confusion matrix produced nonzero rates")
-	}
-}
-
-func TestConfusionAdd(t *testing.T) {
-	a := Confusion{TP: 1, FP: 2, TN: 3, FN: 4}
-	a.Add(Confusion{TP: 10, FP: 20, TN: 30, FN: 40})
-	if a != (Confusion{TP: 11, FP: 22, TN: 33, FN: 44}) {
-		t.Fatalf("Add = %+v", a)
-	}
-}
-
-func TestFBeta(t *testing.T) {
-	c := Confusion{TP: 8, FP: 2, TN: 88, FN: 2}
-	if got := c.FBeta(1); math.Abs(got-c.F1()) > 1e-12 {
-		t.Fatalf("FBeta(1) = %g != F1 = %g", got, c.F1())
-	}
-	// Recall-heavy beta should stay equal here since P == R.
-	if got := c.FBeta(2); math.Abs(got-0.8) > 1e-12 {
-		t.Fatalf("FBeta(2) = %g, want 0.8", got)
-	}
-	if got := c.FBeta(0); got != 0 {
-		t.Fatalf("FBeta(0) = %g, want 0", got)
 	}
 }
 
@@ -192,14 +92,6 @@ func TestUtilityBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestUtilityOf(t *testing.T) {
-	c := Confusion{TP: 5, FN: 5, FP: 10, TN: 90}
-	want := Utility(0.5, 0.1, 0.3)
-	if got := UtilityOf(c, 0.3); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("UtilityOf = %g, want %g", got, want)
 	}
 }
 
@@ -254,140 +146,5 @@ func TestBoxplotString(t *testing.T) {
 	b, _ := NewBoxplot([]float64{1, 2, 3})
 	if s := b.String(); s == "" {
 		t.Fatal("empty String()")
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h, err := NewHistogram(0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{-5, 0, 0.5, 5, 9.99, 10, 1000} {
-		h.Observe(v)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if h.Counts[0] != 3 { // -5 (clamped), 0, 0.5
-		t.Fatalf("bin 0 = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[9] != 3 { // 9.99, 10 and 1000 clamped to last
-		t.Fatalf("bin 9 = %d, want 3", h.Counts[9])
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(5, 5, 10); err == nil {
-		t.Fatal("lo==hi accepted")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Fatal("0 bins accepted")
-	}
-}
-
-func TestHistogramQuantileApproximatesEmpirical(t *testing.T) {
-	r := xrand.New(9)
-	h, _ := NewHistogram(0, 1000, 2000)
-	vals := make([]float64, 20000)
-	for i := range vals {
-		vals[i] = r.Exponential(100)
-		h.Observe(vals[i])
-	}
-	e := MustEmpirical(vals)
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		hq, err := h.Quantile(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eq := e.MustQuantile(q)
-		if math.Abs(hq-eq) > 2 { // within a few bin widths
-			t.Errorf("hist quantile %g = %g, empirical = %g", q, hq, eq)
-		}
-	}
-}
-
-func TestHistogramCDFMonotone(t *testing.T) {
-	r := xrand.New(10)
-	h, _ := NewHistogram(0, 100, 50)
-	for i := 0; i < 1000; i++ {
-		h.Observe(r.Float64() * 100)
-	}
-	prev := -1.0
-	for x := 0.0; x <= 110; x += 2 {
-		c := h.CDF(x)
-		if c < prev {
-			t.Fatalf("CDF not monotone at %g", x)
-		}
-		prev = c
-	}
-	if h.CDF(100) != 1 {
-		t.Fatalf("CDF(hi) = %g, want 1", h.CDF(100))
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, _ := NewHistogram(0, 10, 5)
-	b, _ := NewHistogram(0, 10, 5)
-	a.Observe(1)
-	b.Observe(9)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Total() != 2 || a.Counts[4] != 1 {
-		t.Fatalf("merge result: %+v", a)
-	}
-	c, _ := NewHistogram(0, 20, 5)
-	if err := a.Merge(c); err == nil {
-		t.Fatal("geometry mismatch accepted")
-	}
-}
-
-func TestHistogramEmptyQuantile(t *testing.T) {
-	h, _ := NewHistogram(0, 1, 4)
-	if _, err := h.Quantile(0.5); err != ErrNoSamples {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestLogHistogramSpread(t *testing.T) {
-	h, err := NewLogHistogram(10, 0, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Samples spanning 1..10^4: spread should be 4 decades.
-	for _, v := range []float64{1, 5, 50, 500, 5000, 50000 / 5} {
-		h.Observe(v)
-	}
-	if got := h.SpreadDecades(); got != 4 {
-		t.Fatalf("SpreadDecades = %d, want 4", got)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-}
-
-func TestLogHistogramUnderflow(t *testing.T) {
-	h, _ := NewLogHistogram(10, 0, 4)
-	h.Observe(0)
-	h.Observe(0.5)
-	h.Observe(2)
-	if h.Underflow() != 2 {
-		t.Fatalf("Underflow = %d, want 2", h.Underflow())
-	}
-}
-
-func TestLogHistogramErrors(t *testing.T) {
-	if _, err := NewLogHistogram(1, 0, 4); err == nil {
-		t.Fatal("base 1 accepted")
-	}
-	if _, err := NewLogHistogram(10, 0, 0); err == nil {
-		t.Fatal("0 bins accepted")
-	}
-}
-
-func TestLogHistogramEmptySpread(t *testing.T) {
-	h, _ := NewLogHistogram(10, 0, 4)
-	if h.SpreadDecades() != 0 {
-		t.Fatal("empty histogram has nonzero spread")
 	}
 }

@@ -30,7 +30,7 @@ func (u *User) emitSeed(bin int) uint64 {
 }
 
 // EmitBin materializes the packet records realizing exactly the
-// counts BinCounts reports for (user, bin), in non-decreasing time
+// counts the sampler draws for (user, bin), in non-decreasing time
 // order, and passes each to emit. It returns the number of records
 // produced. An offline bin produces none.
 //

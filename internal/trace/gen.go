@@ -13,7 +13,7 @@ import (
 
 // Generator is the week-batched, zero-realloc sampling engine for one
 // user. It produces exactly the traffic the per-bin reference path
-// (User.BinCounts / User.sample) defines — the randomized equivalence
+// (User.sample) defines — the randomized equivalence
 // tests pin the two bit-for-bit — but amortizes everything that the
 // reference re-derives per bin:
 //
@@ -34,7 +34,7 @@ import (
 //
 // A Generator is NOT safe for concurrent use; create one per
 // goroutine (they are cheap relative to a week of sampling). The
-// zero value is not usable; construct with User.NewGenerator.
+// zero value is not usable; construct with User.AcquireGenerator.
 type Generator struct {
 	u   *User
 	src xrand.Source
@@ -65,21 +65,6 @@ type Generator struct {
 	recs []netsim.Record
 }
 
-// NewGenerator returns a batch sampling engine for the user. The
-// construction cost is dominated by the Zipf rank table (linear in
-// the user's destination-pool size), which one week of sampling
-// amortizes many times over; transient single-bin reads should use
-// User.BinCounts instead.
-func (u *User) NewGenerator() *Generator {
-	return &Generator{
-		u:         u,
-		zipf:      xrand.NewZipfRanks(u.poolSize, u.zipfS),
-		synRetryT: xrand.Threshold53(u.synRetryP),
-		week:      -1,
-		seen:      make([]uint16, u.poolSize),
-	}
-}
-
 // Construction-table pools: population sweeps build one Generator per
 // user, and the construction allocations (the Generator itself, the
 // Zipf rank/cell tables, the distinct-destination mark table) were
@@ -91,10 +76,10 @@ var (
 	seenPool pool.Slices[uint16]
 )
 
-// AcquireGenerator is NewGenerator drawing the engine and its
-// construction tables from process-wide pools: same output stream,
-// near-zero steady-state allocations. Pair with Release; an
-// unreleased engine is merely garbage, never corrupt.
+// AcquireGenerator returns a batch sampling engine for the user,
+// drawing the engine and its construction tables from process-wide
+// pools, so steady-state construction allocates next to nothing. Pair
+// with Release; an unreleased engine is merely garbage, never corrupt.
 func (u *User) AcquireGenerator() *Generator {
 	g, _ := genPool.Get().(*Generator)
 	if g == nil {
@@ -144,13 +129,6 @@ func (g *Generator) state(week int) {
 	g.dTCP, g.dUDP, g.dDNS = u.driftFrom(&g.src)
 	g.trend = math.Pow(u.cfg.WeeklyTrend, float64(week))
 	g.week = week
-}
-
-// BinCounts returns the six feature values of (user, bin), identical
-// to User.BinCounts. Bins may be visited in any order; consecutive
-// bins of one week reuse the cached week state.
-func (g *Generator) BinCounts(bin int) features.Counts {
-	return g.sampleInto(bin, false)
 }
 
 // sampleInto draws the bin's realization. With realize it also fills

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/features"
 	"repro/internal/netsim"
+	"repro/internal/xrand"
 )
 
 // refSeries is the retained per-bin reference path: one independent
@@ -191,4 +192,31 @@ func BenchmarkAcquireGenerator(b *testing.B) {
 		g.GenerateWeek(0, rows)
 		g.Release()
 	}
+}
+
+// NewGenerator returns a batch sampling engine with freshly allocated
+// scratch: the reference a recycled AcquireGenerator engine must match.
+func (u *User) NewGenerator() *Generator {
+	return &Generator{
+		u:         u,
+		zipf:      xrand.NewZipfRanksPooled(u.poolSize, u.zipfS),
+		synRetryT: xrand.Threshold53(u.synRetryP),
+		week:      -1,
+		seen:      make([]uint16, u.poolSize),
+	}
+}
+
+// BinCounts returns the six feature values of (user, bin), identical
+// to User.BinCounts. Bins may be visited in any order; consecutive
+// bins of one week reuse the cached week state.
+func (g *Generator) BinCounts(bin int) features.Counts {
+	return g.sampleInto(bin, false)
+}
+
+// BinCounts returns the six feature values for (user, bin). It is
+// deterministic: calling it any number of times, in any order, gives
+// the same values, and they agree exactly with what the packet
+// pipeline extracts from EmitBin's output.
+func (u *User) BinCounts(bin int) features.Counts {
+	return u.sample(bin).counts
 }

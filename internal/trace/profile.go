@@ -32,7 +32,7 @@
 // Every quantity is derived deterministically from (seed, user, bin),
 // so the same Config regenerates the same enterprise bit-for-bit, and
 // the packet-level materialization (EmitBin) realizes exactly the
-// counts the fast path (BinCounts) reports — the pipeline integration
+// counts the fast path (Series) reports — the pipeline integration
 // tests rely on this.
 package trace
 
@@ -278,13 +278,6 @@ var (
 	cutoffOnce    sync.Once
 	cutoffSamples []float64
 )
-
-// Rates returns the user's latent mean per-bin connection rates
-// (TCP, UDP, DNS) for a fully active bin; exposed for tests and for
-// the documentation tooling.
-func (u *User) Rates() (tcp, udp, dns float64) {
-	return u.tcpRate, u.udpRate, u.dnsRate
-}
 
 // CostWeights returns one non-negative weight per user proportional
 // to the user's expected generation cost — the sum of the latent

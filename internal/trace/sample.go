@@ -12,7 +12,7 @@ import (
 
 // binSample is the full latent realization of one (user, bin): the
 // connection counts plus the destination draw for every non-DNS
-// connection. BinCounts summarizes it; EmitBin materializes packets
+// connection. Series summarizes it; EmitBin materializes packets
 // from it. Both paths call this function with the same deterministic
 // RNG, which is what guarantees packet-path == fast-path counts.
 type binSample struct {
@@ -311,14 +311,6 @@ func countDistinct(idx []int) int {
 	*bufp = buf
 	distinctScratch.Put(bufp)
 	return n
-}
-
-// BinCounts returns the six feature values for (user, bin). It is
-// deterministic: calling it any number of times, in any order, gives
-// the same values, and they agree exactly with what the packet
-// pipeline extracts from EmitBin's output.
-func (u *User) BinCounts(bin int) features.Counts {
-	return u.sample(bin).counts
 }
 
 // Series materializes the full per-bin feature matrix for the user:

@@ -210,7 +210,7 @@ func TestHeavyUsersDominateTail(t *testing.T) {
 	var heavyMean, bodyMean float64
 	var nHeavy, nBody int
 	for _, u := range p.Users {
-		tcp, _, _ := u.Rates()
+		tcp := u.tcpRate
 		if u.Heavy {
 			heavyMean += tcp
 			nHeavy++

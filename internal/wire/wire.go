@@ -10,6 +10,7 @@ import (
 	"encoding"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
@@ -20,9 +21,15 @@ import (
 
 const headerLen = 5 // u32 length, type byte
 
+// ErrUnsendable marks a payload Write refused before writing a byte:
+// it did not marshal, or it exceeds the cap. The sender is at fault,
+// not the connection, which stays usable.
+var ErrUnsendable = errors.New("wire: payload not sendable")
+
 // Write frames payload as type typ in a single Write: appended into the
 // frame when it is an encoding.BinaryAppender, JSON otherwise. A
-// payload longer than max is refused before anything is written.
+// payload that does not marshal or is longer than max is refused with
+// ErrUnsendable before anything is written.
 func Write(w io.Writer, typ byte, payload any, max int) error {
 	var frame []byte
 	var err error
@@ -35,11 +42,11 @@ func Write(w io.Writer, typ byte, payload any, max int) error {
 		}
 	}
 	if err != nil {
-		return fmt.Errorf("wire: marshaling: %w", err)
+		return fmt.Errorf("%w: marshaling: %w", ErrUnsendable, err)
 	}
 	n := len(frame) - headerLen
 	if n > max {
-		return fmt.Errorf("wire: payload of %d bytes exceeds the %d-byte cap", n, max)
+		return fmt.Errorf("%w: payload of %d bytes exceeds the %d-byte cap", ErrUnsendable, n, max)
 	}
 	binary.LittleEndian.PutUint32(frame, uint32(n))
 	frame[4] = typ

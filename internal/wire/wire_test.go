@@ -90,6 +90,11 @@ func (p *binPayload) UnmarshalBinary(b []byte) error {
 	return nil
 }
 
+// failingWriter refuses every write, as a dead connection does.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
 // countingWriter records every Write call.
 type countingWriter struct {
 	bytes.Buffer
@@ -145,11 +150,17 @@ func TestFrame(t *testing.T) {
 // rule.
 func TestFrameCaps(t *testing.T) {
 	var w countingWriter
-	if err := Write(&w, 1, binPayload(make([]byte, 17)), 16); err == nil {
-		t.Fatal("payload over the cap was written")
+	if err := Write(&w, 1, binPayload(make([]byte, 17)), 16); !errors.Is(err, ErrUnsendable) {
+		t.Fatalf("payload over the cap: err %v, want ErrUnsendable", err)
+	}
+	if err := Write(&w, 1, math.NaN(), 16); !errors.Is(err, ErrUnsendable) {
+		t.Fatalf("payload that does not marshal: err %v, want ErrUnsendable", err)
 	}
 	if w.writes != 0 {
-		t.Fatal("an over-cap payload reached the writer")
+		t.Fatal("a refused payload reached the writer")
+	}
+	if err := Write(failingWriter{}, 1, binPayload("x"), 16); err == nil || errors.Is(err, ErrUnsendable) {
+		t.Fatalf("failed write: err %v, want a write error that is not ErrUnsendable", err)
 	}
 	if err := Write(&w, 1, binPayload(make([]byte, 16)), 16); err != nil {
 		t.Fatalf("payload at the cap: %v", err)

@@ -40,16 +40,6 @@ func (r *Source) Pareto(xm, alpha float64) float64 {
 	return xm / math.Pow(r.Float64Open(), 1/alpha)
 }
 
-// Weibull returns a Weibull variate with scale lambda and shape k.
-// k < 1 gives heavy-ish tails and strong burstiness; k = 1 reduces to
-// Exponential(lambda).
-func (r *Source) Weibull(lambda, k float64) float64 {
-	if lambda <= 0 || k <= 0 {
-		panic(fmt.Sprintf("xrand: Weibull requires lambda > 0 and k > 0, got lambda=%g k=%g", lambda, k))
-	}
-	return lambda * math.Pow(-math.Log(r.Float64Open()), 1/k)
-}
-
 // Poisson returns a Poisson variate with the given mean. For small
 // means it uses Knuth's product-of-uniforms method; for large means it
 // uses the PTRS transformed-rejection sampler of Hörmann (1993), which
@@ -228,79 +218,4 @@ func helper2(x float64) float64 {
 		return math.Expm1(x) / x
 	}
 	return 1 + x*0.5*(1+x*(1.0/3.0)*(1+x*0.25))
-}
-
-// Alias implements Walker/Vose alias-method sampling from an arbitrary
-// discrete distribution in O(1) per draw after O(n) setup.
-type Alias struct {
-	src   *Source
-	prob  []float64
-	alias []int
-}
-
-// NewAlias builds an alias table for the given non-negative weights.
-// Weights need not be normalized. It panics if weights is empty, if
-// any weight is negative or non-finite, or if all weights are zero.
-func NewAlias(src *Source, weights []float64) *Alias {
-	n := len(weights)
-	if n == 0 {
-		panic("xrand: NewAlias requires at least one weight")
-	}
-	var total float64
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			panic(fmt.Sprintf("xrand: NewAlias weight %d is invalid: %g", i, w))
-		}
-		total += w
-	}
-	if total == 0 {
-		panic("xrand: NewAlias requires at least one positive weight")
-	}
-	a := &Alias{
-		src:   src,
-		prob:  make([]float64, n),
-		alias: make([]int, n),
-	}
-	scaled := make([]float64, n)
-	small := make([]int, 0, n)
-	large := make([]int, 0, n)
-	for i, w := range weights {
-		scaled[i] = w * float64(n) / total
-		if scaled[i] < 1 {
-			small = append(small, i)
-		} else {
-			large = append(large, i)
-		}
-	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		large = large[:len(large)-1]
-		a.prob[s] = scaled[s]
-		a.alias[s] = l
-		scaled[l] = scaled[l] + scaled[s] - 1
-		if scaled[l] < 1 {
-			small = append(small, l)
-		} else {
-			large = append(large, l)
-		}
-	}
-	for _, i := range large {
-		a.prob[i] = 1
-	}
-	for _, i := range small {
-		a.prob[i] = 1 // numerical leftovers
-	}
-	return a
-}
-
-// Next returns an index distributed according to the weights passed to
-// NewAlias.
-func (a *Alias) Next() int {
-	i := a.src.Intn(len(a.prob))
-	if a.src.Float64() < a.prob[i] {
-		return i
-	}
-	return a.alias[i]
 }

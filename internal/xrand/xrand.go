@@ -1,7 +1,7 @@
 // Package xrand provides a deterministic, seedable random number
 // generator and the probability distributions used throughout the
 // reproduction: uniform, normal, exponential, Poisson, lognormal,
-// Pareto, Weibull, Zipf and categorical (alias-method) sampling.
+// Pareto, binomial and Zipf sampling.
 //
 // The enterprise trace generator must be reproducible bit-for-bit from
 // a seed so that every experiment in EXPERIMENTS.md regenerates the
@@ -188,15 +188,6 @@ func (r *Source) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using the
-// provided swap function, as in math/rand.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // NormFloat64 returns a standard normal variate (mean 0, stddev 1)

@@ -3,7 +3,6 @@ package xrand
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -166,29 +165,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleProperty(t *testing.T) {
-	f := func(seed uint64, size uint8) bool {
-		n := int(size%32) + 1
-		r := New(seed)
-		vals := make([]int, n)
-		for i := range vals {
-			vals[i] = i
-		}
-		r.Shuffle(n, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-		seen := make([]bool, n)
-		for _, v := range vals {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	r := New(23)
 	const n = 200000
@@ -291,18 +267,6 @@ func TestParetoTail(t *testing.T) {
 	}
 }
 
-func TestWeibullReducesToExponential(t *testing.T) {
-	r := New(41)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Weibull(3, 1)
-	}
-	if mean := sum / n; math.Abs(mean-3) > 0.1 {
-		t.Fatalf("Weibull(3,1) mean = %g, want ~3 (exponential)", mean)
-	}
-}
-
 func TestPoissonMoments(t *testing.T) {
 	for _, mean := range []float64{0.5, 3, 12, 40, 250, 2000} {
 		r := New(43)
@@ -372,64 +336,12 @@ func TestZipfRankOneMostFrequent(t *testing.T) {
 	}
 }
 
-func TestAliasMatchesWeights(t *testing.T) {
-	r := New(61)
-	weights := []float64{1, 2, 3, 4}
-	a := NewAlias(r, weights)
-	counts := make([]float64, len(weights))
-	const n = 200000
-	for i := 0; i < n; i++ {
-		counts[a.Next()]++
-	}
-	for i, w := range weights {
-		want := w / 10 * n
-		if math.Abs(counts[i]-want) > 5*math.Sqrt(want) {
-			t.Fatalf("alias index %d count %g, want ~%g", i, counts[i], want)
-		}
-	}
-}
-
-func TestAliasSingleWeight(t *testing.T) {
-	r := New(67)
-	a := NewAlias(r, []float64{5})
-	for i := 0; i < 100; i++ {
-		if a.Next() != 0 {
-			t.Fatal("single-weight alias returned nonzero index")
-		}
-	}
-}
-
-func TestAliasZeroWeightNeverSampled(t *testing.T) {
-	r := New(71)
-	a := NewAlias(r, []float64{0, 1, 0, 1})
-	for i := 0; i < 10000; i++ {
-		if k := a.Next(); k == 0 || k == 2 {
-			t.Fatalf("alias sampled zero-weight index %d", k)
-		}
-	}
-}
-
-func TestAliasPanics(t *testing.T) {
-	cases := [][]float64{nil, {}, {0, 0}, {-1, 2}, {math.NaN()}, {math.Inf(1)}}
-	for _, w := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewAlias(%v) did not panic", w)
-				}
-			}()
-			NewAlias(New(1), w)
-		}()
-	}
-}
-
 func TestDistPanics(t *testing.T) {
 	r := New(1)
 	for name, fn := range map[string]func(){
 		"Normal":      func() { r.Normal(0, -1) },
 		"Exponential": func() { r.Exponential(0) },
 		"Pareto":      func() { r.Pareto(0, 1) },
-		"Weibull":     func() { r.Weibull(1, 0) },
 		"Poisson":     func() { r.Poisson(-1) },
 		"Binomial":    func() { r.Binomial(-1, 0.5) },
 		"Zipf":        func() { NewZipf(r, 0, 1) },
@@ -456,14 +368,5 @@ func BenchmarkPoissonLargeMean(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Poisson(500)
-	}
-}
-
-func BenchmarkAliasNext(b *testing.B) {
-	r := New(1)
-	a := NewAlias(r, []float64{1, 5, 2, 9, 3, 7, 4})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = a.Next()
 	}
 }

@@ -105,10 +105,10 @@ func fastCells(n int) int {
 
 func checkZipfRanksArgs(n int, s float64) {
 	if n < 1 || s <= 0 {
-		panic(fmt.Sprintf("xrand: NewZipfRanks requires n >= 1 and s > 0, got n=%d s=%g", n, s))
+		panic(fmt.Sprintf("xrand: ZipfRanks requires n >= 1 and s > 0, got n=%d s=%g", n, s))
 	}
 	if n > maxZipfRanks {
-		panic(fmt.Sprintf("xrand: NewZipfRanks supports n <= %d, got %d (use NewZipf)", maxZipfRanks, n))
+		panic(fmt.Sprintf("xrand: ZipfRanks supports n <= %d, got %d (use NewZipf)", maxZipfRanks, n))
 	}
 }
 
@@ -124,20 +124,12 @@ var (
 	zipfRanksPool = sync.Pool{New: func() any { return new(ZipfRanks) }}
 )
 
-// NewZipfRanks builds the rank table for Zipf(n, s). It panics if
-// n < 1, n > 32767, or s <= 0.
-func NewZipfRanks(n int, s float64) *ZipfRanks {
-	checkZipfRanksArgs(n, s)
-	z := new(ZipfRanks)
-	z.build(n, s, make([]zipfBucket, n+1), make([]int16, fastCells(n)+1))
-	return z
-}
-
-// NewZipfRanksPooled is NewZipfRanks with the struct and both tables
-// drawn from process-wide size-bucketed pools: the table it returns
-// is identical entry for entry, but a sweep constructing one per user
-// stops allocating once the pools warm. Pair with Release; a pooled
-// table left unreleased is merely garbage, never corrupt.
+// NewZipfRanksPooled builds the rank table for Zipf(n, s), with the
+// struct and both tables drawn from process-wide size-bucketed pools:
+// the table is identical entry for entry to a freshly allocated one,
+// but a sweep constructing one per user stops allocating once the
+// pools warm. Pair with Release; a pooled table left unreleased is
+// merely garbage, never corrupt.
 func NewZipfRanksPooled(n int, s float64) *ZipfRanks {
 	checkZipfRanksArgs(n, s)
 	z := zipfRanksPool.Get().(*ZipfRanks)
@@ -239,12 +231,6 @@ func (z *ZipfRanks) build(n int, s float64, buckets []zipfBucket, fast []int16) 
 	}
 }
 
-// N returns the support size n.
-func (z *ZipfRanks) N() int { return z.in }
-
-// S returns the exponent s.
-func (z *ZipfRanks) S() float64 { return z.s }
-
 // Next returns the next Zipf variate in [1, n], drawing uniforms from
 // src. For a given Source state the returned value — and the number
 // of uniforms consumed — is identical to Zipf.Next.
@@ -269,29 +255,6 @@ func (z *ZipfRanks) Next(src *Source) int {
 			return k
 		}
 	}
-}
-
-// classify maps one uniform u to (rank, accepted): one load for
-// draws whose cell is pre-decided, the bracketed search path
-// otherwise.
-func (z *ZipfRanks) classify(u float64) (int, bool) {
-	if z.in > 1 {
-		// The last real cell is len-2: the final entry is the
-		// bottom-of-range sentinel every cell reads as its far
-		// bracket.
-		i := int((u - z.hIntegralN) * z.invDeltaG)
-		if i < 0 {
-			i = 0
-		} else if i >= len(z.fast)-1 {
-			i = len(z.fast) - 2
-		}
-		v := z.fast[i]
-		if v > 0 {
-			return int(v), true
-		}
-		return z.classifySlow(u, i)
-	}
-	return z.classifySlow(u, 0)
 }
 
 // accept decides a certain-rank draw against rank k's acceptance

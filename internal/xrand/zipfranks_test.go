@@ -255,3 +255,36 @@ func BenchmarkNewZipfRanksPooled(b *testing.B) {
 		})
 	}
 }
+
+// NewZipfRanks builds the rank table for Zipf(n, s) into freshly
+// allocated storage: the reference NewZipfRanksPooled must match entry
+// for entry. It panics if n < 1, n > 32767, or s <= 0.
+func NewZipfRanks(n int, s float64) *ZipfRanks {
+	checkZipfRanksArgs(n, s)
+	z := new(ZipfRanks)
+	z.build(n, s, make([]zipfBucket, n+1), make([]int16, fastCells(n)+1))
+	return z
+}
+
+// classify maps one uniform u to (rank, accepted): one load for
+// draws whose cell is pre-decided, the bracketed search path
+// otherwise. The boundary tests drive it with chosen uniforms.
+func (z *ZipfRanks) classify(u float64) (int, bool) {
+	if z.in > 1 {
+		// The last real cell is len-2: the final entry is the
+		// bottom-of-range sentinel every cell reads as its far
+		// bracket.
+		i := int((u - z.hIntegralN) * z.invDeltaG)
+		if i < 0 {
+			i = 0
+		} else if i >= len(z.fast)-1 {
+			i = len(z.fast) - 2
+		}
+		v := z.fast[i]
+		if v > 0 {
+			return int(v), true
+		}
+		return z.classifySlow(u, i)
+	}
+	return z.classifySlow(u, 0)
+}

@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/features"
+	"repro/internal/stats"
 )
 
 // The experiment tests share one moderate enterprise so the suite
@@ -398,4 +400,62 @@ func TestGeomSpace(t *testing.T) {
 	if one := geomSpace(1, 50, 1); len(one) != 1 || one[0] != 50 {
 		t.Fatalf("geomSpace n=1: %v", one)
 	}
+}
+
+// The Enterprise accessors below are what the tests, benchmarks and
+// examples read a population through; the commands reach the same
+// workspace memos through the experiment runners.
+
+// SaveSnapshot persists the enterprise's materialized workspace to
+// the content-addressed store under dir and returns the sealed file's
+// path. A later enterprise with the same Options (and any other
+// process on the host) then maps it back via the snapshot path
+// instead of regenerating.
+func (e *Enterprise) SaveSnapshot(dir string) (string, error) {
+	key, err := e.snapshotKey()
+	if err != nil {
+		return "", err
+	}
+	return e.workspace().Save(dir, key)
+}
+
+// TrainTest extracts every user's train-week and test-week series of
+// one feature, the input shape of the §6.1 methodology. The returned
+// slices are fresh copies the caller may modify; internal runners use
+// the workspace's shared columns directly.
+func (e *Enterprise) TrainTest(f features.Feature, trainWeek, testWeek int) (train, test [][]float64) {
+	ws := e.workspace()
+	return copyColumns(ws.Raw(f, trainWeek)), copyColumns(ws.Raw(f, testWeek))
+}
+
+func copyColumns(cols [][]float64) [][]float64 {
+	out := make([][]float64, len(cols))
+	for u := range cols {
+		out[u] = append([]float64(nil), cols[u]...)
+	}
+	return out
+}
+
+// AttackSweep builds the paper's attack-size sweep for one feature:
+// n geometrically spaced sizes from 1 up to the maximum feature value
+// any user exhibits in the training week ("the largest attack for a
+// given feature is determined by finding the user whose own traffic
+// hits the maximum seen value", §6.1). Sweeps are memoized per
+// (feature, week, n); the returned slice is a fresh copy.
+func (e *Enterprise) AttackSweep(f features.Feature, trainWeek, n int) []float64 {
+	return append([]float64(nil), e.workspace().Sweep(f, trainWeek, n)...)
+}
+
+// geomSpace returns n geometrically spaced values over [lo, hi],
+// guarding degenerate bounds (lo <= 0, hi <= lo, NaN/Inf) so attack
+// sweeps can never contain NaN or Inf magnitudes.
+func geomSpace(lo, hi float64, n int) []float64 {
+	return analysis.GeomSpace(lo, hi, n)
+}
+
+// Distribution returns one user's memoized empirical distribution of
+// a feature over a week. The distribution is shared with the
+// analysis workspace (Empirical is immutable, so sharing is safe).
+func (e *Enterprise) Distribution(u int, f features.Feature, week int) (*stats.Empirical, error) {
+	return e.workspace().Dists(f, week)[u], nil
 }
