@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
@@ -49,39 +48,34 @@ func Example_enterprise() {
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 
-	// The console breaks grouping ties in connection order, so the
-	// agents connect one at a time, in host order; then they run
-	// concurrently.
-	agents := make([]*console.Agent, len(pop.Users))
-	for i, u := range pop.Users {
-		conn, err := net.DialTimeout("tcp", ln.Addr().String(), console.DefaultDialTimeout)
-		if err != nil {
-			log.Fatal(err)
-		}
-		agents[i], err = console.Connect(console.AgentConfig{
-			HostID: uint32(u.ID), Hostname: fmt.Sprintf("laptop-%02d", u.ID), Conn: conn,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
+	// Every agent connects and runs concurrently: the console
+	// configures over the host IDs in ascending order, so the order
+	// the agents connect in does not change the thresholds.
 	var wg sync.WaitGroup
-	for i, u := range pop.Users {
+	for _, u := range pop.Users {
 		wg.Add(1)
-		go func(agent *console.Agent, u *trace.User) {
+		go func(u *trace.User) {
 			defer wg.Done()
+			conn, err := net.DialTimeout("tcp", ln.Addr().String(), console.DefaultDialTimeout)
+			if err != nil {
+				log.Fatal(err)
+			}
+			agent, err := console.Connect(console.AgentConfig{
+				HostID: uint32(u.ID), Hostname: fmt.Sprintf("laptop-%02d", u.ID), Conn: conn,
+			})
+			if err != nil {
+				log.Fatal(err)
+			}
 			if err := runAgent(agent, u); err != nil {
 				log.Printf("host %d: %v", u.ID, err)
 			}
-		}(agents[i], u)
+		}(u)
 	}
 	wg.Wait()
 
 	fmt.Printf("week 2 console summary (%d hosts, 8-partial policy)\n", fleetSize)
-	hosts := srv.Hosts()
-	slices.Sort(hosts)
 	total := 0
-	for _, id := range hosts {
+	for _, id := range srv.Hosts() {
 		n := srv.AlertCount(id)
 		total += n
 		fmt.Printf("  host %2d: %3d alerts\n", id, n)

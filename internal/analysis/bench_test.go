@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/features"
@@ -50,6 +51,52 @@ func BenchmarkColdBuild(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkStreamPass times one bounded pass (128-user shards) over
+// a sealed 1000-user × 2-week store that reads the TCP training
+// column of every user, the pass shape Sweep, TailStats and Score
+// share: each shard maps its columns in and the pass drops the
+// shard's pages when the shard is done, so every op faults the store
+// afresh. The store's rows are cheap synthetic counts; generation is
+// outside the timed region. -short runs it over 128 users.
+func BenchmarkStreamPass(b *testing.B) {
+	users := 1000
+	if testing.Short() {
+		users = 128
+	}
+	key := snapshot.Key{Seed: 1, Users: users, Weeks: 2, BinWidth: 15 * time.Minute}
+	gen := func(u int, rows [][features.NumFeatures]float64) {
+		for i := range rows {
+			for f := range rows[i] {
+				rows[i][f] = float64((u*7919 + i*104729 + f*31) % 1024)
+			}
+		}
+	}
+	ws, _, err := LoadOrMaterialize(context.Background(), b.TempDir(), key, 0, 0, nil, nil, gen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ws.Close()
+	ws.SetStreamShard(128)
+	sums := make([]float64, users) // one column sum per user; shards write disjoint ranges
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ws.StreamShards(0, func(view *Workspace, lo, _ int) error {
+			for u, col := range view.Sorted(features.TCP, 0) {
+				sum := 0.0
+				for _, v := range col {
+					sum += v
+				}
+				sums[lo+u] = sum
+			}
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(users)*float64(b.N)/b.Elapsed().Seconds(), "users/s")
 }
 
 var (

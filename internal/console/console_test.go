@@ -275,6 +275,62 @@ func TestLateConnectorGetsThresholds(t *testing.T) {
 	}
 }
 
+// TestConfigureIgnoresConnectOrder feeds one console identical
+// uploads from agents that connect in two different orders and wants
+// the same thresholds and group pushed to each host. Hosts 3 and 4
+// upload the same, heaviest distribution, so 2-partial diversity must
+// split a tie: one of them is the heavy group, the other joins hosts
+// 1 and 2. Breaking that tie by connection order gives hosts 3 and 4
+// each other's thresholds when the order flips.
+func TestConfigureIgnoresConnectOrder(t *testing.T) {
+	samples := func(scale float64) []float64 {
+		s := make([]float64, 200)
+		for i := range s {
+			s[i] = float64(i%50) * scale
+		}
+		return s
+	}
+	uploads := map[uint32][]float64{1: samples(1), 2: samples(2), 3: samples(5), 4: samples(5)}
+	run := func(order []uint32) map[uint32]Thresholds {
+		_, addr := startServer(t, ServerConfig{
+			Policy:        policy99(core.PartialDiversity{NumGroups: 2}),
+			ExpectedHosts: len(order),
+		})
+		agents := make(map[uint32]*Agent, len(order))
+		for _, id := range order {
+			a, err := Dial(addr, id, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			agents[id] = a
+		}
+		for _, id := range order {
+			for _, f := range features.All() {
+				if err := agents[id].UploadDistribution(f, uploads[id]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		got := make(map[uint32]Thresholds, len(order))
+		for id, a := range agents {
+			thr, err := a.WaitThresholds(20 * time.Second)
+			if err != nil {
+				t.Fatalf("host %d: %v", id, err)
+			}
+			got[id] = thr
+		}
+		return got
+	}
+	fwd, rev := run([]uint32{1, 2, 3, 4}), run([]uint32{4, 3, 2, 1})
+	for id := range uploads {
+		if fwd[id].Values != rev[id].Values || fwd[id].Group != rev[id].Group {
+			t.Errorf("host %d: connecting 1..4 gives %v (group %d), 4..1 gives %v (group %d)",
+				id, fwd[id].Values, fwd[id].Group, rev[id].Values, rev[id].Group)
+		}
+	}
+}
+
 // TestReconnectDoesNotLeakConns is the regression test for the
 // reconnect race fixed in PR 1: a handler that lost its conns slot to
 // a faster reconnector must not delete the newcomer's entry on exit,

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -58,7 +60,9 @@ type Server struct {
 	alertSeq    map[uint32]uint64
 	liveness    map[uint32]*HostLiveness
 	assignment  map[features.Feature]*core.Assignment
-	hostOrder   []uint32
+	// configured is the ascending host-ID order assignment was
+	// configured over: host configured[i] holds thresholds[i].
+	configured []uint32
 
 	wg       sync.WaitGroup
 	closing  bool
@@ -291,7 +295,6 @@ func (s *Server) register(sc *serverConn, resume bool) error {
 			s.conns[sc.hostID] = sc
 			if _, ok := s.dists[sc.hostID]; !ok {
 				s.dists[sc.hostID] = &hostDists{}
-				s.hostOrder = append(s.hostOrder, sc.hostID)
 			}
 			if !resume {
 				delete(s.alertSeq, sc.hostID)
@@ -391,7 +394,9 @@ func (s *Server) acceptUpload(sc *serverConn, up DistUpload) error {
 }
 
 // maybeConfigure computes and pushes thresholds once every expected
-// host has uploaded all features.
+// host has uploaded all features. It configures over the host IDs in
+// ascending order, so grouping ties break the same way whatever order
+// the agents connected in.
 func (s *Server) maybeConfigure() {
 	s.mu.Lock()
 	if s.pushed || s.configuring || len(s.complete) < s.cfg.ExpectedHosts {
@@ -399,11 +404,11 @@ func (s *Server) maybeConfigure() {
 		return
 	}
 	s.configuring = true
-	hostOrder := append([]uint32(nil), s.hostOrder...)
+	hosts := slices.Sorted(maps.Keys(s.dists))
 	var train [features.NumFeatures][]*stats.Empirical
 	for _, f := range features.All() {
-		train[f] = make([]*stats.Empirical, len(hostOrder))
-		for i, id := range hostOrder {
+		train[f] = make([]*stats.Empirical, len(hosts))
+		for i, id := range hosts {
 			// A host that connected but never uploaded leaves a hole.
 			if train[f][i] = s.dists[id][f]; train[f][i] == nil {
 				s.configuring = false
@@ -435,6 +440,7 @@ func (s *Server) maybeConfigure() {
 
 	s.mu.Lock()
 	s.assignment = assignment
+	s.configured = hosts
 	s.pushed = true
 	s.configuring = false
 	conns := make([]*serverConn, 0, len(s.conns))
@@ -443,7 +449,7 @@ func (s *Server) maybeConfigure() {
 	}
 	s.mu.Unlock()
 	s.cfg.Logf("console: policy %s configured for %d hosts; pushing thresholds",
-		s.cfg.Policy.Name(), len(hostOrder))
+		s.cfg.Policy.Name(), len(hosts))
 	for _, sc := range conns {
 		if err := s.pushTo(sc); err != nil {
 			s.cfg.Logf("console: pushing to host %d: %v", sc.hostID, err)
@@ -463,15 +469,9 @@ func (s *Server) abortConfigure() {
 func (s *Server) pushTo(sc *serverConn) error {
 	s.mu.Lock()
 	asn := s.assignment
-	idx := -1
-	for i, id := range s.hostOrder {
-		if id == sc.hostID {
-			idx = i
-			break
-		}
-	}
+	idx, found := slices.BinarySearch(s.configured, sc.hostID)
 	s.mu.Unlock()
-	if asn == nil || idx < 0 || idx >= len(asn[features.TCP].Thresholds) {
+	if asn == nil || !found {
 		return fmt.Errorf("no assignment for host %d", sc.hostID)
 	}
 	var msg Thresholds
@@ -563,12 +563,11 @@ func (s *Server) TotalAlerts() int {
 	return n
 }
 
-// Hosts returns the host IDs that have connected, in first-seen
-// order.
+// Hosts returns the host IDs that have connected, in ascending order.
 func (s *Server) Hosts() []uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]uint32(nil), s.hostOrder...)
+	return slices.Sorted(maps.Keys(s.dists))
 }
 
 // Close shuts the listener and waits for connection handlers.

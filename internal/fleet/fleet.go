@@ -439,11 +439,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Connect agents sequentially in user order. The console assigns
-	// thresholds by first-seen host order, so connection order is part
-	// of the deterministic contract — racing the dials here would make
-	// partial-diversity group membership scheduler-dependent. Hosts
-	// dead from the start are skipped entirely.
+	// Connect agents in user order. The console configures over the
+	// host IDs in ascending order, so the order does not decide
+	// grouping. Hosts dead from the start are skipped entirely.
 	agents := make([]*console.Agent, cfg.Users)
 	defer func() {
 		for _, a := range agents {

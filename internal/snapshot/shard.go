@@ -380,6 +380,10 @@ func readPartMeta(key Key, p partRange, recShift *crcShift) (payloadCRC uint32, 
 // tables by CRC combination, never re-streaming records through a
 // Writer. On success the consumed part files are removed. It returns
 // the number of parts merged.
+//
+// The store is written through an alignedWriter, in whole 2 MiB
+// blocks at 2 MiB-aligned offsets, so the page cache holds it in
+// PMD-sized folios that mapFile's mapping can map huge.
 func MergeShards(dir string, key Key) (int, error) {
 	if err := key.validate(); err != nil {
 		return 0, err
@@ -433,7 +437,7 @@ func MergeShards(dir string, key Key) (int, error) {
 		os.Remove(tmp)
 		return 0, err
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
+	bw := newAlignedWriter(f)
 	if _, err := bw.Write(key.encodeHeader(total, lay.PayloadFloats())); err != nil {
 		return fail(fmt.Errorf("snapshot: %w", err))
 	}
@@ -463,6 +467,64 @@ func MergeShards(dir string, key Key) (int, error) {
 		_ = os.Remove(p.path)
 	}
 	return len(parts), nil
+}
+
+// hugeBlock is the granule of the sealed store's writes: one
+// PMD-mapped huge page (2 MiB with 4 KiB base pages on x86-64 and
+// arm64).
+const hugeBlock = 2 << 20
+
+// alignedWriter writes a stream that starts at file offset 0 in
+// writes that each start at a hugeBlock-aligned offset and span whole
+// hugeBlocks; only Flush writes a shorter tail. The page cache builds
+// a folio from each write, so a store written this way sits in 2 MiB
+// folios that a fault maps with one PMD, and that a drop unmaps with
+// one. bufio.Writer is not enough: it passes a large write straight
+// through at whatever length it has, so a record over the buffer size
+// would shift every later write off the alignment.
+type alignedWriter struct {
+	w   io.Writer
+	buf []byte // pending bytes; cap is hugeBlock
+}
+
+func newAlignedWriter(w io.Writer) *alignedWriter {
+	return &alignedWriter{w: w, buf: make([]byte, 0, hugeBlock)}
+}
+
+// Write buffers p, writing each block the buffer fills; with the
+// buffer empty, the whole blocks at the head of p go straight
+// through.
+func (a *alignedWriter) Write(p []byte) (int, error) {
+	n := len(p)
+	for len(p) > 0 {
+		if len(a.buf) == 0 && len(p) >= hugeBlock {
+			whole := len(p) / hugeBlock * hugeBlock
+			if _, err := a.w.Write(p[:whole]); err != nil {
+				return n - len(p), err
+			}
+			p = p[whole:]
+			continue
+		}
+		k := copy(a.buf[len(a.buf):cap(a.buf)], p)
+		a.buf, p = a.buf[:len(a.buf)+k], p[k:]
+		if len(a.buf) == cap(a.buf) {
+			if _, err := a.w.Write(a.buf); err != nil {
+				return n - len(p), err
+			}
+			a.buf = a.buf[:0]
+		}
+	}
+	return n, nil
+}
+
+// Flush writes the buffered tail.
+func (a *alignedWriter) Flush() error {
+	if len(a.buf) == 0 {
+		return nil
+	}
+	_, err := a.w.Write(a.buf)
+	a.buf = a.buf[:0]
+	return err
 }
 
 // spliceBuf is the largest read buffer spliceOnePart holds: it reads

@@ -242,3 +242,67 @@ func TestPartGateRefusesUnsortedSections(t *testing.T) {
 		}
 	})
 }
+
+// writeRecorder records the offset and length of every write it
+// receives, and the bytes.
+type writeRecorder struct {
+	buf    bytes.Buffer
+	writes [][2]int // offset, length
+}
+
+func (r *writeRecorder) Write(p []byte) (int, error) {
+	r.writes = append(r.writes, [2]int{r.buf.Len(), len(p)})
+	return r.buf.Write(p)
+}
+
+// TestAlignedWriterWritesWholeBlocks scripts the merge's write pattern
+// — a header, sub-block record runs, one run larger than a block, a
+// tail — and pins every write the file sees: each starts at a
+// hugeBlock-aligned offset and spans whole blocks, except the tail
+// Flush writes, and the bytes are the input's. A bufio.Writer of the
+// same size fails both scripts with a run over a block: it passes the
+// run's remainder through whole, at an unaligned length.
+func TestAlignedWriterWritesWholeBlocks(t *testing.T) {
+	const mb = 1 << 20
+	for _, tc := range []struct {
+		name   string
+		script []int // lengths of successive Write calls
+		want   [][2]int
+	}{
+		{"header-then-blocks", []int{104, mb, mb, 5*mb + 3},
+			[][2]int{{0, 2 * mb}, {2 * mb, 2 * mb}, {4 * mb, 2 * mb}, {6 * mb, mb + 107}}},
+		{"aligned-passthrough", []int{4 * mb, 3, 2*mb - 3, 2*mb + 1},
+			[][2]int{{0, 4 * mb}, {4 * mb, 2 * mb}, {6 * mb, 2 * mb}, {8 * mb, 1}}},
+		{"tail-only", []int{104, 7}, [][2]int{{0, 111}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var rec writeRecorder
+			aw := newAlignedWriter(&rec)
+			var in []byte
+			for i, n := range tc.script {
+				p := make([]byte, n)
+				for j := range p {
+					p[j] = byte(len(in) + j*7 + i)
+				}
+				in = append(in, p...)
+				if got, err := aw.Write(p); got != n || err != nil {
+					t.Fatalf("write %d: %d, %v; want %d, nil", i, got, err, n)
+				}
+			}
+			if err := aw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if len(rec.writes) != len(tc.want) {
+				t.Fatalf("writes %v, want %v", rec.writes, tc.want)
+			}
+			for i, w := range rec.writes {
+				if w != tc.want[i] {
+					t.Fatalf("write %d at offset %d length %d, want offset %d length %d", i, w[0], w[1], tc.want[i][0], tc.want[i][1])
+				}
+			}
+			if !bytes.Equal(rec.buf.Bytes(), in) {
+				t.Fatal("written bytes differ from the input")
+			}
+		})
+	}
+}

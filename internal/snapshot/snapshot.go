@@ -525,10 +525,13 @@ func (s *Snapshot) DayColumns(u, week, f int) [][]float64 {
 // access simply refaults from the file. No-op on heap-backed
 // (non-mmap) snapshots, on a closed snapshot, and for empty ranges.
 //
-// Only whole pages strictly inside the range are dropped (the range is
-// rounded inward to page boundaries), so records straddling the
-// range's edges are never victimized while a neighboring shard may
-// still be reading them.
+// The range is rounded inward to base-page boundaries. Where the
+// mapping holds the store in 2 MiB page-table entries (see MergeShards),
+// the kernel cannot drop part of one: a drop that covers part of an
+// entry unmaps the whole entry, neighbouring shards' records
+// included. Those records stay valid — the next access refaults them
+// from the page cache — so a concurrent reader of a neighbouring
+// shard pays a fault, never reads wrong data.
 func (s *Snapshot) DropUserRange(lo, hi int) {
 	if !mmapBacked || s.data == nil {
 		return
