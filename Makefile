@@ -7,8 +7,12 @@ all: verify
 build:
 	$(GO) build ./...
 
+# vet also covers the bench module (its own go.mod, so ./... at the
+# root never reaches it): it compiles against fleet.Config and the
+# other library APIs hidsbench drives.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...

@@ -45,11 +45,8 @@ type AttackPlan struct {
 	// FromBin/ToBin bound the attacked window range within the test
 	// week, half-open; both zero means the whole week.
 	FromBin, ToBin int
-	// Victims lists attacked user indices explicitly. Nil selects
-	// victims with VictimFraction and Seed instead.
-	Victims []int
-	// VictimFraction is the fraction of the fleet compromised when
-	// Victims is nil; zero with nil Victims means everyone.
+	// VictimFraction is the fraction of the fleet compromised, drawn
+	// with Seed; zero means everyone.
 	VictimFraction float64
 	// Seed drives victim selection and Storm synthesis.
 	Seed uint64
@@ -73,20 +70,11 @@ func (p *AttackPlan) window(bins int) (from, to int) {
 	return from, to
 }
 
-// victimSet resolves the victim subset deterministically: explicit
-// Victims verbatim, otherwise a seeded sample of VictimFraction of
-// the fleet (everyone when the fraction is zero).
+// victimSet resolves the victim subset deterministically: a seeded
+// sample of VictimFraction of the fleet (everyone when the fraction is
+// zero).
 func (p *AttackPlan) victimSet(users int) (map[int]bool, error) {
 	set := make(map[int]bool)
-	if p.Victims != nil {
-		for _, u := range p.Victims {
-			if u < 0 || u >= users {
-				return nil, fmt.Errorf("fleet: victim %d outside fleet of %d", u, users)
-			}
-			set[u] = true
-		}
-		return set, nil
-	}
 	if p.VictimFraction < 0 || p.VictimFraction > 1 {
 		return nil, fmt.Errorf("fleet: victim fraction %g outside [0, 1]", p.VictimFraction)
 	}

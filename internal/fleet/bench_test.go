@@ -2,12 +2,11 @@ package fleet
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/collab"
 	"repro/internal/core"
 	"repro/internal/features"
-	"repro/internal/par"
-	"repro/internal/trace"
 )
 
 // BenchmarkFleetRun250 is one fleet run at the scale and configuration
@@ -33,9 +32,7 @@ func BenchmarkFleetRun1000(b *testing.B) {
 // ticks/s: logical clock ticks, one fleet-wide flush round per
 // simulated day of the monitored week, per second of run.
 func benchFleetRun(b *testing.B, agents int) {
-	pop := trace.MustPopulation(trace.Config{Users: agents, Weeks: 2, Seed: 1})
-	mats := make([]*features.Matrix, agents)
-	par.ForEach(agents, 0, func(u int) { mats[u] = pop.Users[u].Series() })
+	mats := buildMats(b, agents, 1, 15*time.Minute)
 	cfg := Config{
 		Users: agents, Matrices: mats,
 		Policy: core.Policy{Heuristic: core.Percentile{Q: 0.99}, Grouping: core.PartialDiversity{NumGroups: 8}},
@@ -52,7 +49,7 @@ func benchFleetRun(b *testing.B, agents int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ticks += res.TestBins / (pop.Cfg.BinsPerWeek() / 7)
+		ticks += res.TestBins / (mats[0].BinsPerWeek() / 7)
 	}
 	b.ReportMetric(float64(ticks)/b.Elapsed().Seconds(), "ticks/s")
 }

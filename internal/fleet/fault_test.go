@@ -13,9 +13,14 @@ import (
 	"repro/internal/netsim"
 )
 
+// faultFlushEvery is the fault suite's flush interval: one simulated
+// day of 4-hour windows, which is how often a fleet run flushes.
+const faultFlushEvery = 6
+
 // faultFleetConfigSeed builds the shared small-fleet geometry the
 // fault suite runs: 12 hosts, two weeks of 4-hour windows (42 per
-// week), alerts flushed every 6 windows — 7 logical clock ticks — a
+// week), alerts flushed every faultFlushEvery windows — 7 logical
+// clock ticks — a
 // Storm campaign straddling the fleet's thresholds, and collaborative
 // quorum detection. Small enough that a grid of runs stays cheap,
 // busy enough that every flush round actually carries alert batches
@@ -23,12 +28,9 @@ import (
 func faultFleetConfigSeed(t *testing.T, seed uint64) Config {
 	t.Helper()
 	cfg := Config{
-		Users:      12,
-		Weeks:      2,
-		Seed:       seed,
-		BinWidth:   4 * time.Hour,
-		FlushEvery: 6,
-		Policy:     p99Policy(core.FullDiversity{}),
+		Users:    12,
+		Matrices: buildMats(t, 12, seed, 4*time.Hour),
+		Policy:   p99Policy(core.FullDiversity{}),
 		Attack: &AttackPlan{
 			Kind:    AttackStorm,
 			Feature: features.Distinct,
@@ -36,7 +38,9 @@ func faultFleetConfigSeed(t *testing.T, seed uint64) Config {
 		},
 		Collab: &collab.Config{Quorum: 3},
 	}
-	cfg.Matrices = buildMats(t, cfg)
+	if day := cfg.Matrices[0].BinsPerWeek() / 7; day != faultFlushEvery {
+		t.Fatalf("one day is %d windows, want faultFlushEvery = %d", day, faultFlushEvery)
+	}
 	return cfg
 }
 
@@ -198,12 +202,12 @@ func TestFleetFaultDegradedQuorum(t *testing.T) {
 	// delivered batch covers windows [0, 12); host 8 at tick 3, windows
 	// [0, 18). Anything later on those rows would be an alert the
 	// console invented.
-	for b := 2 * cfg.FlushEvery; b < res.TestBins; b++ {
+	for b := 2 * faultFlushEvery; b < res.TestBins; b++ {
 		if res.Alarms[3][b] {
 			t.Fatalf("host 3 alarmed in window %d after its permanent crash", b)
 		}
 	}
-	for b := 3 * cfg.FlushEvery; b < res.TestBins; b++ {
+	for b := 3 * faultFlushEvery; b < res.TestBins; b++ {
 		if res.Alarms[8][b] {
 			t.Fatalf("host 8 alarmed in window %d after its permanent partition", b)
 		}
@@ -265,7 +269,11 @@ func TestFleetFaultDeadFromStart(t *testing.T) {
 // TestFleetFaultConfigValidation exercises the fail-fast paths the
 // fault layer adds to Config.
 func TestFleetFaultConfigValidation(t *testing.T) {
-	base := Config{Users: 4, Weeks: 2, Policy: p99Policy(core.FullDiversity{})}
+	base := Config{
+		Users:    4,
+		Matrices: buildMats(t, 4, 1, 4*time.Hour),
+		Policy:   p99Policy(core.FullDiversity{}),
+	}
 	for name, mutate := range map[string]func(*Config){
 		"healing partition at tick 0": func(c *Config) {
 			c.Faults = &netsim.FaultPlan{Partitions: []netsim.Partition{{Hosts: []int{1}, From: 0, To: 2}}}
@@ -305,13 +313,9 @@ func TestFleetFaultConfigValidation(t *testing.T) {
 	}
 
 	// A plan that kills the whole fleet at tick 0 has no run to do.
-	small := Config{
-		Users: 2, Weeks: 2, Seed: 1, BinWidth: 4 * time.Hour,
-		Policy:        p99Policy(core.FullDiversity{}),
-		AllowDegraded: true,
-		Faults:        &netsim.FaultPlan{Partitions: []netsim.Partition{{From: 0, To: -1}}},
-	}
-	small.Matrices = buildMats(t, small)
+	small := base
+	small.AllowDegraded = true
+	small.Faults = &netsim.FaultPlan{Partitions: []netsim.Partition{{From: 0, To: -1}}}
 	if _, err := Run(small); err == nil {
 		t.Error("plan killing every host at tick 0 accepted")
 	}

@@ -5,20 +5,20 @@
 // replay, alert batching, collaborative quorum detection — with no
 // real sockets and no wall-clock dependence.
 //
-// A fleet run is fully deterministic given its Config: the population
-// is seeded (internal/trace), attack campaigns derive from a seeded
-// xrand stream, agents connect in user order so the console's
-// host-order-dependent threshold assignment is fixed, and replay
-// advances on a logical barrier clock (Clock) instead of timers. The
-// same Config therefore always produces an identical Result, byte for
-// byte — which is what lets fleet_test.go pin the wire-level pipeline
-// to the in-memory analysis pipeline (core.EvaluatePolicy over an
-// analysis.Workspace) on identical populations, and what makes
-// thousand-agent soak runs reproducible under the race detector.
+// A fleet run is fully deterministic given its Config: the caller
+// supplies every host's feature matrix, attack campaigns derive from a
+// seeded xrand stream, the console configures over host IDs in
+// ascending order (so the order agents connect in decides nothing),
+// and replay advances on a logical barrier clock (Clock) instead of
+// timers. The same Config therefore always produces an identical
+// Result, byte for byte — which is what lets fleet_test.go pin the
+// wire-level pipeline to the in-memory analysis pipeline
+// (core.EvaluatePolicy over an analysis.Workspace) on the same
+// matrices, and what makes thousand-agent soak runs reproducible under
+// the race detector.
 package fleet
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -26,47 +26,23 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/collab"
 	"repro/internal/console"
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/netsim"
-	"repro/internal/snapshot"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Config parameterizes one fleet simulation.
 type Config struct {
 	// Users is the fleet size.
 	Users int
-	// Weeks of synthetic capture; must cover TrainWeek and TestWeek.
-	Weeks int
-	// Seed drives the population (and, with Attack.Seed, everything
-	// else that is random).
-	Seed uint64
-	// BinWidth is the aggregation window (default 15 minutes).
-	BinWidth time.Duration
-	// WeeklyTrend overrides the population's weekly rate trend; zero
-	// keeps the calibrated default.
-	WeeklyTrend float64
-	// Matrices optionally supplies pre-built per-user feature
-	// matrices, one per host, all sharing one geometry that covers
-	// TrainWeek and TestWeek. When set, population synthesis is
-	// skipped entirely (Seed/BinWidth/WeeklyTrend are ignored) —
-	// thousand-agent soak runs share one generation pass instead of
-	// re-synthesizing hundreds of millions of connections per run.
-	// The matrices are only read during the run.
+	// Matrices are the per-host feature matrices, one per user, all
+	// sharing one geometry: a bin width that divides a day, and enough
+	// complete weeks to cover TrainWeek and TestWeek. The matrices are
+	// only read during the run.
 	Matrices []*features.Matrix
-	// SnapshotDir points at the on-disk workspace store. When set
-	// (and Matrices is nil) the run maps the population's matrices
-	// from a content-addressed snapshot instead of synthesizing them
-	// per agent — a warm thousand-agent soak skips generation
-	// entirely — and on a miss materializes the snapshot first,
-	// streamed in bounded shards. Stale or corrupt snapshots fall
-	// back to per-agent synthesis.
-	SnapshotDir string
 
 	// Policy is the enterprise configuration policy the console
 	// applies.
@@ -78,27 +54,14 @@ type Config struct {
 	// TrainWeek and TestWeek implement the week-n-train /
 	// week-n+1-test methodology (defaults 0 and 1).
 	TrainWeek, TestWeek int
-	// FlushEvery batches alerts every N windows; zero means one
-	// simulated day. Each flush is also one logical clock tick.
-	FlushEvery int
 
 	// Attack optionally injects a campaign into the test week.
 	Attack *AttackPlan
 	// Collab optionally runs collaborative quorum detection over the
-	// alert batches the console received.
+	// alert batches the console received. It watches the attacked
+	// feature, or TCP on a clean fleet.
 	Collab *collab.Config
-	// Watch is the feature whose fleet-wide alarm matrix feeds
-	// collaborative detection; the zero value means the default, TCP.
-	// DNS is feature 0 and collides with "unset" — use WatchDNS to
-	// watch it on a clean fleet. An active Attack overrides Watch
-	// with the attacked feature.
-	Watch features.Feature
 
-	// ThresholdTimeout bounds each agent's wait for thresholds
-	// (default 5 minutes — generous because N agents under the race
-	// detector configure slowly, and a deterministic run only ever
-	// times out when genuinely wedged).
-	ThresholdTimeout time.Duration
 	// Logf receives console log lines (default silent).
 	Logf func(format string, args ...any)
 
@@ -113,11 +76,6 @@ type Config struct {
 	// excluded from the run. Nil runs on the perfect network,
 	// byte-identical to pre-fault behavior.
 	Faults *netsim.FaultPlan
-	// Retry overrides the agents' self-healing budget; the zero value
-	// picks fault-run defaults (unlimited redials with microsecond
-	// backoffs — the fault plan, not wall time, decides who stays
-	// down). Ignored without Faults.
-	Retry console.RetryPolicy
 	// AllowDegraded accepts fault plans with permanent losses: the
 	// fleet finishes over its survivors (failing agents leave the
 	// clock's barrier instead of cancelling it) and the Result records
@@ -129,18 +87,19 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Users <= 0 {
 		return c, fmt.Errorf("fleet: Config.Users must be positive, got %d", c.Users)
 	}
-	if c.Matrices != nil {
-		if len(c.Matrices) != c.Users {
-			return c, fmt.Errorf("fleet: %d matrices for %d users", len(c.Matrices), c.Users)
+	if len(c.Matrices) != c.Users {
+		return c, fmt.Errorf("fleet: %d matrices for %d users", len(c.Matrices), c.Users)
+	}
+	m0 := c.Matrices[0]
+	for u, m := range c.Matrices {
+		if m == nil || m.Bins() != m0.Bins() || m.BinWidth != m0.BinWidth {
+			return c, fmt.Errorf("fleet: matrix %d geometry differs from matrix 0", u)
 		}
-		m0 := c.Matrices[0]
-		for u, m := range c.Matrices {
-			if m == nil || m.Bins() != m0.Bins() || m.BinWidth != m0.BinWidth {
-				return c, fmt.Errorf("fleet: matrix %d geometry differs from matrix 0", u)
-			}
-		}
-		c.Weeks = m0.Weeks()
-		c.BinWidth = m0.BinWidth
+	}
+	// Alerts flush once per simulated day, so the width must split a
+	// day (and with it a week) into whole windows.
+	if m0.BinWidth <= 0 || (24*time.Hour)%m0.BinWidth != 0 {
+		return c, fmt.Errorf("fleet: matrix bin width %v does not divide a day", m0.BinWidth)
 	}
 	if c.TrainWeek == 0 && c.TestWeek == 0 {
 		c.TrainWeek, c.TestWeek = 0, 1
@@ -148,30 +107,15 @@ func (c Config) withDefaults() (Config, error) {
 	if c.TrainWeek < 0 || c.TestWeek < 0 || c.TrainWeek == c.TestWeek {
 		return c, fmt.Errorf("fleet: bad train/test weeks %d/%d", c.TrainWeek, c.TestWeek)
 	}
-	minWeeks := c.TrainWeek + 1
-	if c.TestWeek >= c.TrainWeek {
-		minWeeks = c.TestWeek + 1
-	}
-	if c.Weeks < minWeeks {
+	if weeks := m0.Weeks(); weeks <= max(c.TrainWeek, c.TestWeek) {
 		return c, fmt.Errorf("fleet: %d weeks do not cover train week %d and test week %d",
-			c.Weeks, c.TrainWeek, c.TestWeek)
+			weeks, c.TrainWeek, c.TestWeek)
 	}
 	if c.Policy.Heuristic == nil || c.Policy.Grouping == nil {
 		return c, fmt.Errorf("fleet: Config.Policy incomplete")
 	}
 	if c.Attack.active() && !c.Attack.Feature.Valid() {
 		return c, fmt.Errorf("fleet: invalid attacked feature %d", int(c.Attack.Feature))
-	}
-	switch {
-	case c.Watch == WatchDNS:
-		c.Watch = features.DNS
-	case c.Watch == 0:
-		c.Watch = features.TCP
-	case !c.Watch.Valid():
-		return c, fmt.Errorf("fleet: invalid watch feature %d", int(c.Watch))
-	}
-	if c.Attack.active() {
-		c.Watch = c.Attack.Feature
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
@@ -193,11 +137,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	return c, nil
 }
-
-// WatchDNS is the Config.Watch sentinel for watching
-// num-DNS-connections on a clean fleet: DNS is feature 0, which an
-// untyped Config cannot distinguish from "unset, default to TCP".
-const WatchDNS features.Feature = -1
 
 // Result is everything a fleet run observed, in deterministic order:
 // per-host threshold assignments as pushed over the wire, per-host
@@ -260,52 +199,10 @@ type Result struct {
 	// actually used, resolved over the surviving population (zero
 	// without a Collab config).
 	EffectiveQuorum int
-	// SnapshotFallbacks counts snapshot-store fallback events (stale,
-	// corrupt or unwritable store) during this run; 0 on warm or
-	// storeless runs.
+	// SnapshotFallbacks is always 0: the fleet no longer reads a
+	// snapshot store. It stays only so a Result's JSON encoding, which
+	// the benchmark's checked-in digests hash, keeps its shape.
 	SnapshotFallbacks int
-}
-
-// openFleetSnapshot maps the workspace snapshot of the run's
-// population, cold-building it (sharded) on a miss. Any failure —
-// unaddressable config, unwritable directory — returns nil and the
-// run falls back to per-agent synthesis; a snapshot is an
-// accelerator, never a correctness dependency. Fallback events are
-// logged and counted so Result.SnapshotFallbacks surfaces them.
-func openFleetSnapshot(cfg Config) (*analysis.Workspace, int) {
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	fallbacks := 0
-	warn := func(stage string, err error) {
-		fallbacks++
-		logf("fleet: snapshot %s fallback (%s): %v", stage, cfg.SnapshotDir, err)
-	}
-	tcfg := trace.Config{
-		Users:       cfg.Users,
-		Weeks:       cfg.Weeks,
-		Seed:        cfg.Seed,
-		BinWidth:    cfg.BinWidth,
-		WeeklyTrend: cfg.WeeklyTrend,
-	}
-	key, err := snapshot.KeyFor(tcfg)
-	if err != nil {
-		warn("key", err)
-		return nil, fallbacks
-	}
-	pop, err := trace.NewPopulation(tcfg)
-	if err != nil {
-		return nil, fallbacks
-	}
-	ws, _, err := analysis.LoadOrMaterialize(context.Background(), cfg.SnapshotDir, key, 0, 0, pop.CostWeights(), warn,
-		func(u int, rows [][features.NumFeatures]float64) {
-			pop.Users[u].FillSeries(rows)
-		})
-	if err != nil {
-		return nil, fallbacks
-	}
-	return ws, fallbacks
 }
 
 // Run executes one fleet simulation to completion.
@@ -314,47 +211,8 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Resolve the per-host matrices: pre-built, mapped from the
-	// snapshot store, or synthesized lazily inside each agent's
-	// goroutine from the seeded population.
-	snapshotFallbacks := 0
-	if cfg.Matrices == nil && cfg.SnapshotDir != "" {
-		ws, fallbacks := openFleetSnapshot(cfg)
-		snapshotFallbacks = fallbacks
-		if ws != nil {
-			// The mapped views live until every agent is done; Run's
-			// other defers (server close, agent closes) are declared
-			// later, so they unwind first.
-			defer ws.Close()
-			cfg.Matrices = ws.Matrices()
-		}
-	}
-	var matrixOf func(u int) *features.Matrix
-	var bpw int
-	var binWidth time.Duration
-	if cfg.Matrices != nil {
-		matrixOf = func(u int) *features.Matrix { return cfg.Matrices[u] }
-		bpw = cfg.Matrices[0].BinsPerWeek()
-		binWidth = cfg.Matrices[0].BinWidth
-	} else {
-		pop, err := trace.NewPopulation(trace.Config{
-			Users:       cfg.Users,
-			Weeks:       cfg.Weeks,
-			Seed:        cfg.Seed,
-			BinWidth:    cfg.BinWidth,
-			WeeklyTrend: cfg.WeeklyTrend,
-		})
-		if err != nil {
-			return nil, err
-		}
-		matrixOf = func(u int) *features.Matrix { return pop.Users[u].Series() }
-		bpw = pop.Cfg.BinsPerWeek()
-		binWidth = pop.Cfg.BinWidth
-	}
-	flushEvery := cfg.FlushEvery
-	if flushEvery <= 0 {
-		flushEvery = bpw / 7 // one simulated day
-	}
+	bpw := cfg.Matrices[0].BinsPerWeek()
+	flushEvery := bpw / 7 // one simulated day, one logical clock tick
 
 	// Resolve the campaign up front: victim subset and (for Storm)
 	// the shared bot activity series are seeded, not scheduled.
@@ -365,7 +223,7 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		if cfg.Attack.Kind == AttackStorm {
-			if storm, err = cfg.Attack.stormSeries(bpw, binWidth); err != nil {
+			if storm, err = cfg.Attack.stormSeries(bpw, cfg.Matrices[0].BinWidth); err != nil {
 				return nil, err
 			}
 		}
@@ -421,14 +279,14 @@ func Run(cfg Config) (*Result, error) {
 		<-serveDone
 	}()
 
-	// Under faults the agents need a redial path and a retry budget.
-	// The defaults make healing a function of the fault plan alone:
+	// Under faults the agents need a redial path and a retry budget
+	// that makes healing a function of the fault plan alone:
 	// unlimited redials, microsecond backoffs (wall time is noise
 	// here — the logical clock is what gates a partition's heal), and
 	// a short link wait so a flush into a dead partition fails fast
 	// and spools instead of stalling the barrier.
-	retry := cfg.Retry
-	if cfg.Faults != nil && retry == (console.RetryPolicy{}) {
+	var retry console.RetryPolicy
+	if cfg.Faults != nil {
 		retry = console.RetryPolicy{
 			MaxDials:     -1,
 			MaxOpRetries: 32,
@@ -487,7 +345,7 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func(u int) {
 			defer wg.Done()
-			m := matrixOf(u)
+			m := cfg.Matrices[u]
 			var overlayFn func(console.Thresholds) ([]float64, error)
 			if cfg.Attack.active() {
 				overlayFn = func(thr console.Thresholds) ([]float64, error) {
@@ -504,20 +362,19 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 			reports[u], errs[u] = RunAgent(AgentRun{
-				Agent:            agents[u],
-				Matrix:           m,
-				TrainLo:          trainLo,
-				TrainHi:          trainHi,
-				MonitorLo:        testLo,
-				MonitorHi:        testHi,
-				FlushEvery:       flushEvery,
-				ThresholdTimeout: cfg.ThresholdTimeout,
-				OverlayFn:        overlayFn,
-				OverlayFeature:   cfg.Attack.featureOrTCP(),
-				Clock:            clock,
-				SpoolFlushes:     cfg.Faults != nil,
-				LeaveOnError:     cfg.AllowDegraded,
-				Logf:             cfg.Logf,
+				Agent:          agents[u],
+				Matrix:         m,
+				TrainLo:        trainLo,
+				TrainHi:        trainHi,
+				MonitorLo:      testLo,
+				MonitorHi:      testHi,
+				FlushEvery:     flushEvery,
+				OverlayFn:      overlayFn,
+				OverlayFeature: cfg.Attack.featureOrTCP(),
+				Clock:          clock,
+				SpoolFlushes:   cfg.Faults != nil,
+				LeaveOnError:   cfg.AllowDegraded,
+				Logf:           cfg.Logf,
 			})
 		}(u)
 	}
@@ -573,12 +430,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	res, err := buildResult(cfg, srv, reports, storm, testLo, testHi, deg)
-	if err != nil {
-		return nil, err
-	}
-	res.SnapshotFallbacks = snapshotFallbacks
-	return res, nil
+	return buildResult(cfg, srv, reports, storm, testLo, testHi, deg)
 }
 
 // degraded accumulates the run's casualty accounting.
@@ -606,8 +458,9 @@ func sortedOrNil(s []int) []int {
 	return s
 }
 
-// featureOrTCP returns the attacked feature, or TCP for a nil plan
-// (the value is unused without an overlay; it just must be valid).
+// featureOrTCP returns the attacked feature, or TCP for a nil or
+// inactive plan: the feature a run's overlay adds to and its
+// collaborative detection watches.
 func (p *AttackPlan) featureOrTCP() features.Feature {
 	if p.active() {
 		return p.Feature
@@ -622,7 +475,7 @@ func buildResult(cfg Config, srv *console.Server, reports []*AgentReport, storm 
 		Policy:       cfg.Policy.Name(),
 		Users:        cfg.Users,
 		TestBins:     testHi - testLo,
-		WatchFeature: cfg.Watch,
+		WatchFeature: cfg.Attack.featureOrTCP(),
 		Epoch:        srv.Epoch(),
 		Thresholds:   make([][features.NumFeatures]float64, cfg.Users),
 		Groups:       make([]int, cfg.Users),
@@ -662,7 +515,7 @@ func buildResult(cfg Config, srv *console.Server, reports []*AgentReport, storm 
 			return nil, fmt.Errorf("fleet: alert from unknown host %d", batch.HostID)
 		}
 		for _, a := range batch.Alerts {
-			if features.Feature(a.Feature) != cfg.Watch {
+			if features.Feature(a.Feature) != res.WatchFeature {
 				continue
 			}
 			if a.Bin < testLo || a.Bin >= testHi {

@@ -22,22 +22,21 @@ func p99Policy(g core.Grouping) core.Policy {
 	return core.Policy{Heuristic: core.Percentile{Q: 0.99}, Grouping: g}
 }
 
-// buildMats synthesizes the exact per-user matrices a fleet Config
-// generates. Synthesis is the expensive part of every test here
+// buildMats synthesizes a seeded two-week population's per-user
+// matrices. Synthesis is the expensive part of every test here
 // (hundreds of millions of per-connection draws at scale), so each
 // test generates once and shares the matrices between the fleet run
 // (Config.Matrices) and the in-memory workspace it is pinned to.
-func buildMats(t *testing.T, cfg Config) []*features.Matrix {
+func buildMats(t testing.TB, users int, seed uint64, binWidth time.Duration) []*features.Matrix {
 	t.Helper()
 	pop := trace.MustPopulation(trace.Config{
-		Users:       cfg.Users,
-		Weeks:       cfg.Weeks,
-		Seed:        cfg.Seed,
-		BinWidth:    cfg.BinWidth,
-		WeeklyTrend: cfg.WeeklyTrend,
+		Users:    users,
+		Weeks:    2,
+		Seed:     seed,
+		BinWidth: binWidth,
 	})
-	mats := make([]*features.Matrix, cfg.Users)
-	par.ForEach(cfg.Users, 0, func(u int) {
+	mats := make([]*features.Matrix, users)
+	par.ForEach(users, 0, func(u int) {
 		mats[u] = pop.Users[u].Series()
 	})
 	return mats
@@ -153,14 +152,9 @@ func fleetOverlays(t *testing.T, cfg Config, ws *analysis.Workspace, res *Result
 func TestFleetWireMatchesWorkspaceClean(t *testing.T) {
 	cfg := Config{
 		Users:    40,
-		Weeks:    2,
-		Seed:     7,
-		BinWidth: time.Hour,
+		Matrices: buildMats(t, 40, 7, time.Hour),
 		Policy:   p99Policy(core.FullDiversity{}),
 	}
-	// This test deliberately leaves Config.Matrices unset so the
-	// simulator's internal population-synthesis path gets end-to-end
-	// coverage; the others pre-build to share the generation pass.
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +163,7 @@ func TestFleetWireMatchesWorkspaceClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertWireMatchesWorkspace(t, rcfg, analysis.New(buildMats(t, rcfg)), res, nil)
+	assertWireMatchesWorkspace(t, rcfg, analysis.New(cfg.Matrices), res, nil)
 
 	// The console tally for the watch feature alone must be bounded by
 	// the all-feature tally it reports per host.
@@ -188,13 +182,12 @@ func TestFleetWireMatchesWorkspaceClean(t *testing.T) {
 
 // TestFleetWireMatchesWorkspaceNaive runs a naive additive campaign
 // against a victim subset and checks TP/FP/FN/TN equivalence under a
-// partial-diversity policy (the host-order-sensitive one).
+// partial-diversity policy, whose groups the console forms over host
+// IDs in ascending order.
 func TestFleetWireMatchesWorkspaceNaive(t *testing.T) {
 	cfg := Config{
 		Users:    30,
-		Weeks:    2,
-		Seed:     11,
-		BinWidth: time.Hour,
+		Matrices: buildMats(t, 30, 11, time.Hour),
 		Policy:   p99Policy(core.PartialDiversity{NumGroups: 4}),
 		Attack: &AttackPlan{
 			Kind:           AttackNaive,
@@ -206,7 +199,6 @@ func TestFleetWireMatchesWorkspaceNaive(t *testing.T) {
 			Seed:           99,
 		},
 	}
-	cfg.Matrices = buildMats(t, cfg)
 	ws := analysis.New(cfg.Matrices)
 	res, err := Run(cfg)
 	if err != nil {
@@ -242,9 +234,7 @@ func TestFleetWireMatchesWorkspaceNaive(t *testing.T) {
 func TestFleetWireMatchesWorkspaceMimicry(t *testing.T) {
 	cfg := Config{
 		Users:    25,
-		Weeks:    2,
-		Seed:     13,
-		BinWidth: time.Hour,
+		Matrices: buildMats(t, 25, 13, time.Hour),
 		Policy:   p99Policy(core.Homogeneous{}),
 		Attack: &AttackPlan{
 			Kind:      AttackMimicry,
@@ -252,7 +242,6 @@ func TestFleetWireMatchesWorkspaceMimicry(t *testing.T) {
 			EvadeProb: 0.9,
 		},
 	}
-	cfg.Matrices = buildMats(t, cfg)
 	ws := analysis.New(cfg.Matrices)
 	res, err := Run(cfg)
 	if err != nil {
@@ -271,9 +260,7 @@ func TestFleetWireMatchesWorkspaceMimicry(t *testing.T) {
 func TestFleetCollabQuorum(t *testing.T) {
 	cfg := Config{
 		Users:    40,
-		Weeks:    2,
-		Seed:     17,
-		BinWidth: time.Hour,
+		Matrices: buildMats(t, 40, 17, time.Hour),
 		Policy:   p99Policy(core.FullDiversity{}),
 		Attack: &AttackPlan{
 			Kind:    AttackStorm,
@@ -328,10 +315,10 @@ func TestFleetDeterministic1000Agents(t *testing.T) {
 		t.Skip("thousand-agent soak skipped in -short mode (run via make soak)")
 	}
 	cfg := Config{
-		Users:    1000,
-		Weeks:    2,
-		Seed:     42,
-		BinWidth: 4 * time.Hour,
+		Users: 1000,
+		// One generation pass (hundreds of millions of synthetic
+		// connections) shared by both runs and the workspace check.
+		Matrices: buildMats(t, 1000, 42, 4*time.Hour),
 		Policy:   p99Policy(core.PartialDiversity{NumGroups: 8}),
 		Attack: &AttackPlan{
 			Kind:           AttackNaive,
@@ -342,9 +329,6 @@ func TestFleetDeterministic1000Agents(t *testing.T) {
 		},
 		Collab: &collab.Config{Quorum: 20},
 	}
-	// One generation pass (hundreds of millions of synthetic
-	// connections) shared by both runs and the workspace check.
-	cfg.Matrices = buildMats(t, cfg)
 	ws := analysis.New(cfg.Matrices)
 	first, err := Run(cfg)
 	if err != nil {
@@ -371,14 +355,27 @@ func TestFleetDeterministic1000Agents(t *testing.T) {
 
 // TestFleetConfigValidation exercises the fail-fast paths.
 func TestFleetConfigValidation(t *testing.T) {
-	base := Config{Users: 2, Weeks: 2, Policy: p99Policy(core.FullDiversity{})}
+	base := Config{
+		Users:    2,
+		Matrices: buildMats(t, 2, 1, 4*time.Hour),
+		Policy:   p99Policy(core.FullDiversity{}),
+	}
+	// widthMats builds 336-bin matrices of a bin width synthesis
+	// would refuse.
+	widthMats := func(w time.Duration) []*features.Matrix {
+		return []*features.Matrix{features.NewMatrix(w, 0, 336), features.NewMatrix(w, 0, 336)}
+	}
 	for name, mutate := range map[string]func(*Config){
-		"no users":          func(c *Config) { c.Users = 0 },
-		"missing policy":    func(c *Config) { c.Policy = core.Policy{} },
-		"train==test":       func(c *Config) { c.TrainWeek, c.TestWeek = 1, 1 },
-		"weeks too short":   func(c *Config) { c.TestWeek = 5 },
-		"bad attack feat":   func(c *Config) { c.Attack = &AttackPlan{Kind: AttackNaive, Feature: 99} },
-		"bad watch feature": func(c *Config) { c.Watch = 99 },
+		"no users":         func(c *Config) { c.Users = 0 },
+		"no matrices":      func(c *Config) { c.Matrices = nil },
+		"one matrix short": func(c *Config) { c.Matrices = c.Matrices[:1] },
+		"zero bin width":   func(c *Config) { c.Matrices = widthMats(0) },
+		// 1120m splits a week into 9 windows but not a day.
+		"width not dividing a day": func(c *Config) { c.Matrices = widthMats(1120 * time.Minute) },
+		"missing policy":           func(c *Config) { c.Policy = core.Policy{} },
+		"train==test":              func(c *Config) { c.TrainWeek, c.TestWeek = 1, 1 },
+		"weeks too short":          func(c *Config) { c.TestWeek = 5 },
+		"bad attack feat":          func(c *Config) { c.Attack = &AttackPlan{Kind: AttackNaive, Feature: 99} },
 	} {
 		cfg := base
 		mutate(&cfg)
@@ -389,21 +386,13 @@ func TestFleetConfigValidation(t *testing.T) {
 	if _, err := base.withDefaults(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
-	// Watch semantics: zero defaults to TCP, WatchDNS selects DNS, and
-	// an active attack overrides both with the attacked feature.
-	if got, _ := base.withDefaults(); got.Watch != features.TCP {
-		t.Errorf("default Watch = %v, want TCP", got.Watch)
+	// A clean fleet watches TCP; an attacked one, the attacked feature.
+	if got := base.Attack.featureOrTCP(); got != features.TCP {
+		t.Errorf("clean watch = %v, want TCP", got)
 	}
-	dns := base
-	dns.Watch = WatchDNS
-	if got, err := dns.withDefaults(); err != nil || got.Watch != features.DNS {
-		t.Errorf("WatchDNS -> %v, %v; want DNS", got.Watch, err)
-	}
-	attacked := base
-	attacked.Watch = WatchDNS
-	attacked.Attack = &AttackPlan{Kind: AttackNaive, Feature: features.UDP, Size: 1}
-	if got, err := attacked.withDefaults(); err != nil || got.Watch != features.UDP {
-		t.Errorf("attacked Watch = %v, %v; want UDP", got.Watch, err)
+	attacked := &AttackPlan{Kind: AttackNaive, Feature: features.UDP, Size: 1}
+	if got := attacked.featureOrTCP(); got != features.UDP {
+		t.Errorf("attacked watch = %v, want UDP", got)
 	}
 }
 

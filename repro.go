@@ -47,9 +47,6 @@ type Options struct {
 	Seed uint64
 	// BinWidth is the aggregation window (default 15 minutes).
 	BinWidth time.Duration
-	// WeeklyTrend overrides the population's weekly rate trend; zero
-	// keeps the calibrated default (see internal/trace).
-	WeeklyTrend float64
 	// SnapshotDir enables the on-disk workspace store: Materialize
 	// first tries to map an existing snapshot of this exact enterprise
 	// (content-addressed by seed, population, weeks, bin width and
@@ -121,11 +118,10 @@ type Enterprise struct {
 // NewEnterprise generates a deterministic enterprise from opts.
 func NewEnterprise(opts Options) (*Enterprise, error) {
 	pop, err := trace.NewPopulation(trace.Config{
-		Users:       opts.Users,
-		Weeks:       opts.Weeks,
-		Seed:        opts.Seed,
-		BinWidth:    opts.BinWidth,
-		WeeklyTrend: opts.WeeklyTrend,
+		Users:    opts.Users,
+		Weeks:    opts.Weeks,
+		Seed:     opts.Seed,
+		BinWidth: opts.BinWidth,
 	})
 	if err != nil {
 		return nil, err
