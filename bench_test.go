@@ -437,10 +437,7 @@ func BenchmarkOpenUser20000(b *testing.B) {
 		b.Fatal(err)
 	}
 	ent.Materialize()
-	key, err := ent.snapshotKey()
-	if err != nil {
-		b.Fatal(err)
-	}
+	key := ent.key
 	if err := ent.Close(); err != nil {
 		b.Fatal(err)
 	}

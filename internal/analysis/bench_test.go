@@ -104,14 +104,23 @@ var (
 	bench1000     *Workspace
 )
 
-// benchWorkspace1000 returns the shared in-memory workspace of the
+// benchWorkspace1000 returns the shared heap workspace of the
 // paper-scale population the configure and score benchmarks run on:
-// 1000 users × 2 weeks of 15-minute windows, seed 1, every column
-// built once.
+// 1000 users × 2 weeks of 15-minute windows, seed 1, every record
+// filled once.
 func benchWorkspace1000() *Workspace {
 	bench1000Once.Do(func() {
 		pop := trace.MustPopulation(trace.Config{Users: 1000, Weeks: 2, Seed: 1})
-		bench1000 = NewGenerated(len(pop.Users), func(u int) *features.Matrix { return pop.Users[u].Series() })
+		key, err := snapshot.KeyFor(pop.Cfg)
+		if err != nil {
+			panic(err)
+		}
+		bench1000, err = Generate(key, func(u int, rows [][features.NumFeatures]float64) {
+			pop.Users[u].FillSeries(rows)
+		})
+		if err != nil {
+			panic(err)
+		}
 	})
 	return bench1000
 }

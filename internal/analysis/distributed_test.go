@@ -56,11 +56,12 @@ func TestShardWorkerHelper(t *testing.T) {
 	}
 }
 
-// TestCrossProcessShardBuild is the ISSUE's three-way determinism
-// pin: the same key built via (a) single-process Save, (b) in-process
+// TestCrossProcessShardBuild is the three-way determinism pin: the
+// same key built via (a) a one-range local build, (b) in-process
 // distributed workers, and (c) two separate worker processes over
 // disjoint shard ranges plus a merge, must produce byte-identical
-// snapshots AND manifests.
+// snapshots AND manifests, and the merged store must serve the views
+// of the heap workspace Generate fills.
 func TestCrossProcessShardBuild(t *testing.T) {
 	const users = 40
 	pop := trace.MustPopulation(helperConfig(users))
@@ -72,12 +73,8 @@ func TestCrossProcessShardBuild(t *testing.T) {
 		pop.Users[u].FillSeries(rows)
 	}
 
-	// (a) single-process Save from a fully in-memory workspace.
-	saveDir := t.TempDir()
-	mem := NewGenerated(users, func(u int) *features.Matrix { return pop.Users[u].Series() })
-	if _, err := mem.Save(saveDir, key); err != nil {
-		t.Fatal(err)
-	}
+	// (a) a one-range local build.
+	saveDir := sealStore(t, key, gen)
 
 	// (b) in-process distributed build: three part writers + merge.
 	distDir := t.TempDir()
@@ -124,14 +121,14 @@ func TestCrossProcessShardBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s snapshot bytes differ from single-process Save", name)
+			t.Fatalf("%s snapshot bytes differ from the one-range build", name)
 		}
 		gotMan, err := os.ReadFile(key.ManifestPath(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(gotMan, wantMan) {
-			t.Fatalf("%s manifest bytes differ from single-process Save", name)
+			t.Fatalf("%s manifest bytes differ from the one-range build", name)
 		}
 	}
 
@@ -141,20 +138,23 @@ func TestCrossProcessShardBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	requireEqualWorkspaces(t, loaded, mem)
+	heap, err := Generate(key, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireEqualWorkspaces(t, loaded, heap)
 }
 
 // TestLoadOrMaterializeWorkers pins every cold path to the
 // single-pass build byte for byte — snapshot and manifest — and the
-// warm path to a plain map: a multi-worker LoadOrMaterialize, a
-// Workspace.Save of the in-memory build, and a buildctl.Build over 8
-// ranges all seal the same bytes.
+// warm path to a plain map: a multi-worker LoadOrMaterialize and a
+// buildctl.Build over 8 ranges seal the same bytes.
 func TestLoadOrMaterializeWorkers(t *testing.T) {
 	pop, key := popAndKey(t, 23, 2, 11, 6*time.Hour)
 	gen := func(u int, rows [][features.NumFeatures]float64) {
 		pop.Users[u].FillSeries(rows)
 	}
-	singleDir, distDir, saveDir, ctlDir := t.TempDir(), t.TempDir(), t.TempDir(), t.TempDir()
+	singleDir, distDir, ctlDir := t.TempDir(), t.TempDir(), t.TempDir()
 	ws, _, err := LoadOrMaterialize(context.Background(), singleDir, key, 0, 0, nil, nil, gen)
 	if err != nil {
 		t.Fatal(err)
@@ -167,10 +167,6 @@ func TestLoadOrMaterializeWorkers(t *testing.T) {
 	ws.Close()
 	if warm {
 		t.Fatal("cold build reported warm")
-	}
-	mem := NewGenerated(key.Users, func(u int) *features.Matrix { return pop.Users[u].Series() })
-	if _, err := mem.Save(saveDir, key); err != nil {
-		t.Fatal(err)
 	}
 	if _, err := buildctl.Build(context.Background(), buildctl.Options{
 		Dir: ctlDir, Key: key,
@@ -188,7 +184,7 @@ func TestLoadOrMaterializeWorkers(t *testing.T) {
 		return b
 	}
 	want, wantMan := read(key.Path(singleDir)), read(key.ManifestPath(singleDir))
-	for name, dir := range map[string]string{"workers>1": distDir, "Workspace.Save": saveDir, "buildctl.Build 8 ranges": ctlDir} {
+	for name, dir := range map[string]string{"workers>1": distDir, "buildctl.Build 8 ranges": ctlDir} {
 		if !bytes.Equal(read(key.Path(dir)), want) {
 			t.Fatalf("%s cold build bytes differ from single-pass build", name)
 		}

@@ -14,7 +14,7 @@ import (
 )
 
 // mappedTriple materializes one sharded store and returns it three
-// ways: an in-memory workspace over its matrices, the mapped store
+// ways: a heap workspace over its matrices, the mapped store
 // unarmed, and the mapped store bounded to shardUsers.
 func mappedTriple(t *testing.T, users int, seed uint64, shardUsers int) (names []string, ws []*Workspace) {
 	t.Helper()
@@ -27,8 +27,8 @@ func mappedTriple(t *testing.T, users int, seed uint64, shardUsers int) (names [
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mapped.Close() })
-	return []string{"in-memory", "mapped", "bounded"},
-		[]*Workspace{New(mapped.Matrices()), mapped, loadArmed(t, dir, key, shardUsers)}
+	return []string{"heap", "mapped", "bounded"},
+		[]*Workspace{generated(t, mapped.Matrices()), mapped, loadArmed(t, dir, key, shardUsers)}
 }
 
 // TestBenignScoreMatchesEvaluate pins Score's sorted-column benign
@@ -36,7 +36,7 @@ func mappedTriple(t *testing.T, users int, seed uint64, shardUsers int) (names [
 // the same operating point, bits included, at thresholds equal to a
 // sample, between two samples, at and below the minimum, at and above
 // the maximum, and at ±Inf, with an overlay job in the same pass, on
-// in-memory, mapped and bounded workspaces.
+// heap, mapped and bounded workspaces.
 func TestBenignScoreMatchesEvaluate(t *testing.T) {
 	const users = 23
 	f, week := features.TCP, 1
@@ -100,7 +100,7 @@ func TestBenignScoreMatchesEvaluate(t *testing.T) {
 // TestAssignmentsShareOneFold pins the shared group fold: every
 // assignment is DeepEqual to core.Configure's whether percentile or
 // utility configures first on a (feature, week, grouping) or both run
-// concurrently, on in-memory, mapped and bounded workspaces.
+// concurrently, on heap, mapped and bounded workspaces.
 func TestAssignmentsShareOneFold(t *testing.T) {
 	const users = 29
 	f, week := features.TCP, 0

@@ -17,7 +17,7 @@ import (
 // points, bits included, under an all-zero overlay, every 4th window,
 // every window (Storm's shape) and a single window, at thresholds equal
 // to a sample, to an attacked window's g+a, between samples and at
-// ±Inf, on in-memory, mapped and bounded workspaces. Jobs sharing one
+// ±Inf, on heap, mapped and bounded workspaces. Jobs sharing one
 // overlay slice share its walk; a copy of an overlay is scored as a
 // separate overlay with the same values.
 func TestOverlayScoreMatchesEvaluate(t *testing.T) {

@@ -1,36 +1,31 @@
 package analysis
 
-// The snapshot integration: a materialized Workspace is a pure
-// function of its generation key, so it is computed once, persisted
-// in internal/snapshot's columnar format, and mapped back as
-// zero-copy views.
+// The store integration: a materialized Workspace is a pure function
+// of its generation key, so its records are computed once by
+// internal/snapshot's record producer and served as zero-copy views.
 //
-//   - Save serializes any workspace (rows are copied out of its
-//     matrices; sorted columns and day views are recomputed from the
-//     rows, which is bit-identical to the in-memory build because
-//     sorting the same column yields the same slice).
-//   - Load maps a snapshot and builds a workspace whose matrices,
+//   - Load maps a sealed store and builds a workspace whose matrices,
 //     sorted columns, distributions and day views alias the mapping.
 //     Only the raw time-ordered columns are copied, per block and only
 //     when Raw asks: rows interleave the six features, so a raw column
-//     is the one view the file cannot serve as a contiguous run.
+//     is the one view a record cannot serve as a contiguous run.
+//   - Generate fills the same records into a heap slab
+//     (snapshot.Fill) and builds the same workspace over it; nothing
+//     touches the disk.
 //   - MaterializeSharded streams a population through bounded
 //     user-shards straight into the store — generate, derive, append,
 //     release — so peak heap is O(shard × record), not
 //     O(users × record), then Loads the result. The returned
-//     workspace is bit-identical to NewGenerated over the same
-//     generator.
+//     workspace is bit-identical to Generate over the same generator.
 //
-// Every cold path — Save, MaterializeSharded, LoadOrMaterialize — is
-// one call to materialize: a buildctl.Build over in-process
+// Every cold path — MaterializeSharded, LoadOrMaterialize — is one
+// call to materialize: a buildctl.Build over in-process
 // snapshot.BuildPart workers, sealed by the coordinator's verified
-// splice merge, then Load. They differ only in the fill and the
-// worker count.
+// splice merge, then Load. They differ only in the worker count.
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io/fs"
 	"sync"
 
@@ -38,33 +33,6 @@ import (
 	"repro/internal/features"
 	"repro/internal/snapshot"
 )
-
-// Save writes the workspace to dir under the content-addressed key,
-// returning the sealed file's path. The key's geometry must match the
-// workspace; the key's generation fields (seed, trend, …) are the
-// caller's assertion of where the matrices came from — Save cannot
-// verify them, exactly as a build cache trusts its own key. A store
-// already sealed under the key is kept as is.
-func (w *Workspace) Save(dir string, key snapshot.Key) (string, error) {
-	if key.Users != w.users || key.Weeks != w.weeks ||
-		key.BinWidth != w.binWidth || key.BinsPerWeek() != w.binsPerWeek {
-		return "", fmt.Errorf("analysis: snapshot key geometry (%d users, %d weeks, %v bins) does not match workspace (%d, %d, %v)",
-			key.Users, key.Weeks, key.BinWidth, w.users, w.weeks, w.binWidth)
-	}
-	if sm := w.matrices[0].StartMicros; sm != key.StartMicros {
-		return "", fmt.Errorf("analysis: snapshot key start %d does not match workspace start %d", key.StartMicros, sm)
-	}
-	saved, err := materialize(context.Background(), dir, key, 0, 1, nil, func(u int, rows [][features.NumFeatures]float64) {
-		copy(rows, w.matrices[u].Rows)
-	})
-	if err != nil {
-		return "", err
-	}
-	if err := saved.Close(); err != nil {
-		return "", err
-	}
-	return key.Path(dir), nil
-}
 
 // Load maps the snapshot addressed by key under dir into a zero-copy
 // workspace. Everything the workspace serves that the file holds —
@@ -82,6 +50,26 @@ func Load(dir string, key snapshot.Key) (*Workspace, error) {
 	if err != nil {
 		return nil, err
 	}
+	return fromSnapshot(snap, key), nil
+}
+
+// Generate builds key's workspace in memory: every user's record is
+// filled into one heap slab by snapshot.Fill — fill writes the rows,
+// the record producer derives the rest — and the workspace serves it
+// exactly as Load serves a mapped store. fill has MaterializeSharded's
+// contract. A key whose geometry is invalid returns an error.
+func Generate(key snapshot.Key, fill func(u int, rows [][features.NumFeatures]float64)) (*Workspace, error) {
+	snap, err := snapshot.Fill(key, fill)
+	if err != nil {
+		return nil, err
+	}
+	return fromSnapshot(snap, key), nil
+}
+
+// fromSnapshot builds the workspace over a store: its matrices are
+// row views of the records, and every columnar block is wired from
+// them on first use.
+func fromSnapshot(snap *snapshot.Snapshot, key snapshot.Key) *Workspace {
 	lay := snap.Layout()
 	users, weeks, bpw := lay.Users, lay.Weeks, lay.BinsPerWeek
 	nBlocks := weeks * features.NumFeatures
@@ -104,14 +92,14 @@ func Load(dir string, key snapshot.Key) (*Workspace, error) {
 		}
 		w.matrices[u] = &matSlab[u]
 	}
-	return w, nil
+	return w
 }
 
 // LoadOrMaterialize is the store's standard access chain: map the
 // snapshot if a valid one exists (warm == true; generate is never
 // called), otherwise cold-build it and map the result. Callers
-// own the failure policy — the enterprise and the fleet harness fall
-// back to in-memory materialization, tracegen reports the error.
+// own the failure policy — the enterprise falls back to Generate,
+// tracegen reports the error.
 //
 // warn, when non-nil, surfaces fallback events that were previously
 // silent: stage "load" fires when a snapshot file exists but could
@@ -174,8 +162,7 @@ func BuildShardRange(ctx context.Context, dir string, key snapshot.Key, lo, hi, 
 // snapshot at dir and returns the loaded zero-copy workspace.
 // generate must fill rows (one user's full capture, Layout().Bins()
 // rows) deterministically and be safe for concurrent calls with
-// distinct u — it is the same contract as NewGenerated's matrixOf,
-// minus the Matrix wrapper. Users are processed in shards of
+// distinct u. Users are processed in shards of
 // shardUsers (<= 0 means snapshot.DefaultShardUsers): the shard
 // buffer is the only population-sized state ever resident, so peak
 // heap stays O(shardUsers) while populations of 20k–100k users

@@ -25,6 +25,21 @@ func popAndKey(t *testing.T, users, weeks int, seed uint64, binWidth time.Durati
 	return pop, key
 }
 
+// sealStore seals key's store in a fresh directory with a one-range
+// local build over gen and returns the directory.
+func sealStore(t *testing.T, key snapshot.Key, gen func(u int, rows [][features.NumFeatures]float64)) string {
+	t.Helper()
+	dir := t.TempDir()
+	ws, err := MaterializeSharded(context.Background(), dir, key, 0, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
 // requireEqualWorkspaces asserts that two workspaces serve
 // bit-identical views: matrices, raw and sorted columns,
 // distributions, tail stats and day views.
@@ -78,11 +93,11 @@ func requireEqualWorkspaces(t *testing.T, got, want *Workspace) {
 	}
 }
 
-// TestSnapshotRoundTripProperty is the Save→Load property test: for
+// TestSnapshotRoundTripProperty is the seal→Load property test: for
 // every seed (including the heavy-tail monsters 53 and 87 that stress
 // episode levels and destination pools) and population shape, the
-// loaded workspace is bit-identical to the in-memory one it was saved
-// from.
+// workspace loaded from a sealed store is bit-identical to the heap
+// workspace Generate fills from the same generator.
 func TestSnapshotRoundTripProperty(t *testing.T) {
 	for _, tc := range []struct {
 		seed     uint64
@@ -97,16 +112,13 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 		{424242, 3, 2, 90 * time.Minute},
 	} {
 		pop, key := popAndKey(t, tc.users, tc.weeks, tc.seed, tc.binWidth)
-		dir := t.TempDir()
-		mem := NewGenerated(tc.users, func(u int) *features.Matrix {
-			return pop.Users[u].Series()
-		})
-		path, err := mem.Save(dir, key)
+		gen := func(u int, rows [][features.NumFeatures]float64) {
+			pop.Users[u].FillSeries(rows)
+		}
+		dir := sealStore(t, key, gen)
+		mem, err := Generate(key, gen)
 		if err != nil {
 			t.Fatalf("seed %d: %v", tc.seed, err)
-		}
-		if _, err := os.Stat(path); err != nil {
-			t.Fatalf("seed %d: sealed file missing: %v", tc.seed, err)
 		}
 		loaded, err := Load(dir, key)
 		if err != nil {
@@ -124,8 +136,8 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 
 // TestMaterializeShardedBitIdentical pins the sharded streaming path
 // to the unsharded one at the byte level: the snapshot file written
-// shard by shard must equal the file Save produces from a fully
-// in-memory workspace, for shard sizes that divide the population
+// shard by shard must equal the file written from one shard holding
+// the whole population, for shard sizes that divide the population
 // unevenly. In full (non -short) mode the population is the
 // 5000-user ROADMAP scale, demonstrating that sharding changes only
 // peak memory, never a single byte of output.
@@ -138,14 +150,16 @@ func TestMaterializeShardedBitIdentical(t *testing.T) {
 	}
 	pop, key := popAndKey(t, users, weeks, 1, binWidth)
 	memDir := t.TempDir()
-	mem := NewGenerated(users, func(u int) *features.Matrix {
-		return pop.Users[u].Series()
+	mem, err := MaterializeSharded(context.Background(), memDir, key, users, func(u int, rows [][features.NumFeatures]float64) {
+		pop.Users[u].FillSeries(rows)
 	})
-	memPath, err := mem.Save(memDir, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(memPath)
+	if err := mem.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(key.Path(memDir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +182,7 @@ func TestMaterializeShardedBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("shard %d: sharded snapshot bytes differ from unsharded Save", shard)
+			t.Fatalf("shard %d: sharded snapshot bytes differ from the unsharded build", shard)
 		}
 	}
 }
@@ -179,13 +193,10 @@ func TestMaterializeShardedBitIdentical(t *testing.T) {
 func TestLoadRejectsCorruptOrStale(t *testing.T) {
 	pop, key := popAndKey(t, 4, 2, 5, 6*time.Hour)
 	build := func(t *testing.T) (string, string) {
-		dir := t.TempDir()
-		ws := NewGenerated(4, func(u int) *features.Matrix { return pop.Users[u].Series() })
-		path, err := ws.Save(dir, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dir, path
+		dir := sealStore(t, key, func(u int, rows [][features.NumFeatures]float64) {
+			pop.Users[u].FillSeries(rows)
+		})
+		return dir, key.Path(dir)
 	}
 	for name, mutate := range map[string]func(b []byte) []byte{
 		"truncated": func(b []byte) []byte { return b[:len(b)/2] },
@@ -214,30 +225,5 @@ func TestLoadRejectsCorruptOrStale(t *testing.T) {
 				t.Log(err)
 			}
 		})
-	}
-}
-
-// TestSaveRejectsMismatchedKey guards the geometry validation: a key
-// whose shape disagrees with the workspace must not produce a file.
-func TestSaveRejectsMismatchedKey(t *testing.T) {
-	pop, key := popAndKey(t, 4, 2, 5, 6*time.Hour)
-	ws := NewGenerated(4, func(u int) *features.Matrix { return pop.Users[u].Series() })
-	dir := t.TempDir()
-	for name, bad := range map[string]snapshot.Key{
-		"users":     {Seed: key.Seed, Users: 5, Weeks: key.Weeks, BinWidth: key.BinWidth, StartMicros: key.StartMicros, HeavyFraction: key.HeavyFraction, WeeklyTrend: key.WeeklyTrend},
-		"weeks":     {Seed: key.Seed, Users: 4, Weeks: 3, BinWidth: key.BinWidth, StartMicros: key.StartMicros, HeavyFraction: key.HeavyFraction, WeeklyTrend: key.WeeklyTrend},
-		"bin width": {Seed: key.Seed, Users: 4, Weeks: key.Weeks, BinWidth: 3 * time.Hour, StartMicros: key.StartMicros, HeavyFraction: key.HeavyFraction, WeeklyTrend: key.WeeklyTrend},
-		"start":     {Seed: key.Seed, Users: 4, Weeks: key.Weeks, BinWidth: key.BinWidth, StartMicros: key.StartMicros + 60e6, HeavyFraction: key.HeavyFraction, WeeklyTrend: key.WeeklyTrend},
-	} {
-		if _, err := ws.Save(dir, bad); err == nil {
-			t.Fatalf("%s: Save accepted a mismatched key", name)
-		}
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Fatalf("rejected Saves left files behind: %v", ents)
 	}
 }

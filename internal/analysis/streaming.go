@@ -6,15 +6,15 @@ package analysis
 // Whether a pass also bounds the heap is decided here and nowhere
 // else:
 //
-//   - A bounded workspace (snapshot-backed and armed by SetStreamShard)
-//     cuts shards of the armed size. Its views wire their own blocks
-//     from the mapping through the exact same ensureBlock/DaySorted
-//     lazy paths as a full workspace, offset by userBase, and
-//     StreamShards releases each shard's mapped pages
-//     (snapshot.DropUserRange) as soon as its callback returns, so peak
-//     RSS is set by the shard size, not the population.
-//   - Every other workspace (in-memory, or mapped but unarmed) is
-//     unbounded: it already holds, or may keep, the whole population.
+//   - A bounded workspace (armed by SetStreamShard) cuts shards of the
+//     armed size. Its views wire their own blocks from the store
+//     through the exact same ensureBlock/DaySorted lazy paths as a
+//     full workspace, offset by userBase, and StreamShards releases
+//     each shard's mapped pages (snapshot.DropUserRange) as soon as its
+//     callback returns, so a mapped store's peak RSS is set by the
+//     shard size, not the population.
+//   - Every other workspace is unbounded: it may keep the whole
+//     population resident.
 //     Its views are O(1) windows onto the parent's memoized blocks,
 //     nothing is copied or released, and shards are four per worker
 //     so per-user work keeps the whole-heap parallelism and the pool
@@ -47,13 +47,13 @@ import (
 )
 
 // SetStreamShard arms bounded-heap evaluation: population-wide
-// analyses on this workspace will iterate the snapshot in shards of at
-// most n users and release each shard's pages (n <= 0 disarms). It
-// only takes effect on snapshot-backed workspaces — an in-memory
-// workspace already holds everything, so there is nothing to bound —
-// and must be called before analyses run (results are memoized under
-// path-independent keys, so late arming only affects not-yet-computed
-// artifacts).
+// analyses on this workspace will iterate the store in shards of at
+// most n users and release each shard's mapped pages (n <= 0
+// disarms). Only a mapped store has pages to release — a heap store
+// (Generate) already holds everything, so arming one only cuts
+// smaller shards. It must be called before analyses run (results are
+// memoized under path-independent keys, so late arming only affects
+// not-yet-computed artifacts).
 func (w *Workspace) SetStreamShard(n int) {
 	if n < 0 {
 		n = 0
@@ -62,9 +62,8 @@ func (w *Workspace) SetStreamShard(n int) {
 }
 
 // bounded reports whether population-wide analyses stream in bounded
-// shards: only an armed, snapshot-backed workspace can hand its pages
-// back.
-func (w *Workspace) bounded() bool { return w.snap != nil && w.streamShard > 0 }
+// shards.
+func (w *Workspace) bounded() bool { return w.streamShard > 0 }
 
 // ViewRange returns a shard-sized view covering local users [lo, hi)
 // — a real Workspace whose user u is the parent's user lo+u. A view of

@@ -59,7 +59,7 @@ func loadArmed(t *testing.T, dir string, key snapshot.Key, shardUsers int) *Work
 // the population is cut. The inputs are one mapped store read at shard
 // sizes bracketing the geometry (single user, an odd size that leaves
 // a ragged tail, larger than the population, exactly the population),
-// the same store unarmed (four shards per worker), and an in-memory
+// the same store unarmed (four shards per worker), and a heap
 // workspace over the same matrices, for a heavy-tail seed on each.
 // Evaluations are also pinned to core.EvaluatePolicy over the
 // population's raw test columns.
@@ -84,8 +84,8 @@ func TestShardSizeInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { unarmed.Close() })
-		names := []string{"in-memory", "unarmed"}
-		inputs := []*Workspace{New(unarmed.Matrices()), unarmed}
+		names := []string{"heap", "unarmed"}
+		inputs := []*Workspace{generated(t, unarmed.Matrices()), unarmed}
 		for _, shard := range []int{1, 7, 128, users} {
 			names = append(names, fmt.Sprintf("shard %d", shard))
 			inputs = append(inputs, loadArmed(t, dir, key, shard))
@@ -159,7 +159,7 @@ func TestShardSizeInvariance(t *testing.T) {
 
 // TestScoreMatchesEvaluateSharded pins the multi-job pass: one k-job
 // Score is DeepEqual to k one-job EvaluateSharded calls and to
-// core.EvaluatePolicy over the raw test columns, on an in-memory
+// core.EvaluatePolicy over the raw test columns, on a heap
 // workspace, the unarmed store and the store bounded at shard sizes
 // bracketing the population.
 func TestScoreMatchesEvaluateSharded(t *testing.T) {
@@ -174,8 +174,8 @@ func TestScoreMatchesEvaluateSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { unarmed.Close() })
-	names := []string{"in-memory", "unarmed"}
-	inputs := []*Workspace{New(unarmed.Matrices()), unarmed}
+	names := []string{"heap", "unarmed"}
+	inputs := []*Workspace{generated(t, unarmed.Matrices()), unarmed}
 	for _, shard := range []int{1, 7, 128, users} {
 		names = append(names, fmt.Sprintf("shard %d", shard))
 		inputs = append(inputs, loadArmed(t, dir, key, shard))
@@ -230,7 +230,7 @@ func TestScoreMatchesEvaluateSharded(t *testing.T) {
 }
 
 // TestUnboundedViewsAliasParent pins the two view kinds apart: a view
-// of an unbounded workspace (in-memory or unarmed mapped) serves the
+// of an unbounded workspace (heap or unarmed mapped) serves the
 // parent's own sorted columns and distributions, not copies, while a
 // bounded view wires fresh ones from the mapping.
 func TestUnboundedViewsAliasParent(t *testing.T) {
@@ -241,7 +241,7 @@ func TestUnboundedViewsAliasParent(t *testing.T) {
 		w     *Workspace
 		alias bool
 	}{
-		{"in-memory", New(unarmed.Matrices()), true},
+		{"heap", generated(t, unarmed.Matrices()), true},
 		{"unarmed", unarmed, true},
 		{"bounded", bounded, false},
 	} {
@@ -307,11 +307,11 @@ func TestViewRangeIsBitIdenticalWindow(t *testing.T) {
 // TestStreamShardsCoversEveryUserConcurrently runs the fold with more
 // workers than shards on shared state — the -race guard for the
 // parallel fan-out — and checks exact disjoint tiling of [0, users),
-// for a bounded workspace and an in-memory one.
+// for a bounded workspace and a heap one.
 func TestStreamShardsCoversEveryUserConcurrently(t *testing.T) {
 	const users = 23
 	unarmed, streamed := streamedPair(t, users, 87, 5)
-	for name, w := range map[string]*Workspace{"bounded": streamed, "in-memory": New(unarmed.Matrices())} {
+	for name, w := range map[string]*Workspace{"bounded": streamed, "heap": generated(t, unarmed.Matrices())} {
 		seen := make([]int, users)
 		var mu sync.Mutex
 		err := w.StreamShards(8, func(view *Workspace, lo, hi int) error {
@@ -406,12 +406,12 @@ func requireNoRaw(t *testing.T, name string, w *Workspace) {
 	}
 }
 
-// TestSnapshotRawColumnsAreLazy pins that on a mapped store the passes
-// reading sorted columns — Fig 5's Storm scoring included — never copy
-// a raw column out of the mapping — on the full workspace, whole-heap
-// or streaming, and on every shard view — that a later Raw still serves the in-memory workspace's
-// columns bit for bit, and that a streaming TailStats pass allocates
-// well under one raw block.
+// TestSnapshotRawColumnsAreLazy pins that the passes reading sorted
+// columns — Fig 5's Storm scoring included — never copy a raw column
+// out of the records — on a mapped store, whole-heap or streaming, on
+// every shard view, and on a heap store — that a later Raw still
+// serves the columns of the generated matrices bit for bit, and that a
+// streaming TailStats pass allocates well under one raw block.
 func TestSnapshotRawColumnsAreLazy(t *testing.T) {
 	const users, shard = 64, 16
 	pop, key := popAndKey(t, users, 2, 53, 15*time.Minute)
@@ -443,15 +443,25 @@ func TestSnapshotRawColumnsAreLazy(t *testing.T) {
 	for u := range matrices {
 		matrices[u] = pop.Users[u].Series()
 	}
-	ref := New(matrices)
+	heap := generated(t, matrices)
+	sortedOnlyPasses(t, heap)
+	requireNoRaw(t, "heap", heap)
+	// rawOf is the reference: each matrix's column, sliced directly.
+	rawOf := func(f features.Feature, week, lo, hi int) [][]float64 {
+		out := make([][]float64, 0, hi-lo)
+		for _, m := range matrices[lo:hi] {
+			blo, bhi := m.WeekRange(week)
+			out = append(out, m.ColumnSlice(f, blo, bhi))
+		}
+		return out
+	}
 	// One worker runs every shard on this goroutine, so the callback
 	// may fail the test directly.
 	err = streamed.StreamShards(1, func(view *Workspace, lo, hi int) error {
 		sortedOnlyPasses(t, view)
 		requireNoRaw(t, fmt.Sprintf("view [%d, %d)", lo, hi), view)
-		got, want := view.Raw(features.TCP, 1), ref.Raw(features.TCP, 1)[lo:hi]
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("view [%d, %d): raw columns diverge from the in-memory workspace", lo, hi)
+		if got, want := view.Raw(features.TCP, 1), rawOf(features.TCP, 1, lo, hi); !reflect.DeepEqual(got, want) {
+			t.Fatalf("view [%d, %d): raw columns diverge from the matrices", lo, hi)
 		}
 		return nil
 	})
@@ -474,10 +484,14 @@ func TestSnapshotRawColumnsAreLazy(t *testing.T) {
 			t.Fatal("concurrent Raw calls extracted the block more than once")
 		}
 	}
-	for week := 0; week < ref.Weeks(); week++ {
+	for week := 0; week < heap.Weeks(); week++ {
 		for _, f := range features.All() {
-			if !reflect.DeepEqual(streamed.Raw(f, week), ref.Raw(f, week)) {
-				t.Fatalf("%s week %d: raw columns diverge from the in-memory workspace", f, week)
+			want := rawOf(f, week, 0, users)
+			if !reflect.DeepEqual(streamed.Raw(f, week), want) {
+				t.Fatalf("%s week %d: mapped raw columns diverge from the matrices", f, week)
+			}
+			if !reflect.DeepEqual(heap.Raw(f, week), want) {
+				t.Fatalf("%s week %d: heap raw columns diverge from the matrices", f, week)
 			}
 		}
 	}

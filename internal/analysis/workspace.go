@@ -4,19 +4,20 @@
 //
 // The paper's evaluation re-reads the same feature matrices over and
 // over — per-user, per-week quantiles for Fig 1, train/test series
-// for every policy of Fig 3/4/5, attack sweeps for each figure. The
-// seed implementation rebuilt those inputs on every call: each
-// TailStats re-copied and re-sorted a column per (feature, quantile)
-// pair, every evalPolicies re-derived the train/test split and
-// re-configured thresholds per policy. The workspace replaces that
-// with pre-sorted columnar views and memoized derived artifacts:
+// for every policy of Fig 3/4/5, attack sweeps for each figure. A
+// workspace reads them from one store of per-user records in
+// internal/snapshot's layout — rows, sorted week columns, sorted day
+// views — backed by a mapped file (Load) or a heap slab (Generate).
+// Either way the records come from the one record producer, so the
+// sorted views are derived once, by one function. Over the store the
+// workspace serves columnar views and memoized derived artifacts:
 //
 //   - Raw(f, w): per-user time-ordered columns of one feature-week,
-//     extracted once, shared by every evaluation loop;
-//   - Sorted(f, w) / Dists(f, w): the same columns pre-sorted with
-//     stats.Empirical views adopting the sorted slices zero-copy
-//     (stats.NewEmpiricalFromSorted), so quantile/CDF queries hit the
-//     stats fast path with no per-call allocation;
+//     extracted on first use, shared by every evaluation loop;
+//   - Sorted(f, w) / Dists(f, w): the same columns pre-sorted, as
+//     zero-copy views of the records with stats.Empirical views
+//     adopting them, so quantile/CDF queries hit the stats fast path
+//     with no per-call allocation;
 //   - TailStats / Sweep / Assignment / Memo: memoized quantile
 //     vectors, attack sweeps, threshold configurations and arbitrary
 //     derived artifacts keyed by their parameters — the
@@ -46,9 +47,9 @@ import (
 	"repro/internal/stats"
 )
 
-// Workspace holds the per-enterprise columnar cache. Construct with
-// New, NewGenerated, Load or MaterializeSharded; the zero value is
-// not usable.
+// Workspace holds the per-enterprise columnar cache over one store of
+// records: a mapped file (Load, MaterializeSharded, LoadOrMaterialize)
+// or a heap slab (Generate). The zero value is not usable.
 type Workspace struct {
 	matrices    []*features.Matrix
 	users       int
@@ -57,21 +58,18 @@ type Workspace struct {
 	binWidth    time.Duration
 
 	// blocks[w*NumFeatures+f] is the lazily built columnar view of
-	// one (feature, week); blockOnce guards each build (NewGenerated
-	// fills every block eagerly and burns the onces; Load and a bounded
-	// ViewRange leave them all unfired and ensureBlock wires each
-	// block's sorted columns from the mapped snapshot on first use).
-	// Nil on a view of an unbounded workspace, which reads the parent's.
+	// one (feature, week); blockOnce guards each build, which wires
+	// the block's sorted columns from the store on first use. Nil on a
+	// view of an unbounded workspace, which reads the parent's.
 	blocks    []*block
 	blockOnce []sync.Once
 
 	mu   sync.Mutex
 	memo map[string]*memoCell // created on first Memo
 
-	// snap is the backing store of a snapshot-loaded workspace (nil
-	// for in-memory ones): ensureBlock adopts its mapped sorted
-	// columns and DaySorted its day views, instead of re-deriving
-	// either from the matrices.
+	// snap is the backing store: ensureBlock adopts its sorted columns
+	// and DaySorted its day views. Nil on a view of an unbounded
+	// workspace, which reads the parent's, and after Close.
 	snap *snapshot.Snapshot
 
 	// userBase offsets this workspace's local user indices into snap:
@@ -84,8 +82,7 @@ type Workspace struct {
 	// streamShard > 0 bounds the shards of the population-wide
 	// analyses (TailStats, Sweep, Assignment, EvaluateSharded and the
 	// runners above them) to this many users and releases each shard's
-	// mapped pages after use. Only meaningful on snapshot-backed
-	// workspaces; see streaming.go.
+	// mapped pages after use; see streaming.go.
 	streamShard int
 
 	// parent is set on a ViewRange view of an unbounded workspace: the
@@ -96,132 +93,25 @@ type Workspace struct {
 }
 
 // block is the columnar view of one (feature, week): every user's
-// sorted column, an Empirical adopting it, and the time-ordered
-// column. The per-user slices are carved out of block-wide slabs (or,
-// for a snapshot-backed workspace, the sorted ones point straight into
-// the mapped file), so building a block costs O(1) allocations instead
-// of O(users).
+// sorted column, which points straight into the store's records, and
+// an Empirical adopting it (carved from one slab, so building a block
+// costs O(1) allocations instead of O(users)).
 type block struct {
 	sorted [][]float64
 	dists  []*stats.Empirical
+	emp    []stats.Empirical
 
-	// raw holds the time-ordered columns. In-memory blocks extract them
-	// together with the sorted ones; snapshot-backed blocks leave raw
-	// nil until Raw fires rawOnce, because rows interleave
-	// the six features and a raw column is the one view the file cannot
-	// serve without copying.
+	// raw holds the time-ordered columns, nil until Raw fires rawOnce:
+	// rows interleave the six features, so a raw column is the one
+	// view a record cannot serve without copying.
 	raw     [][]float64
 	rawOnce sync.Once
-
-	// rawBuf/sortedBuf back the per-user slices; emp backs dists.
-	// sortedBuf is nil when sorted views alias a snapshot mapping.
-	rawBuf, sortedBuf []float64
-	emp               []stats.Empirical
-}
-
-// newBlock allocates a block whose column slices will be carved from
-// two users×binsPerWeek slabs.
-func newBlock(users, bpw int) *block {
-	return &block{
-		raw:       make([][]float64, users),
-		sorted:    make([][]float64, users),
-		dists:     make([]*stats.Empirical, users),
-		rawBuf:    make([]float64, users*bpw),
-		sortedBuf: make([]float64, users*bpw),
-		emp:       make([]stats.Empirical, users),
-	}
 }
 
 type memoCell struct {
 	once sync.Once
 	val  any
 	err  error
-}
-
-// New builds a workspace over fully materialized per-user matrices.
-// All matrices must share the same geometry and cover at least one
-// complete week; New panics otherwise (the enterprise constructor
-// guarantees this, so a violation is a programming error).
-func New(matrices []*features.Matrix) *Workspace {
-	if len(matrices) == 0 {
-		panic("analysis: empty population")
-	}
-	m0 := matrices[0]
-	weeks := m0.Weeks()
-	if weeks < 1 {
-		panic("analysis: matrices cover no complete week")
-	}
-	for u, m := range matrices {
-		if m == nil || m.Bins() != m0.Bins() || m.BinWidth != m0.BinWidth {
-			panic(fmt.Sprintf("analysis: user %d matrix geometry differs from user 0", u))
-		}
-	}
-	nBlocks := weeks * features.NumFeatures
-	return &Workspace{
-		matrices:    matrices,
-		users:       len(matrices),
-		weeks:       weeks,
-		binsPerWeek: m0.BinsPerWeek(),
-		binWidth:    m0.BinWidth,
-		blocks:      make([]*block, nBlocks),
-		blockOnce:   make([]sync.Once, nBlocks),
-	}
-}
-
-// NewGenerated builds a workspace whose matrices and columnar blocks
-// are produced in one fused parallel pass: each worker pulls one
-// user's matrix from matrixOf (typically a trace.Generator filling
-// rows week by week) and immediately extracts, sorts and wraps every
-// (feature, week) column while the freshly generated rows are still
-// cache-hot: there is no intermediate per-bin Counts round-trip and no
-// second sweep over cold matrices. matrixOf runs on the shared worker
-// pool: it must be safe for concurrent calls with distinct u and must
-// return matrices of identical geometry covering at least one
-// complete week (panics otherwise, matching New).
-func NewGenerated(users int, matrixOf func(u int) *features.Matrix) *Workspace {
-	if users <= 0 {
-		panic("analysis: empty population")
-	}
-	matrices := make([]*features.Matrix, users)
-	matrices[0] = matrixOf(0)
-	m0 := matrices[0]
-	weeks := m0.Weeks()
-	if weeks < 1 {
-		panic("analysis: matrices cover no complete week")
-	}
-	nBlocks := weeks * features.NumFeatures
-	w := &Workspace{
-		matrices:    matrices,
-		users:       users,
-		weeks:       weeks,
-		binsPerWeek: m0.BinsPerWeek(),
-		binWidth:    m0.BinWidth,
-		blocks:      make([]*block, nBlocks),
-		blockOnce:   make([]sync.Once, nBlocks),
-	}
-	for idx := range w.blocks {
-		w.blocks[idx] = newBlock(users, w.binsPerWeek)
-	}
-	par.ForEach(users, 0, func(u int) {
-		m := matrices[u]
-		if m == nil {
-			m = matrixOf(u)
-			matrices[u] = m
-		}
-		if m == nil || m.Bins() != m0.Bins() || m.BinWidth != m0.BinWidth {
-			panic(fmt.Sprintf("analysis: user %d matrix geometry differs from user 0", u))
-		}
-		for week := 0; week < weeks; week++ {
-			for _, f := range features.All() {
-				w.blocks[week*features.NumFeatures+int(f)].fillUser(m, u, f, week, w.binsPerWeek)
-			}
-		}
-	})
-	// Mark every block built so ensureBlock never rebuilds them.
-	for idx := range w.blockOnce {
-		w.blockOnce[idx].Do(func() {})
-	}
-	return w
 }
 
 // Matrices returns the per-user matrices the workspace was built
@@ -247,82 +137,46 @@ func (w *Workspace) blockIndex(f features.Feature, week int) int {
 	return week*features.NumFeatures + int(f)
 }
 
-// fillUser extracts, sorts and wraps one user's column of one
-// (feature, week) into the block's slabs — the single source of truth
-// shared by the lazy ensureBlock path and the fused NewGenerated pass.
-func (b *block) fillUser(m *features.Matrix, u int, f features.Feature, week int, bpw int) {
-	lo, hi := m.WeekRange(week)
-	raw := b.rawBuf[u*bpw : (u+1)*bpw : (u+1)*bpw]
-	m.ColumnInto(raw, f, lo, hi)
-	sorted := b.sortedBuf[u*bpw : (u+1)*bpw : (u+1)*bpw]
-	copy(sorted, raw)
-	stats.SortCounts(sorted)
-	if err := b.emp[u].AdoptSorted(sorted); err != nil {
-		// Matrices are counters: never NaN, never empty for a
-		// complete week. Reaching here is a corrupted matrix.
-		panic(fmt.Sprintf("analysis: user %d %s week %d: %v", u, f, week, err))
-	}
-	b.raw[u] = raw
-	b.sorted[u] = sorted
-	b.dists[u] = &b.emp[u]
-}
-
 // ensureBlock builds the columnar view of one (feature, week) on
-// first use, fanning the per-user work over all CPUs. On an in-memory
-// workspace that is the extract-and-sort of fillUser, raw columns
-// included. On a snapshot-backed workspace, full or bounded view
-// alike, it only wires the sorted columns and the distributions
-// adopting them as zero-copy views of the mapping, without a
-// validation pass (the part gate ran it before the store was sealed),
-// so a pass touches only the pages it reads; the raw columns wait for
-// Raw, so a pass that reads only sorted data copies nothing.
-// A view of an unbounded workspace has no blocks: its column accessors
-// window the parent's instead.
+// first use, fanning the per-user work over all CPUs. On a full
+// workspace and a bounded view alike it only wires the sorted columns
+// and the distributions adopting them as zero-copy views of the
+// store's records, without a validation pass (the part gate, or
+// snapshot.Fill's same scan, ran it where the records were made), so a
+// pass touches only the pages it reads; the raw columns wait for Raw,
+// so a pass that reads only sorted data copies nothing. A view of an
+// unbounded workspace has no blocks: its column accessors window the
+// parent's instead.
 func (w *Workspace) ensureBlock(f features.Feature, week int) *block {
 	idx := w.blockIndex(f, week)
 	w.blockOnce[idx].Do(func() {
-		bpw := w.binsPerWeek
-		var b *block
-		if w.snap != nil {
-			b = &block{
-				sorted: make([][]float64, w.users),
-				dists:  make([]*stats.Empirical, w.users),
-				emp:    make([]stats.Empirical, w.users),
-			}
-			par.ForEach(w.users, 0, func(u int) {
-				// The part gate proved the column sorted when it was
-				// sealed, and Open's checksum binds those bytes.
-				s := w.snap.SortedColumn(w.userBase+u, week, int(f))
-				b.emp[u].AdoptSealed(s)
-				b.sorted[u] = s
-				b.dists[u] = &b.emp[u]
-			})
-		} else {
-			b = newBlock(w.users, bpw)
-			par.ForEach(w.users, 0, func(u int) {
-				b.fillUser(w.matrices[u], u, f, week, bpw)
-			})
+		b := &block{
+			sorted: make([][]float64, w.users),
+			dists:  make([]*stats.Empirical, w.users),
+			emp:    make([]stats.Empirical, w.users),
 		}
+		par.ForEach(w.users, 0, func(u int) {
+			s := w.snap.SortedColumn(w.userBase+u, week, int(f))
+			b.emp[u].AdoptSealed(s)
+			b.sorted[u] = s
+			b.dists[u] = &b.emp[u]
+		})
 		w.blocks[idx] = b
 	})
 	return w.blocks[idx]
 }
 
 // Raw returns every user's time-ordered column of one feature-week.
-// On a snapshot-backed workspace the first call copies the columns
-// out of the mapped rows into one users×binsPerWeek slab; nothing else
-// the workspace serves needs them. A view of an unbounded workspace
-// windows the parent's. The slices are shared: callers must not
-// modify them.
+// The first call copies the columns out of the records' rows into one
+// users×binsPerWeek slab; nothing else the workspace serves needs
+// them. A view of an unbounded workspace windows the parent's. The
+// slices are shared: callers must not modify them.
 func (w *Workspace) Raw(f features.Feature, week int) [][]float64 {
 	if w.parent != nil {
 		return window(w.parent.Raw(f, week), w.parentLo, w.users)
 	}
 	b := w.ensureBlock(f, week)
 	b.rawOnce.Do(func() {
-		if b.raw != nil {
-			return // in-memory blocks extract raw with sorted
-		}
 		bpw := w.binsPerWeek
 		raw := make([][]float64, w.users)
 		buf := make([]float64, w.users*bpw)
@@ -382,10 +236,11 @@ func (w *Workspace) Memo(key string, fn func() (any, error)) (any, error) {
 	return cell.val, cell.err
 }
 
-// Close releases the workspace's backing snapshot mapping, when it
-// was loaded from one (no-op otherwise). After Close every view the
-// workspace ever returned — matrices, columns, distributions — is
-// invalid: the caller must guarantee no goroutine still reads them.
+// Close releases the workspace's backing store mapping, when it was
+// loaded from one; a heap store stays until nothing references it.
+// After Close every view the workspace ever returned — matrices,
+// columns, distributions — is invalid: the caller must guarantee no
+// goroutine still reads them.
 func (w *Workspace) Close() error {
 	if w.snap == nil {
 		return nil
@@ -500,29 +355,11 @@ func (w *Workspace) DaySorted(f features.Feature, week int) [][][]float64 {
 	}
 	key := fmt.Sprintf("daysorted/%d/%d", int(f), week)
 	v, _ := w.Memo(key, func() (any, error) {
-		if w.snap != nil {
-			// Day views ship pre-sorted in the snapshot, proven so by
-			// the part gate that sealed them: serve them as zero-copy
-			// views of the mapping.
-			out := make([][][]float64, w.users)
-			par.ForEach(w.users, 0, func(u int) {
-				out[u] = w.snap.DayColumns(w.userBase+u, week, int(f))
-			})
-			return out, nil
-		}
-		raw := w.Raw(f, week)
-		binsPerDay := w.binsPerWeek / 7
+		// Day views ship pre-sorted in every record: serve them as
+		// zero-copy views of the store.
 		out := make([][][]float64, w.users)
 		par.ForEach(w.users, 0, func(u int) {
-			buf := make([]float64, 7*binsPerDay)
-			days := make([][]float64, 7)
-			for d := 0; d < 7; d++ {
-				col := buf[d*binsPerDay : (d+1)*binsPerDay]
-				copy(col, raw[u][d*binsPerDay:(d+1)*binsPerDay])
-				stats.SortCounts(col)
-				days[d] = col
-			}
-			out[u] = days
+			out[u] = w.snap.DayColumns(w.userBase+u, week, int(f))
 		})
 		return out, nil
 	})

@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -9,8 +11,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/features"
+	"repro/internal/snapshot"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // testMatrices builds a small deterministic population: user u's
@@ -31,9 +33,24 @@ func testMatrices(users, weeks int) []*features.Matrix {
 	return out
 }
 
+// generated builds the workspace over ms: Generate fills its records
+// from a copy of their rows.
+func generated(t testing.TB, ms []*features.Matrix) *Workspace {
+	t.Helper()
+	m0 := ms[0]
+	key := snapshot.Key{Users: len(ms), Weeks: m0.Weeks(), BinWidth: m0.BinWidth, StartMicros: m0.StartMicros}
+	ws, err := Generate(key, func(u int, rows [][features.NumFeatures]float64) {
+		copy(rows, ms[u].Rows)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ws
+}
+
 func TestWorkspaceColumnsMatchMatrix(t *testing.T) {
 	ms := testMatrices(5, 2)
-	ws := New(ms)
+	ws := generated(t, ms)
 	if ws.Users() != 5 || ws.Weeks() != 2 {
 		t.Fatalf("geometry: %d users, %d weeks", ws.Users(), ws.Weeks())
 	}
@@ -77,7 +94,7 @@ func TestWorkspaceColumnsMatchMatrix(t *testing.T) {
 
 func TestWorkspaceTailStats(t *testing.T) {
 	ms := testMatrices(4, 1)
-	ws := New(ms)
+	ws := generated(t, ms)
 	tails, err := ws.TailStats(features.UDP, 0, 0.99)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +117,7 @@ func TestWorkspaceTailStats(t *testing.T) {
 
 func TestWorkspaceSweep(t *testing.T) {
 	ms := testMatrices(3, 1)
-	ws := New(ms)
+	ws := generated(t, ms)
 	sweep := ws.Sweep(features.TCP, 0, 10)
 	if len(sweep) != 10 || sweep[0] != 1 {
 		t.Fatalf("sweep = %v", sweep)
@@ -123,7 +140,7 @@ func TestWorkspaceSweep(t *testing.T) {
 }
 
 func TestWorkspaceAssignmentMemoized(t *testing.T) {
-	ws := New(testMatrices(6, 1))
+	ws := generated(t, testMatrices(6, 1))
 	pol := core.Policy{Heuristic: core.Percentile{Q: 0.99}, Grouping: core.FullDiversity{}}
 	a1, err := ws.Assignment(features.TCP, 0, pol, nil, "")
 	if err != nil {
@@ -152,7 +169,7 @@ func TestWorkspaceAssignmentMemoized(t *testing.T) {
 // whatever sweep it is asked under, while an objective heuristic keeps
 // one entry per sweep.
 func TestAssignmentAttackFreeHeuristicsShareOneEntry(t *testing.T) {
-	ws := New(testMatrices(6, 1))
+	ws := generated(t, testMatrices(6, 1))
 	sweep := ws.Sweep(features.TCP, 0, 10)
 	for _, h := range []core.Heuristic{core.Percentile{Q: 0.99}, core.MeanSigma{K: 3}} {
 		pol := core.Policy{Heuristic: h, Grouping: core.PartialDiversity{NumGroups: 2}}
@@ -183,7 +200,7 @@ func TestAssignmentAttackFreeHeuristicsShareOneEntry(t *testing.T) {
 }
 
 func TestMemoSingleFlight(t *testing.T) {
-	ws := New(testMatrices(2, 1))
+	ws := generated(t, testMatrices(2, 1))
 	var calls int
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -237,7 +254,7 @@ func TestGeomSpaceGuards(t *testing.T) {
 // of every frontier-scoring heuristic to a plain core.Configure over
 // the same distributions.
 func TestFrontierAssignmentMatchesConfigure(t *testing.T) {
-	ws := New(testMatrices(9, 2))
+	ws := generated(t, testMatrices(9, 2))
 	attack := GeomSpace(1, 500, 6)
 	dists := ws.Dists(features.TCP, 0)
 	for _, h := range []core.Heuristic{core.UtilityOptimal{W: 0.4}, core.FMeasureOptimal{}} {
@@ -262,7 +279,7 @@ func TestFrontierAssignmentMatchesConfigure(t *testing.T) {
 // TestDaySortedMatchesRaw checks the per-day sorted columns are exact
 // sorted permutations of the raw day slices and are memoized.
 func TestDaySortedMatchesRaw(t *testing.T) {
-	ws := New(testMatrices(4, 2))
+	ws := generated(t, testMatrices(4, 2))
 	days := ws.DaySorted(features.UDP, 1)
 	raw := ws.Raw(features.UDP, 1)
 	binsPerDay := ws.BinsPerWeek() / 7
@@ -295,7 +312,7 @@ func TestDaySortedMatchesRaw(t *testing.T) {
 // the same extracted column. Overlays that are short, negative or not
 // finite are rejected before the pass.
 func TestScoreOverlayMatchesEvaluate(t *testing.T) {
-	ws := New(testMatrices(6, 2))
+	ws := generated(t, testMatrices(6, 2))
 	bins := ws.BinsPerWeek()
 	overlay := make([]float64, bins)
 	for b := range overlay {
@@ -370,7 +387,7 @@ func TestAssignmentsConcurrentFrontierSharing(t *testing.T) {
 		{Heuristic: h, Grouping: core.PartialDiversity{NumGroups: 8}},
 	}
 	for round := 0; round < 10; round++ {
-		ws := New(ms)
+		ws := generated(t, ms)
 		got := make([]*core.Assignment, len(pols))
 		var wg sync.WaitGroup
 		for p := range pols {
@@ -385,7 +402,7 @@ func TestAssignmentsConcurrentFrontierSharing(t *testing.T) {
 			}(p)
 		}
 		wg.Wait()
-		ref := New(ms) // serial reference
+		ref := generated(t, ms) // serial reference
 		for p, pol := range pols {
 			want, err := ref.Assignment(features.TCP, 0, pol, attack, "sp8")
 			if err != nil {
@@ -401,78 +418,41 @@ func TestAssignmentsConcurrentFrontierSharing(t *testing.T) {
 	}
 }
 
-// TestNewGeneratedMatchesNewWarm pins the fused constructor to the
-// two-pass flow: generating matrices inside NewGenerated's parallel
-// pass must yield exactly the blocks New+Warm builds from the same
-// matrices, and the workspace must adopt the produced matrices.
-func TestNewGeneratedMatchesNewWarm(t *testing.T) {
-	ms := testMatrices(12, 2)
-	fused := NewGenerated(len(ms), func(u int) *features.Matrix { return ms[u] })
-	ref := New(ms)
-	ref.Warm()
-	if got := fused.Matrices(); len(got) != len(ms) || got[3] != ms[3] {
-		t.Fatal("fused workspace did not adopt the generated matrices")
+// TestGenerateMatchesLoad pins the heap store to the mapped one: a
+// workspace Generate fills from real trace generators serves exactly
+// the views Load serves from the sealed store of the same key.
+func TestGenerateMatchesLoad(t *testing.T) {
+	pop, key := popAndKey(t, 16, 2, 21, 15*time.Minute)
+	gen := func(u int, rows [][features.NumFeatures]float64) {
+		pop.Users[u].FillSeries(rows)
 	}
-	for week := 0; week < fused.Weeks(); week++ {
-		for _, f := range features.All() {
-			gotRaw, wantRaw := fused.Raw(f, week), ref.Raw(f, week)
-			gotSorted, wantSorted := fused.Sorted(f, week), ref.Sorted(f, week)
-			for u := range wantRaw {
-				for b := range wantRaw[u] {
-					if gotRaw[u][b] != wantRaw[u][b] || gotSorted[u][b] != wantSorted[u][b] {
-						t.Fatalf("%s week %d user %d: fused columns diverge", f, week, u)
-					}
-				}
-				if fused.Dists(f, week)[u].N() != ref.Dists(f, week)[u].N() {
-					t.Fatalf("%s week %d user %d: dists diverge", f, week, u)
-				}
-			}
-		}
+	heap, err := Generate(key, gen)
+	if err != nil {
+		t.Fatal(err)
 	}
+	mapped, err := MaterializeSharded(context.Background(), t.TempDir(), key, 0, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	requireEqualWorkspaces(t, heap, mapped)
 }
 
-// TestNewGeneratedParallelGeneration drives real trace generators
-// from NewGenerated's worker pool into one shared workspace — the
-// -race guard for the fused generate-extract-sort pass — and checks
-// the result is identical to serial per-user generation.
-func TestNewGeneratedParallelGeneration(t *testing.T) {
-	pop := trace.MustPopulation(trace.Config{Users: 16, Weeks: 2, Seed: 21})
-	ws := NewGenerated(len(pop.Users), func(u int) *features.Matrix {
-		return pop.Users[u].Series()
+// TestGenerateParallelMatchesSerial checks that Generate's fill on the
+// worker pool adopts rows equal to serial per-user generation from real
+// trace generators. Under -race it guards the parallel fill.
+func TestGenerateParallelMatchesSerial(t *testing.T) {
+	pop, key := popAndKey(t, 16, 2, 21, 15*time.Minute)
+	heap, err := Generate(key, func(u int, rows [][features.NumFeatures]float64) {
+		pop.Users[u].FillSeries(rows)
 	})
-	for u, want := range pop.Users {
-		m := want.Series()
-		got := ws.Matrices()[u]
-		for b := range m.Rows {
-			if got.Rows[b] != m.Rows[b] {
-				t.Fatalf("user %d bin %d: parallel generation diverges from serial", u, b)
-			}
-		}
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestNewGeneratedPanics(t *testing.T) {
-	ms := testMatrices(3, 1)
-	bad := features.NewMatrix(ms[0].BinWidth, 0, ms[0].Bins()*2)
-	for name, fn := range map[string]func(){
-		"empty": func() { NewGenerated(0, func(int) *features.Matrix { return nil }) },
-		"geometry": func() {
-			NewGenerated(2, func(u int) *features.Matrix {
-				if u == 1 {
-					return bad
-				}
-				return ms[u]
-			})
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			fn()
-		}()
+	for u, user := range pop.Users {
+		if !reflect.DeepEqual(heap.Matrices()[u].Rows, user.Series().Rows) {
+			t.Fatalf("user %d: parallel generation diverges from serial", u)
+		}
 	}
 }
 

@@ -35,15 +35,18 @@ func genFor(pop *trace.Population) func(u int, rows [][features.NumFeatures]floa
 }
 
 // wantBytes builds the ground truth every faulty run must reproduce:
-// a clean single-process Save's snapshot and manifest bytes.
+// a clean one-range local build's snapshot and manifest bytes.
 func wantBytes(t *testing.T, pop *trace.Population, key snapshot.Key) (snap, man []byte) {
 	t.Helper()
 	dir := t.TempDir()
-	mem := analysis.NewGenerated(key.Users, func(u int) *features.Matrix { return pop.Users[u].Series() })
-	if _, err := mem.Save(dir, key); err != nil {
+	ws, err := analysis.MaterializeSharded(context.Background(), dir, key, 0, genFor(pop))
+	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := os.ReadFile(key.Path(dir))
+	if err := ws.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err = os.ReadFile(key.Path(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

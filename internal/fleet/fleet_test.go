@@ -14,6 +14,7 @@ import (
 	"repro/internal/features"
 	"repro/internal/netsim"
 	"repro/internal/par"
+	"repro/internal/snapshot"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -26,7 +27,7 @@ func p99Policy(g core.Grouping) core.Policy {
 // matrices. Synthesis is the expensive part of every test here
 // (hundreds of millions of per-connection draws at scale), so each
 // test generates once and shares the matrices between the fleet run
-// (Config.Matrices) and the in-memory workspace it is pinned to.
+// (Config.Matrices) and the workspace it is pinned to.
 func buildMats(t testing.TB, users int, seed uint64, binWidth time.Duration) []*features.Matrix {
 	t.Helper()
 	pop := trace.MustPopulation(trace.Config{
@@ -40,6 +41,21 @@ func buildMats(t testing.TB, users int, seed uint64, binWidth time.Duration) []*
 		mats[u] = pop.Users[u].Series()
 	})
 	return mats
+}
+
+// workspaceOf builds the reference workspace over mats: Generate
+// fills its records from a copy of their rows.
+func workspaceOf(t testing.TB, mats []*features.Matrix) *analysis.Workspace {
+	t.Helper()
+	m0 := mats[0]
+	key := snapshot.Key{Users: len(mats), Weeks: m0.Weeks(), BinWidth: m0.BinWidth, StartMicros: m0.StartMicros}
+	ws, err := analysis.Generate(key, func(u int, rows [][features.NumFeatures]float64) {
+		copy(rows, mats[u].Rows)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ws
 }
 
 // alarmConfusion scores one host's console-observed alarm series
@@ -163,7 +179,7 @@ func TestFleetWireMatchesWorkspaceClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertWireMatchesWorkspace(t, rcfg, analysis.New(cfg.Matrices), res, nil)
+	assertWireMatchesWorkspace(t, rcfg, workspaceOf(t, cfg.Matrices), res, nil)
 
 	// The console tally for the watch feature alone must be bounded by
 	// the all-feature tally it reports per host.
@@ -199,7 +215,7 @@ func TestFleetWireMatchesWorkspaceNaive(t *testing.T) {
 			Seed:           99,
 		},
 	}
-	ws := analysis.New(cfg.Matrices)
+	ws := workspaceOf(t, cfg.Matrices)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +258,7 @@ func TestFleetWireMatchesWorkspaceMimicry(t *testing.T) {
 			EvadeProb: 0.9,
 		},
 	}
-	ws := analysis.New(cfg.Matrices)
+	ws := workspaceOf(t, cfg.Matrices)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +345,7 @@ func TestFleetDeterministic1000Agents(t *testing.T) {
 		},
 		Collab: &collab.Config{Quorum: 20},
 	}
-	ws := analysis.New(cfg.Matrices)
+	ws := workspaceOf(t, cfg.Matrices)
 	first, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

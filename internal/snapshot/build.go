@@ -1,10 +1,11 @@
 package snapshot
 
-// The part builder: the one producer of record bytes. Every sealed
-// store is assembled by MergeShards from parts sealed here — a
-// single-process build is one part covering the whole population, a
-// distributed build is many — so the derived sections are computed by
-// exactly one function whatever the build strategy.
+// The record producer. Every record, sealed or not, is written by
+// recordFill: a sealed store is assembled by MergeShards from parts
+// BuildPart seals (a single-process build is one part covering the
+// whole population, a distributed build is many), and Fill writes the
+// same records into a heap slab. The derived sections are computed by
+// exactly one function whatever the backing or build strategy.
 
 import (
 	"context"
@@ -41,14 +42,52 @@ func BuildPart(ctx context.Context, dir string, key Key, lo, hi, shardUsers int,
 	if err != nil {
 		return err
 	}
-	if err := writeRecordsRange(ctx, wr, lo, hi, shardUsers, func(u int, rec []float64) {
-		fill(u, rowsView(rec, wr.lay))
-		fillDerived(rec, wr.lay)
-	}); err != nil {
+	if err := writeRecordsRange(ctx, wr, lo, hi, shardUsers, recordFill(wr.lay, fill)); err != nil {
 		wr.Abort()
 		return err
 	}
 	return wr.Finish()
+}
+
+// Fill builds key's whole store in a heap slab instead of a file:
+// every record is written by the same recordFill a part build runs,
+// on the shared worker pool, and then scanned by the part gate's
+// checkSorted, so its views carry the contract a sealed store's do.
+// fill has BuildPart's contract. Nothing is serialized, so the
+// format's byte-order check does not apply; a key whose geometry is
+// invalid returns an error. The returned Snapshot serves the same
+// views as an opened one; DropUserRange and Close are no-ops on it,
+// and the slab lives as long as any view of it.
+func Fill(key Key, fill func(u int, rows [][features.NumFeatures]float64)) (*Snapshot, error) {
+	if err := key.checkGeometry(); err != nil {
+		return nil, err
+	}
+	lay := key.Layout()
+	rf := lay.RecordFloats()
+	payload := make([]float64, lay.PayloadFloats())
+	fillRec := recordFill(lay, fill)
+	err := par.ForEachErr(lay.Users, 0, func(u int) error {
+		rec := payload[u*rf : (u+1)*rf : (u+1)*rf]
+		fillRec(u, rec)
+		if err := lay.checkSorted(rec); err != nil {
+			return fmt.Errorf("snapshot: user %d: %w", u, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Snapshot{key: key, lay: lay, payload: payload}, nil
+}
+
+// recordFill returns the one function that writes a user's record:
+// fill writes the rows region, fillDerived the sections derived from
+// it.
+func recordFill(lay Layout, fill func(u int, rows [][features.NumFeatures]float64)) func(u int, rec []float64) {
+	return func(u int, rec []float64) {
+		fill(u, rowsView(rec, lay))
+		fillDerived(rec, lay)
+	}
 }
 
 // writeRecordsRange pulls the records of users [lo, hi) through fill in
@@ -93,10 +132,8 @@ func rowsView(rec []float64, lay Layout) [][features.NumFeatures]float64 {
 }
 
 // fillDerived computes a record's sorted columns and day views from
-// its rows region, in place. The arithmetic mirrors analysis's
-// block.fillUser and Workspace.DaySorted exactly — same extraction
-// order, same stats.SortCounts — so a loaded snapshot is bit-identical
-// to the in-memory build.
+// its rows region, in place. It is the only code that derives them:
+// a mapped store and a heap-filled one serve the same bytes.
 func fillDerived(rec []float64, lay Layout) {
 	rows := rowsView(rec, lay)
 	bpw, bpd := lay.BinsPerWeek, lay.BinsPerDay

@@ -170,6 +170,12 @@ func (k Key) validate() error {
 	if !hostLittleEndian {
 		return fmt.Errorf("snapshot: format is little-endian; unsupported on this host")
 	}
+	return k.checkGeometry()
+}
+
+// checkGeometry refuses a key whose layout would be empty or
+// inconsistent.
+func (k Key) checkGeometry() error {
 	if k.Users <= 0 || k.Weeks <= 0 {
 		return fmt.Errorf("snapshot: key needs positive users/weeks, got %d/%d", k.Users, k.Weeks)
 	}
@@ -325,11 +331,12 @@ func sweepStaleTemps(dir string) {
 	}
 }
 
-// Snapshot is an open, validated, memory-mapped workspace snapshot.
-// All float views returned from it alias the mapping: they are strictly
-// read-only (the pages are mapped PROT_READ — a write faults
-// immediately rather than corrupting shared state) and must not be
-// used after Close.
+// Snapshot is a validated workspace store: an opened, memory-mapped
+// file (Open) or a heap slab (Fill). All float views returned from it
+// alias the backing and are strictly read-only (a mapping's pages are
+// mapped PROT_READ, so a write faults immediately rather than
+// corrupting shared state); a mapping's views must not be used after
+// Close.
 type Snapshot struct {
 	key     Key
 	lay     Layout

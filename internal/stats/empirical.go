@@ -78,13 +78,14 @@ func (e *Empirical) AdoptSorted(sorted []float64) error {
 	return nil
 }
 
-// AdoptSealed initializes e in place to adopt a sealed snapshot
+// AdoptSealed initializes e in place to adopt a snapshot store's
 // column without AdoptSorted's validation pass. It is only for columns
 // whose sorted, NaN-free, non-empty contract was proven where their
 // bytes were made — the snapshot part gate scans every sorted column
 // and day view before a part is adopted or merged, and the store's
-// checksum binds the bytes it saw — so rescanning them on every read
-// would only fault their pages in again. Every other column, and
+// checksum binds the bytes it saw; snapshot.Fill runs the same scan
+// over a heap store — so rescanning them on every read would only
+// fault their pages in again. Every other column, and
 // anything received from a peer, goes through AdoptSorted.
 func (e *Empirical) AdoptSealed(sorted []float64) { e.sorted = sorted }
 

@@ -319,14 +319,7 @@ func countDistinct(idx []int) int {
 // on a week-batched Generator, so per-week state, sampling scratch
 // and the Zipf rank table are computed once instead of per bin.
 func (u *User) Series() *features.Matrix {
-	return u.SeriesInto(make([][features.NumFeatures]float64, u.Bins()))
-}
-
-// SeriesInto is Series writing into caller-provided row storage (len
-// Bins()) — the arena path: bulk materialization carves all users'
-// rows from one slab (or a reused shard buffer) instead of one
-// allocation per user. The returned matrix adopts rows.
-func (u *User) SeriesInto(rows [][features.NumFeatures]float64) *features.Matrix {
+	rows := make([][features.NumFeatures]float64, u.Bins())
 	u.FillSeries(rows)
 	return &features.Matrix{BinWidth: u.cfg.BinWidth, StartMicros: u.cfg.StartMicros, Rows: rows}
 }

@@ -54,9 +54,10 @@ type Options struct {
 	// the population through sharded materialization into the
 	// directory and maps the result, so warm runs skip generation
 	// entirely and cold runs never hold the whole population in
-	// memory. Stale or corrupt files silently fall back to
-	// regeneration. Empty means the REPRO_SNAPSHOT_DIR environment
-	// variable, then (still empty) fully in-memory materialization.
+	// memory. Stale or corrupt files fall back to regeneration,
+	// reported through Warnf. Empty means the REPRO_SNAPSHOT_DIR
+	// environment variable, then (still empty) the same records built
+	// in a heap slab instead of a file.
 	SnapshotDir string
 	// SnapshotShard bounds how many users a cold build holds in
 	// memory at once, per part builder; <= 0 means
@@ -102,6 +103,9 @@ type Enterprise struct {
 	once     []sync.Once
 	matrices []*features.Matrix
 
+	// key content-addresses the enterprise in the snapshot store and
+	// gives the geometry of every workspace built for it.
+	key         snapshot.Key
 	snapDir     string
 	snapShard   int
 	snapWorkers int
@@ -123,6 +127,13 @@ func NewEnterprise(opts Options) (*Enterprise, error) {
 		Seed:     opts.Seed,
 		BinWidth: opts.BinWidth,
 	})
+	if err != nil {
+		return nil, err
+	}
+	// Pop.Cfg is already normalized, so the key's defaulted fields
+	// (start time, heavy fraction, trend) are exactly what generation
+	// ran under.
+	key, err := snapshot.KeyFor(pop.Cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -152,6 +163,7 @@ func NewEnterprise(opts Options) (*Enterprise, error) {
 		Pop:         pop,
 		once:        make([]sync.Once, len(pop.Users)),
 		matrices:    make([]*features.Matrix, len(pop.Users)),
+		key:         key,
 		snapDir:     dir,
 		snapShard:   opts.SnapshotShard,
 		snapWorkers: opts.SnapshotWorkers,
@@ -165,10 +177,10 @@ func (e *Enterprise) Users() int { return len(e.Pop.Users) }
 
 // Matrix returns user u's feature matrix, materializing it on first
 // use with the week-batched trace generator. A fully materialized
-// enterprise already holds every matrix — snapshot-backed workspaces
-// serve zero-copy mapped views (read-only; Clone before mutating) —
-// so the per-user generator only runs when the workspace has not
-// been built yet.
+// enterprise already holds every matrix — zero-copy row views of its
+// workspace's records (read-only, and hard so when mapped; Clone
+// before mutating) — so the per-user generator only runs when the
+// workspace has not been built yet.
 func (e *Enterprise) Matrix(u int) *features.Matrix {
 	e.once[u].Do(func() {
 		if ws := e.ws.Load(); ws != nil {
@@ -180,24 +192,23 @@ func (e *Enterprise) Matrix(u int) *features.Matrix {
 	return e.matrices[u]
 }
 
-// Materialize generates every user's matrix and builds the columnar
-// analysis workspace in one fused parallel pass: each worker runs the
-// batch generation engine for its user and extracts + sorts the
-// user's feature-week columns while the rows are cache-hot.
-// Experiments call it up front so their own timings exclude
+// Materialize builds the columnar analysis workspace: every user's
+// record — the generated rows, their sorted week columns and sorted
+// day views — is filled in one parallel pass, each worker deriving
+// its user's sorted views while the freshly generated rows are
+// cache-hot. Experiments call it up front so their own timings exclude
 // generation. With a snapshot directory configured (Options or
-// REPRO_SNAPSHOT_DIR) the workspace is instead mapped from — or, on a
-// miss, streamed shard by shard into — the on-disk store.
+// REPRO_SNAPSHOT_DIR) the records are mapped from — or, on a miss,
+// streamed shard by shard into — the on-disk store; otherwise they
+// are filled into a heap slab.
 func (e *Enterprise) Materialize() {
 	e.workspace()
 }
 
-// snapshotKey content-addresses this enterprise in the snapshot
-// store. Pop.Cfg is already normalized, so the key's defaulted fields
-// (start time, heavy fraction, trend) are exactly what generation ran
-// under.
-func (e *Enterprise) snapshotKey() (snapshot.Key, error) {
-	return snapshot.KeyFor(e.Pop.Cfg)
+// fillSeries writes user u's generated rows: the fill every
+// workspace build runs.
+func (e *Enterprise) fillSeries(u int, rows [][features.NumFeatures]float64) {
+	e.Pop.Users[u].FillSeries(rows)
 }
 
 // Close releases the enterprise's snapshot mapping when its workspace
@@ -224,39 +235,30 @@ func (e *Enterprise) workspace() *analysis.Workspace {
 
 func (e *Enterprise) buildWorkspace() *analysis.Workspace {
 	if e.snapDir != "" {
-		if key, err := e.snapshotKey(); err == nil {
-			// Warm: map the existing snapshot, skipping generation
-			// entirely. Cold (or stale/corrupt, which Load rejects):
-			// stream the population into the store in bounded shards
-			// and map the result. Any failure — unwritable directory,
-			// full disk, … — falls through to the in-memory build
-			// rather than failing the run, but is surfaced through
-			// Warnf so operators can tell a fallback from a warm map.
-			ws, _, err := analysis.LoadOrMaterialize(context.Background(), e.snapDir, key, e.snapShard, e.snapWorkers, e.Pop.CostWeights(),
-				func(stage string, werr error) {
-					e.warnf("snapshot %s fallback (%s): %v", stage, e.snapDir, werr)
-				},
-				func(u int, rows [][features.NumFeatures]float64) {
-					e.Pop.Users[u].FillSeries(rows)
-				})
-			if err == nil {
-				ws.SetStreamShard(e.streamShard)
-				return ws
-			}
+		// Warm: map the existing snapshot, skipping generation
+		// entirely. Cold (or stale/corrupt, which Load rejects): stream
+		// the population into the store in bounded shards and map the
+		// result. Any failure — unwritable directory, full disk, … —
+		// falls through to the heap build rather than failing the run,
+		// but is surfaced through Warnf so operators can tell a
+		// fallback from a warm map.
+		ws, _, err := analysis.LoadOrMaterialize(context.Background(), e.snapDir, e.key, e.snapShard, e.snapWorkers, e.Pop.CostWeights(),
+			func(stage string, werr error) {
+				e.warnf("snapshot %s fallback (%s): %v", stage, e.snapDir, werr)
+			},
+			e.fillSeries)
+		if err == nil {
+			ws.SetStreamShard(e.streamShard)
+			return ws
 		}
 	}
-	// In-memory fused build. All users' rows live in one slab, so
-	// the parallel materialize loop costs one allocation for the
-	// whole population's matrices instead of one per user.
-	bins := e.Pop.Cfg.TotalBins()
-	slab := make([][features.NumFeatures]float64, len(e.matrices)*bins)
-	return analysis.NewGenerated(len(e.matrices), func(u int) *features.Matrix {
-		e.once[u].Do(func() {
-			rows := slab[u*bins : (u+1)*bins : (u+1)*bins]
-			e.matrices[u] = e.Pop.Users[u].SeriesInto(rows)
-		})
-		return e.matrices[u]
-	})
+	ws, err := analysis.Generate(e.key, e.fillSeries)
+	if err != nil {
+		// NewEnterprise derived the key from a config trace accepted,
+		// which has a valid geometry.
+		panic(fmt.Sprintf("repro: %v", err))
+	}
+	return ws
 }
 
 // TailStats returns every user's q-quantile of one feature over the

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -406,17 +407,19 @@ func TestGeomSpace(t *testing.T) {
 // examples read a population through; the commands reach the same
 // workspace memos through the experiment runners.
 
-// SaveSnapshot persists the enterprise's materialized workspace to
-// the content-addressed store under dir and returns the sealed file's
-// path. A later enterprise with the same Options (and any other
-// process on the host) then maps it back via the snapshot path
-// instead of regenerating.
+// SaveSnapshot seals the enterprise's store under dir with a
+// one-range local build and returns the sealed file's path. A later
+// enterprise with the same Options (and any other process on the host)
+// then maps it back via the snapshot path instead of regenerating.
 func (e *Enterprise) SaveSnapshot(dir string) (string, error) {
-	key, err := e.snapshotKey()
+	ws, err := analysis.MaterializeSharded(context.Background(), dir, e.key, 0, e.fillSeries)
 	if err != nil {
 		return "", err
 	}
-	return e.workspace().Save(dir, key)
+	if err := ws.Close(); err != nil {
+		return "", err
+	}
+	return e.key.Path(dir), nil
 }
 
 // TrainTest extracts every user's train-week and test-week series of
