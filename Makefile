@@ -54,10 +54,10 @@ chaos-soak:
 # fuzz runs each native fuzz target for a bounded time: the console
 # frame reader and its two binary payload codecs, the remote build
 # transport's frames, the snapshot and part header parsers, the part
-# gate (VerifyPart on mutated and re-sealed parts), the .etr trace
-# reader, and the window-count sort against sort.Float64s. Seed
-# corpora live in each package's testdata/fuzz; go test runs them as
-# plain tests too. CI runs this as its own job.
+# gate (VerifyPart on mutated and re-sealed parts), the manifest
+# decoder, the .etr trace reader, and the window-count sort against
+# sort.Float64s. Seed corpora live in each package's testdata/fuzz;
+# go test runs them as plain tests too. CI runs this as its own job.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMsg$$' -fuzztime 10s ./internal/console
 	$(GO) test -run '^$$' -fuzz '^FuzzDistUpload$$' -fuzztime 10s ./internal/console
@@ -65,6 +65,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime 10s ./internal/remotework
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotHeader$$' -fuzztime 10s ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyPart$$' -fuzztime 10s ./internal/snapshot
+	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime 10s ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime 10s ./internal/netsim
 	$(GO) test -run '^$$' -fuzz '^FuzzSortCounts$$' -fuzztime 10s ./internal/stats
 

@@ -28,7 +28,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/console"
 	"repro/internal/features"
 	"repro/internal/fleet"
@@ -151,48 +150,27 @@ func buildMatrix(tracePath, snapDir string, userID int, u *trace.User, pop *trac
 }
 
 // snapshotMatrix fetches one user's matrix from a warm workspace
-// snapshot. The fast path is the manifest-backed O(record) read
-// (analysis.LoadUserMatrix): the agent validates and reads only the
-// integrity shard containing its record instead of checksumming and
-// mapping the whole population's store. Stores sealed before the
-// manifest format exist without one — those fall back to the full
-// load-and-clone path, still load-only (no cold build — one agent
-// must not materialize a whole population). Returns nil when the
-// snapshot is absent, stale or corrupt; the log lines distinguish a
-// cold store (expected, the operator just has not run snapshots yet)
-// from a damaged one (worth investigating).
+// snapshot with snapshot.ReadUser: the agent verifies and reads only
+// its own record, never the whole population's store, and never
+// builds one (one agent must not materialize a whole population).
+// Returns nil when the snapshot is absent, stale, corrupt or holds no
+// such user; the log lines distinguish a cold store (expected, the
+// operator just has not run snapshots yet) from an unusable one
+// (worth investigating).
 func snapshotMatrix(dir string, userID int, pop *trace.Population) *features.Matrix {
 	key, err := snapshot.KeyFor(pop.Cfg)
 	if err != nil {
 		log.Printf("hidsd: snapshot key: %v", err)
 		return nil
 	}
-	m, uerr := analysis.LoadUserMatrix(dir, key, userID)
-	if uerr == nil {
-		return m
+	m, err := snapshot.ReadUser(dir, key, userID)
+	if errors.Is(err, fs.ErrNotExist) {
+		log.Printf("hidsd: snapshot store %s is cold for this config", dir)
+		return nil
 	}
-	if errors.Is(uerr, fs.ErrNotExist) {
-		// Either a genuinely cold store, or a pre-manifest snapshot
-		// (sealed before the sidecar existed) missing only the
-		// manifest — the full load below still serves the latter.
-		if _, serr := os.Stat(key.Path(dir)); serr != nil {
-			log.Printf("hidsd: snapshot store %s is cold for this config", dir)
-			return nil
-		}
-	}
-	log.Printf("hidsd: per-user snapshot read failed (%v), trying full load", uerr)
-	ws, err := analysis.Load(dir, key)
 	if err != nil {
-		log.Printf("hidsd: warning: snapshot load failed (stale or corrupt store): %v", err)
+		log.Printf("hidsd: warning: snapshot read failed (stale, damaged or out-of-range): %v", err)
 		return nil
 	}
-	defer ws.Close()
-	// Matrices() is sized by the store's own geometry; guard rather
-	// than trust the caller so a mismatched -user degrades to the
-	// synthetic path instead of a panic deep in the snapshot layer.
-	if userID < 0 || userID >= len(ws.Matrices()) {
-		log.Printf("hidsd: user %d outside snapshot population of %d", userID, len(ws.Matrices()))
-		return nil
-	}
-	return ws.Matrices()[userID].Clone()
+	return m
 }

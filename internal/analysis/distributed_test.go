@@ -313,42 +313,100 @@ func TestMaterializeCancelled(t *testing.T) {
 	})
 }
 
-// TestLoadUserMatrix covers hidsd's O(record) load path: the fetched
-// matrix must equal the fully loaded workspace's, out-of-range users
-// must error (not panic) naming the geometry, and a manifest-less
-// store must surface fs.ErrNotExist so callers fall back to Load.
-func TestLoadUserMatrix(t *testing.T) {
+// TestCrashBetweenMergeRenames covers a merge cut off between its
+// two renames: the store is in place, its manifest is not, and the
+// parts it was merged from are still on disk (MergeShards removes
+// them only after writing the manifest). Both readers refuse the
+// store as unusable, not absent; LoadOrMaterialize warns at stage
+// "load" and never serves it; and buildctl.Build re-merges the parts,
+// regenerating no user, into a store and manifest byte-identical to
+// the original.
+func TestCrashBetweenMergeRenames(t *testing.T) {
 	pop, key := popAndKey(t, 9, 2, 5, 6*time.Hour)
-	dir := t.TempDir()
-	ws, err := MaterializeSharded(context.Background(), dir, key, 0, func(u int, rows [][features.NumFeatures]float64) {
+	var generated atomic.Int64
+	gen := func(u int, rows [][features.NumFeatures]float64) {
+		generated.Add(1)
 		pop.Users[u].FillSeries(rows)
+	}
+	read := func(path string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	dir := t.TempDir()
+	parts := map[string][]byte{}
+	for _, r := range [][2]int{{0, 4}, {4, 9}} {
+		if err := snapshot.BuildPart(context.Background(), dir, key, r[0], r[1], 0, gen); err != nil {
+			t.Fatal(err)
+		}
+		path := key.PartPath(dir, r[0], r[1])
+		parts[path] = read(path)
+	}
+	if _, err := snapshot.MergeShards(dir, key); err != nil {
+		t.Fatal(err)
+	}
+	wantStore, wantMan := read(key.Path(dir)), read(key.ManifestPath(dir))
+	crash := func() {
+		t.Helper()
+		if err := os.Remove(key.ManifestPath(dir)); err != nil {
+			t.Fatal(err)
+		}
+		for path, b := range parts {
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkRemerged := func(what string) {
+		t.Helper()
+		if !bytes.Equal(read(key.Path(dir)), wantStore) || !bytes.Equal(read(key.ManifestPath(dir)), wantMan) {
+			t.Fatalf("%s: re-merged store or manifest differs from the original", what)
+		}
+		if n := generated.Load(); n != 0 {
+			t.Fatalf("%s: regenerated %d users instead of re-merging the parts", what, n)
+		}
+	}
+
+	crash()
+	_, oerr := snapshot.Open(dir, key)
+	_, rerr := snapshot.ReadUser(dir, key, 1)
+	for name, err := range map[string]error{"Open": oerr, "ReadUser": rerr} {
+		if err == nil || errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%s on a store without its manifest: err = %v, want an unusable-store error", name, err)
+		}
+	}
+
+	generated.Store(0)
+	var warned []string
+	ws, warm, err := LoadOrMaterialize(context.Background(), dir, key, 0, 2, nil, func(stage string, err error) {
+		warned = append(warned, stage)
+		t.Logf("warn %s: %v", stage, err)
+	}, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws.Close()
+	if warm {
+		t.Fatal("LoadOrMaterialize served the store without its manifest as warm")
+	}
+	if !reflect.DeepEqual(warned, []string{"load"}) {
+		t.Fatalf("warned at stages %v, want [load]", warned)
+	}
+	checkRemerged("LoadOrMaterialize")
+
+	crash()
+	st, err := buildctl.Build(context.Background(), buildctl.Options{
+		Dir: dir, Key: key,
+		Worker: &buildctl.LocalWorker{Dir: dir, Key: key, Generate: gen},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ws.Close()
-	for _, u := range []int{0, 4, 8} {
-		m, err := LoadUserMatrix(dir, key, u)
-		if err != nil {
-			t.Fatalf("LoadUserMatrix(%d): %v", u, err)
-		}
-		want := ws.Matrices()[u]
-		if m.BinWidth != want.BinWidth || m.StartMicros != want.StartMicros {
-			t.Fatalf("user %d matrix metadata diverges", u)
-		}
-		if !reflect.DeepEqual(m.Rows, want.Rows) {
-			t.Fatalf("user %d rows diverge from the mapped workspace", u)
-		}
+	if st.Warm || st.ResumedParts != len(parts) || st.MergedParts != len(parts) {
+		t.Fatalf("build over the cut-off merge: %+v, want the %d parts resumed and merged", st, len(parts))
 	}
-	for _, u := range []int{-1, 9} {
-		if _, err := LoadUserMatrix(dir, key, u); err == nil {
-			t.Fatalf("LoadUserMatrix(%d) accepted an out-of-range user", u)
-		}
-	}
-	if err := os.Remove(key.ManifestPath(dir)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadUserMatrix(dir, key, 1); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("manifest-less store: err = %v, want fs.ErrNotExist", err)
-	}
+	checkRemerged("buildctl.Build")
 }

@@ -42,8 +42,8 @@ import (
 // orders of magnitude cheaper than regeneration); per-(feature, week)
 // views are wired on first use by the workspace's existing lazy block
 // machinery. A missing, stale (engine or key mismatch) or corrupt
-// (size or checksum) file returns an error and the caller
-// regenerates. Close the workspace to release the mapping once
+// (size, checksum, or a missing or damaged manifest) store returns an
+// error and the caller regenerates. Close the workspace to release the mapping once
 // nothing reads from it anymore.
 func Load(dir string, key snapshot.Key) (*Workspace, error) {
 	snap, err := snapshot.Open(dir, key)
@@ -103,8 +103,8 @@ func fromSnapshot(snap *snapshot.Snapshot, key snapshot.Key) *Workspace {
 //
 // warn, when non-nil, surfaces fallback events that were previously
 // silent: stage "load" fires when a snapshot file exists but could
-// not be mapped (stale engine/key, corrupt checksum, short file —
-// anything but plain absence), stage "materialize" when the
+// not be mapped (stale engine/key, corrupt checksum, short file, a
+// missing manifest — anything but plain absence), stage "materialize" when the
 // cold-build itself fails. Operators watching warn can tell a mystery
 // cold rebuild from a routine first run.
 // workers is the number of in-process part builders the cold build
@@ -130,25 +130,6 @@ func LoadOrMaterialize(ctx context.Context, dir string, key snapshot.Key, shardU
 		warn("materialize", err)
 	}
 	return ws, false, err
-}
-
-// LoadUserMatrix fetches ONE user's matrix from the store in
-// O(record): snapshot.OpenUser validates the manifest and the
-// containing integrity shard only, so at population scale the read
-// touches a few hundred records' worth of bytes instead of
-// checksumming and mapping the whole file the way Load must. The
-// returned matrix owns its rows (no mapping to close). Callers fall
-// back to a full Load for manifest-less (pre-manifest) stores.
-func LoadUserMatrix(dir string, key snapshot.Key, u int) (*features.Matrix, error) {
-	rec, err := snapshot.OpenUser(dir, key, u)
-	if err != nil {
-		return nil, err
-	}
-	return &features.Matrix{
-		BinWidth:    key.BinWidth,
-		StartMicros: key.StartMicros,
-		Rows:        rec.Rows(),
-	}, nil
 }
 
 // BuildShardRange seals users [lo, hi) of key as a part file under

@@ -112,6 +112,15 @@ func TestMatrixFromCounts(t *testing.T) {
 	}
 }
 
+// Clone returns a deep copy. No command copies a matrix; the test
+// keeps it to pin that a Matrix's rows are its own storage.
+func (m *Matrix) Clone() *Matrix {
+	cp := &Matrix{BinWidth: m.BinWidth, StartMicros: m.StartMicros,
+		Rows: make([][NumFeatures]float64, len(m.Rows))}
+	copy(cp.Rows, m.Rows)
+	return cp
+}
+
 func TestMatrixAddRowAndClone(t *testing.T) {
 	m := NewMatrix(15*time.Minute, 0, 3)
 	cp := m.Clone()

@@ -94,12 +94,3 @@ func (m *Matrix) WeekRange(w int) (lo, hi int) {
 	}
 	return lo, hi
 }
-
-// Clone returns a deep copy, so an attack overlay can be applied
-// without disturbing the benign series.
-func (m *Matrix) Clone() *Matrix {
-	cp := &Matrix{BinWidth: m.BinWidth, StartMicros: m.StartMicros,
-		Rows: make([][NumFeatures]float64, len(m.Rows))}
-	copy(cp.Rows, m.Rows)
-	return cp
-}

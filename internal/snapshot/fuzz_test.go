@@ -175,3 +175,63 @@ func FuzzVerifyPart(f *testing.F) {
 		}
 	})
 }
+
+// manifestFuzzKey is the key every FuzzManifest input is decoded
+// against: 260 users, so the shard table holds two full shards and a
+// ragged one.
+var manifestFuzzKey = testKey(260, 1, 12*time.Hour)
+
+// FuzzManifest feeds the manifest reader's decoder (readManifest is
+// os.ReadFile plus decodeManifest) with mutated manifest images,
+// optionally re-sealed (resealManifest) so a mutation reaches the
+// checks behind the self-CRC. It must not panic, must allocate no
+// more than the input's length (plus 1 KiB for an error message), and
+// a manifest it accepts must re-encode byte for byte through
+// encodeManifest.
+func FuzzManifest(f *testing.F) {
+	key := manifestFuzzKey
+	rec := make([]uint32, key.Users)
+	for u := range rec {
+		rec[u] = uint32(u) * 0x9e3779b9
+	}
+	shards, _ := foldRecordCRCs(rec, int64(key.Layout().RecordFloats())*8)
+	sound := encodeManifest(key, shards, rec)
+	f.Add(sound, false)
+	f.Add(sound[:len(sound)-4], true)                     // record table one entry short
+	f.Add(sound[:manifestHdrBytes+4*len(shards)+4], true) // no record table
+	noFlag := append([]byte(nil), sound...)
+	noFlag[8+8*12] = 0
+	f.Add(noFlag, true)
+	f.Add([]byte(manifestMagic), false)
+
+	f.Fuzz(func(t *testing.T, b []byte, reseal bool) {
+		b = append([]byte(nil), b...)
+		if reseal && len(b) >= 4 {
+			resealManifest(b)
+		}
+		// The decoder's allocation is the same on every call, while the
+		// fuzzing engine's own goroutines allocate at random: the
+		// least of three measurements is the decoder's.
+		var (
+			shardCRCs, recCRCs []uint32
+			err                error
+			alloc              uint64 = math.MaxUint64
+		)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			shardCRCs, recCRCs, err = decodeManifest(b, key)
+			runtime.ReadMemStats(&after)
+			alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+		}
+		if alloc > uint64(len(b))+1<<10 {
+			t.Fatalf("decodeManifest allocated %d bytes for a %d-byte manifest", alloc, len(b))
+		}
+		if err != nil {
+			return
+		}
+		if got := encodeManifest(key, shardCRCs, recCRCs); !bytes.Equal(got, b) {
+			t.Fatalf("accepted manifest re-encodes differently:\n got %x\nwant %x", got, b)
+		}
+	})
+}

@@ -1,13 +1,13 @@
 package snapshot
 
 // The manifest is the integrity sidecar of a sealed snapshot: a small
-// "<name>.snap.manifest" file describing the payload as fixed-size
-// shards of ManifestShardUsers records, each with its own CRC-32C,
-// plus an optional per-record CRC table. It exists so a reader can
-// validate and fetch ONE user's record in O(record) — OpenUser checks
-// the manifest's self-CRC, the snapshot header, and the containing
-// shard's checksum, never touching any other shard's payload bytes —
-// and so independently built shards can be verified piecemeal.
+// "<name>.snap.manifest" file holding a CRC-32C for every user's
+// record and for every fixed-size shard of ManifestShardUsers
+// records. The record table is the one payload check every reader
+// runs (see openSealed): Open checks every record against it, ReadUser
+// only the record it returns, and both first fold the table into the
+// shard table and the header checksum, so every checksum the store
+// carries is compared on every read.
 //
 // # Manifest layout
 //
@@ -18,27 +18,22 @@ package snapshot
 //	              fields 0–9: identical to the snapshot header
 //	              (headerVersion … binsPerWeek), then payloadFloats,
 //	              shardUsers (= ManifestShardUsers), flags
-//	              (bit 0: per-record CRC table present)
+//	              (= 1: the per-record CRC table is present)
 //	then        ceil(users/shardUsers) × uint32 shard CRC-32Cs
-//	then        users × uint32 record CRC-32Cs (iff flag bit 0)
+//	then        users × uint32 record CRC-32Cs
 //	then        uint32 self-CRC-32C of everything above
 //
 // The shard granularity is a package constant, deliberately
-// independent of how the snapshot was built (single writer, in-process
-// pool, merged multi-process parts): every build strategy emits a
-// byte-identical manifest for the same key.
+// independent of how the snapshot was built: every build strategy
+// emits a byte-identical manifest for the same key.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
-
-	"repro/internal/features"
 )
 
 const (
@@ -49,14 +44,13 @@ const (
 	manifestHdrBytes = 8 + manifestFields*8
 
 	// manifestFlagRecordCRCs marks a manifest carrying the per-record
-	// CRC table (4 bytes/user); MergeShards always emits it.
+	// CRC table (4 bytes/user). Every manifest carries it; readers
+	// refuse one without it.
 	manifestFlagRecordCRCs = 1 << 0
 )
 
-// ManifestShardUsers is the manifest's integrity granularity: users
-// per checksummed shard. 128 keeps the validated span of an OpenUser
-// read ~156× smaller than the full payload at 20k users while the
-// manifest itself stays a few KB.
+// ManifestShardUsers is the granularity of the manifest's shard
+// table: users per checksummed shard.
 const ManifestShardUsers = 128
 
 // ManifestShards returns the shard count for a population.
@@ -69,10 +63,6 @@ func (k Key) ManifestPath(dir string) string { return k.Path(dir) + manifestSuff
 
 func encodeManifest(key Key, shardCRCs, recCRCs []uint32) []byte {
 	lay := key.Layout()
-	var flags uint64
-	if len(recCRCs) > 0 {
-		flags |= manifestFlagRecordCRCs
-	}
 	buf := make([]byte, 0, manifestHdrBytes+4*len(shardCRCs)+4*len(recCRCs)+4)
 	buf = append(buf, manifestMagic...)
 	var scratch [8]byte
@@ -96,7 +86,7 @@ func encodeManifest(key Key, shardCRCs, recCRCs []uint32) []byte {
 	put(uint64(key.BinsPerWeek()))
 	put(uint64(lay.PayloadFloats()))
 	put(ManifestShardUsers)
-	put(flags)
+	put(manifestFlagRecordCRCs)
 	for _, c := range shardCRCs {
 		put32(c)
 	}
@@ -139,16 +129,23 @@ func writeManifest(path string, key Key, shardCRCs, recCRCs []uint32) error {
 	return nil
 }
 
-// readManifest loads and fully validates a manifest: magic, self-CRC,
-// every key field, shard granularity and table sizes. It returns the
-// shard CRC table and the per-record CRC table (nil when absent).
+// readManifest loads and fully validates the manifest at path
+// (decodeManifest). A missing file is fs.ErrNotExist.
 func readManifest(path string, key Key) (shardCRCs, recCRCs []uint32, err error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err // fs.ErrNotExist on a manifest-less store
+		return nil, nil, err
 	}
+	return decodeManifest(buf, key)
+}
+
+// decodeManifest validates a manifest image against key: magic,
+// self-CRC, every key field, shard granularity, the record-table flag
+// and the exact length. It returns the shard and record CRC tables,
+// and allocates nothing before the length has been checked.
+func decodeManifest(buf []byte, key Key) (shardCRCs, recCRCs []uint32, err error) {
 	if len(buf) < manifestHdrBytes+4 || string(buf[:8]) != manifestMagic {
-		return nil, nil, fmt.Errorf("snapshot: %s: bad manifest magic", path)
+		return nil, nil, fmt.Errorf("snapshot: bad manifest magic")
 	}
 	body, tail := buf[:len(buf)-4], buf[len(buf)-4:]
 	if got, want := crc32.Checksum(body, crcTable), binary.LittleEndian.Uint32(tail); got != want {
@@ -173,133 +170,20 @@ func readManifest(path string, key Key) (shardCRCs, recCRCs []uint32, err error)
 		{"bins per week", field(9), uint64(key.BinsPerWeek())},
 		{"payload floats", field(10), uint64(lay.PayloadFloats())},
 		{"shard granularity", field(11), ManifestShardUsers},
+		{"flags (record table)", field(12), manifestFlagRecordCRCs},
 	}
 	for _, c := range checks {
 		if c.got != c.want {
 			return nil, nil, fmt.Errorf("snapshot: manifest %s mismatch (file %d, want %d)", c.name, c.got, c.want)
 		}
 	}
-	flags := field(12)
 	nShards := ManifestShards(key.Users)
-	wantLen := manifestHdrBytes + 4*nShards + 4
-	if flags&manifestFlagRecordCRCs != 0 {
-		wantLen += 4 * key.Users
+	if want := manifestHdrBytes + 4*nShards + 4*key.Users + 4; len(buf) != want {
+		return nil, nil, fmt.Errorf("snapshot: manifest is %d bytes, want %d (truncated or foreign)", len(buf), want)
 	}
-	if len(buf) != wantLen {
-		return nil, nil, fmt.Errorf("snapshot: manifest is %d bytes, want %d (truncated or foreign)", len(buf), wantLen)
+	tables := make([]uint32, nShards+key.Users)
+	for i := range tables {
+		tables[i] = binary.LittleEndian.Uint32(buf[manifestHdrBytes+4*i:])
 	}
-	tables := buf[manifestHdrBytes : len(buf)-4]
-	shardCRCs = make([]uint32, nShards)
-	for i := range shardCRCs {
-		shardCRCs[i] = binary.LittleEndian.Uint32(tables[4*i:])
-	}
-	if flags&manifestFlagRecordCRCs != 0 {
-		rec := tables[4*nShards:]
-		recCRCs = make([]uint32, key.Users)
-		for i := range recCRCs {
-			recCRCs[i] = binary.LittleEndian.Uint32(rec[4*i:])
-		}
-	}
-	return shardCRCs, recCRCs, nil
-}
-
-// UserRecord is one user's record fetched by OpenUser: an owned copy,
-// valid indefinitely, with the same view accessors as Snapshot minus
-// the mapping (nothing to Close).
-type UserRecord struct {
-	lay Layout
-	rec []float64
-}
-
-// Rows returns the matrix rows (bin-major, canonical feature order).
-func (r *UserRecord) Rows() [][features.NumFeatures]float64 {
-	return rowsView(r.rec, r.lay)
-}
-
-// OpenUser reads one user's record in O(record work, one-shard I/O):
-// it validates the manifest (self-CRC + every key field), the snapshot
-// header and file size, then streams ONLY the manifest shard
-// containing u — verifying that shard's CRC-32C and, when the manifest
-// carries the per-record table, the record's own CRC — without mapping
-// the file or touching any other shard's payload bytes. A store
-// without a manifest (pre-manifest builds) returns an error; callers
-// fall back to the fully validated Open.
-//
-// Unlike the Snapshot accessors, which panic on programmer-error
-// indices into an already-opened store, OpenUser is the front door for
-// externally supplied user IDs (hidsd -host), so an out-of-range u is
-// an error naming the index and the store's geometry.
-func OpenUser(dir string, key Key, u int) (*UserRecord, error) {
-	if err := key.validate(); err != nil {
-		return nil, err
-	}
-	lay := key.Layout()
-	if u < 0 || u >= lay.Users {
-		return nil, fmt.Errorf("snapshot: user %d outside store population [0, %d) (weeks=%d binsPerWeek=%d)",
-			u, lay.Users, lay.Weeks, lay.BinsPerWeek)
-	}
-	path := key.Path(dir)
-	shardCRCs, recCRCs, err := readManifest(path+manifestSuffix, key)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	rf := lay.RecordFloats()
-	wantSize := int64(headerBytes) + int64(lay.PayloadFloats())*8
-	if st.Size() != wantSize {
-		return nil, fmt.Errorf("snapshot: %s is %d bytes, want %d (truncated or foreign)", path, st.Size(), wantSize)
-	}
-	var hdr [headerBytes]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	payloadFloats, _, err := key.checkHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	if payloadFloats != lay.PayloadFloats() {
-		return nil, fmt.Errorf("snapshot: payload declares %d floats, layout needs %d", payloadFloats, lay.PayloadFloats())
-	}
-	si := u / ManifestShardUsers
-	lo := si * ManifestShardUsers
-	hi := lo + ManifestShardUsers
-	if hi > lay.Users {
-		hi = lay.Users
-	}
-	if _, err := f.Seek(int64(headerBytes)+int64(lo)*int64(rf)*8, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	br := bufio.NewReaderSize(f, 1<<20)
-	rec := make([]float64, rf)
-	scratch := make([]float64, rf)
-	crc := uint32(0)
-	for idx := lo; idx < hi; idx++ {
-		dst := scratch
-		if idx == u {
-			dst = rec
-		}
-		b := floatBytes(dst)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return nil, fmt.Errorf("snapshot: %w", err)
-		}
-		crc = crc32.Update(crc, crcTable, b)
-	}
-	if crc != shardCRCs[si] {
-		return nil, fmt.Errorf("snapshot: shard %d (users [%d, %d)) checksum %08x != manifest %08x (corrupt)",
-			si, lo, hi, crc, shardCRCs[si])
-	}
-	if recCRCs != nil {
-		if got := crc32.Checksum(floatBytes(rec), crcTable); got != recCRCs[u] {
-			return nil, fmt.Errorf("snapshot: user %d record checksum %08x != manifest %08x (corrupt)", u, got, recCRCs[u])
-		}
-	}
-	return &UserRecord{lay: lay, rec: rec}, nil
+	return tables[:nShards:nShards], tables[nShards:], nil
 }

@@ -1,15 +1,24 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/features"
 )
 
+// TestManifestSealedWithSnapshot: every sealed store has its manifest,
+// and ReadUser serves each user's rows exactly as written and as
+// Open's mapping serves them, with the key's matrix metadata.
 func TestManifestSealedWithSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(5, 2, 6*time.Hour)
@@ -17,78 +26,83 @@ func TestManifestSealedWithSnapshot(t *testing.T) {
 	if _, err := os.Stat(key.ManifestPath(dir)); err != nil {
 		t.Fatalf("no manifest sidecar after Finish: %v", err)
 	}
+	s, err := Open(dir, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 	lay := key.Layout()
 	rf := lay.RecordFloats()
 	for u := 0; u < key.Users; u++ {
-		rec, err := OpenUser(dir, key, u)
+		m, err := ReadUser(dir, key, u)
 		if err != nil {
-			t.Fatalf("OpenUser(%d): %v", u, err)
+			t.Fatalf("ReadUser(%d): %v", u, err)
 		}
-		if rec.lay != lay {
-			t.Fatalf("OpenUser(%d) layout %+v, want %+v", u, rec.lay, lay)
+		if m.BinWidth != key.BinWidth || m.StartMicros != key.StartMicros {
+			t.Fatalf("ReadUser(%d) matrix metadata %v/%d, want %v/%d", u, m.BinWidth, m.StartMicros, key.BinWidth, key.StartMicros)
 		}
-		for i, v := range rec.rec {
-			if v != payload[u*rf+i] {
-				t.Fatalf("user %d float %d: %g != written %g", u, i, v, payload[u*rf+i])
+		if len(m.Rows) != lay.Bins() || !reflect.DeepEqual(m.Rows, s.Rows(u)) {
+			t.Fatalf("ReadUser(%d) rows diverge from the mapped store", u)
+		}
+		for i, row := range m.Rows {
+			for f, v := range row {
+				if want := payload[u*rf+i*features.NumFeatures+f]; v != want {
+					t.Fatalf("user %d row %d feature %d: %g != written %g", u, i, f, v, want)
+				}
 			}
-		}
-		// The accessors must agree with the mapped store's views.
-		rows := rec.Rows()
-		if len(rows) != lay.Bins() || rows[2][3] != rec.rec[2*6+3] {
-			t.Fatalf("user %d rows view mismatch", u)
 		}
 	}
 }
 
-func TestOpenUserBoundsError(t *testing.T) {
+func TestReadUserBoundsError(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(3, 1, 6*time.Hour)
 	fillTestRecords(t, dir, key)
 	for _, u := range []int{-1, 3, 1 << 20} {
-		_, err := OpenUser(dir, key, u)
+		_, err := ReadUser(dir, key, u)
 		if err == nil {
-			t.Fatalf("OpenUser(%d) accepted an out-of-range user", u)
+			t.Fatalf("ReadUser(%d) accepted an out-of-range user", u)
 		}
 		if !strings.Contains(err.Error(), "outside store population") {
-			t.Fatalf("OpenUser(%d) error does not name the geometry: %v", u, err)
+			t.Fatalf("ReadUser(%d) error does not name the geometry: %v", u, err)
 		}
 	}
 }
 
-// TestOpenUserReadsOnlyItsShard is the O(one shard) pin: with every
-// payload byte OUTSIDE user u's manifest shard corrupted, OpenUser(u)
-// must still succeed — proving it never reads (let alone validates)
-// other shards — while users in the damaged shards, and the
-// full-validation Open, must fail.
-func TestOpenUserReadsOnlyItsShard(t *testing.T) {
+// TestReadUserReadsOnlyItsRecord is the O(record) pin: with every
+// payload byte outside user u's record corrupted, ReadUser(u) must
+// still succeed — it reads no other record, its shard-mates included
+// — while every other user, and the full-validation Open, must fail.
+func TestReadUserReadsOnlyItsRecord(t *testing.T) {
 	dir := t.TempDir()
 	users := 2*ManifestShardUsers + 40 // three shards, last one ragged
 	key := testKey(users, 1, 6*time.Hour)
 	payload := fillTestRecords(t, dir, key)
 	rf := key.Layout().RecordFloats()
-	u := ManifestShardUsers + 7 // lives in shard 1
-	shardLo := headerBytes + ManifestShardUsers*rf*8
-	shardHi := shardLo + ManifestShardUsers*rf*8
+	u := ManifestShardUsers + 7 // inside shard 1
+	recLo := headerBytes + u*rf*8
+	recHi := recLo + rf*8
 	corrupt(t, key.Path(dir), func(b []byte) []byte {
 		for i := headerBytes; i < len(b); i++ {
-			if i < shardLo || i >= shardHi {
+			if i < recLo || i >= recHi {
 				b[i] ^= 0xff
 			}
 		}
 		return b
 	})
-	rec, err := OpenUser(dir, key, u)
+	m, err := ReadUser(dir, key, u)
 	if err != nil {
-		t.Fatalf("OpenUser touched bytes outside its shard: %v", err)
+		t.Fatalf("ReadUser touched bytes outside its record: %v", err)
 	}
-	for i, v := range rec.rec {
-		if v != payload[u*rf+i] {
-			t.Fatalf("float %d: %g != written %g", i, v, payload[u*rf+i])
+	if m.Rows[3][2] != payload[u*rf+3*features.NumFeatures+2] {
+		t.Fatal("ReadUser served a record that diverges from the one written")
+	}
+	for bad := 0; bad < users; bad++ {
+		if bad == u {
+			continue
 		}
-	}
-	for _, bad := range []int{0, ManifestShardUsers - 1, 2 * ManifestShardUsers, users - 1} {
-		if _, err := OpenUser(dir, key, bad); err == nil {
-			t.Fatalf("OpenUser(%d) accepted a corrupted shard", bad)
+		if _, err := ReadUser(dir, key, bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("user %d ", bad)) {
+			t.Fatalf("ReadUser(%d) on a corrupted record: err = %v", bad, err)
 		}
 	}
 	if _, err := Open(dir, key); err == nil {
@@ -96,66 +110,111 @@ func TestOpenUserReadsOnlyItsShard(t *testing.T) {
 	}
 }
 
-// TestShardCorruptionIsolated: a single bit flip in one shard fails
-// exactly that shard's users; every other shard still serves.
+// TestShardCorruptionIsolated: a single bit flip in one record fails
+// exactly that user's ReadUser; every other user, its manifest-shard
+// mates included, still serves, and Open names the user.
 func TestShardCorruptionIsolated(t *testing.T) {
 	dir := t.TempDir()
 	users := 3 * ManifestShardUsers
 	key := testKey(users, 1, 6*time.Hour)
 	fillTestRecords(t, dir, key)
 	rf := key.Layout().RecordFloats()
+	const bad = ManifestShardUsers // first record of shard 1
 	corrupt(t, key.Path(dir), func(b []byte) []byte {
-		b[headerBytes+ManifestShardUsers*rf*8+17] ^= 0x04 // first byte region of shard 1
+		b[headerBytes+bad*rf*8+17] ^= 0x04
 		return b
 	})
-	for u := 0; u < users; u += ManifestShardUsers / 2 {
-		_, err := OpenUser(dir, key, u)
-		inBad := u/ManifestShardUsers == 1
-		if inBad && err == nil {
-			t.Fatalf("OpenUser(%d) accepted its corrupted shard", u)
+	for _, u := range []int{0, bad - 1, bad, bad + 1, bad + ManifestShardUsers/2, users - 1} {
+		_, err := ReadUser(dir, key, u)
+		if u == bad && err == nil {
+			t.Fatalf("ReadUser(%d) accepted its corrupted record", u)
 		}
-		if !inBad && err != nil {
-			t.Fatalf("OpenUser(%d) failed for a corruption in another shard: %v", u, err)
+		if u != bad && err != nil {
+			t.Fatalf("ReadUser(%d) failed for a corruption in another record: %v", u, err)
 		}
+	}
+	if _, err := Open(dir, key); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("user %d ", bad)) {
+		t.Fatalf("Open on a corrupted record: err = %v, want one naming user %d", err, bad)
 	}
 }
 
-func TestOpenUserRejectsManifestDamage(t *testing.T) {
+// resealManifest recomputes a manifest image's self-CRC trailer, so a
+// mutation of its fields or tables reaches the checks behind it.
+func resealManifest(b []byte) []byte {
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[:len(b)-4], crcTable))
+	return b
+}
+
+// TestRejectsManifestDamage: a damaged manifest, one without its
+// record table, and one whose record table disagrees with its shard
+// table or with the header checksum, each make the store unusable to
+// both readers.
+func TestRejectsManifestDamage(t *testing.T) {
 	key := testKey(5, 1, 6*time.Hour)
+	recBytes := int64(key.Layout().RecordFloats()) * 8
 	for name, mutate := range map[string]func(b []byte) []byte{
 		"bit flip":     func(b []byte) []byte { b[manifestHdrBytes+1] ^= 0x10; return b },
 		"truncated":    func(b []byte) []byte { return b[:len(b)-4] },
 		"bad magic":    func(b []byte) []byte { b[0] = 'X'; return b },
 		"wrong engine": func(b []byte) []byte { b[8+8] ^= 0xff; return b },
+		"record table flag cleared": func(b []byte) []byte {
+			b[8+8*12] &^= manifestFlagRecordCRCs
+			return resealManifest(b)
+		},
+		"record table dropped": func(b []byte) []byte {
+			b[8+8*12] &^= manifestFlagRecordCRCs
+			n := manifestHdrBytes + 4*ManifestShards(key.Users)
+			return resealManifest(append(b[:n], 0, 0, 0, 0))
+		},
+		"shard table disagrees": func(b []byte) []byte {
+			b[manifestHdrBytes] ^= 0x01
+			return resealManifest(b)
+		},
+		"header checksum disagrees": func(b []byte) []byte {
+			// A record table and shard table that agree with each
+			// other, but not with the store's header.
+			_, rec, err := decodeManifest(b, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec[2] ^= 0x01
+			shards, _ := foldRecordCRCs(rec, recBytes)
+			return encodeManifest(key, shards, rec)
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			fillTestRecords(t, dir, key)
 			corrupt(t, key.ManifestPath(dir), mutate)
-			if _, err := OpenUser(dir, key, 0); err == nil {
-				t.Fatal("OpenUser accepted a damaged manifest")
+			if _, err := ReadUser(dir, key, 0); err == nil {
+				t.Fatal("ReadUser accepted a damaged manifest")
 			} else {
 				t.Log(err)
 			}
-			// The full-validation path does not depend on the sidecar.
-			s, err := Open(dir, key)
-			if err != nil {
-				t.Fatalf("Open rejected a store with only manifest damage: %v", err)
+			if _, err := Open(dir, key); err == nil {
+				t.Fatal("Open accepted a damaged manifest")
 			}
-			s.Close()
 		})
 	}
 }
 
-func TestOpenUserMissingManifestIsNotExist(t *testing.T) {
+// TestMissingManifestRefused: a store whose manifest is missing (a
+// merge cut off between its two renames) is refused by both readers
+// as unusable, never reported as absent: fs.ErrNotExist would tell
+// callers the store is merely cold.
+func TestMissingManifestRefused(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(3, 1, 6*time.Hour)
 	fillTestRecords(t, dir, key)
 	if err := os.Remove(key.ManifestPath(dir)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenUser(dir, key, 1); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("err = %v, want fs.ErrNotExist (pre-manifest store)", err)
+	_, rerr := ReadUser(dir, key, 1)
+	_, oerr := Open(dir, key)
+	for _, err := range []error{rerr, oerr} {
+		if err == nil || errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), "no manifest") {
+			t.Fatalf("err = %v, want a non-ErrNotExist error naming the missing manifest", err)
+		}
 	}
 }
 
@@ -279,13 +338,13 @@ func TestGCRetention(t *testing.T) {
 	if _, err := os.Stat(pendingPart); err != nil {
 		t.Fatalf("pending (unmerged) part was removed: %v", err)
 	}
-	// The kept store still opens through both paths.
+	// The kept store still opens through both readers.
 	s, err := Open(dir, keys[2])
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	if _, err := OpenUser(dir, keys[2], 0); err != nil {
+	if _, err := ReadUser(dir, keys[2], 0); err != nil {
 		t.Fatal(err)
 	}
 

@@ -15,6 +15,12 @@ package snapshot
 // only code that seals a snapshot: a single-process build is one part
 // covering the whole population, merged the same way.
 //
+// The store is renamed into place before its manifest is written, and
+// the parts are removed only after both. A crash between the two
+// renames leaves a store without a manifest, which every reader
+// refuses as unusable (not as absent), and the parts from which the
+// next build re-merges it.
+//
 // # Part layout
 //
 // A part is a sealed, self-checksummed slice of the payload:
@@ -329,7 +335,7 @@ func checkPartTiling(parts []partRange, key Key, dir string) error {
 // the per-record entries must reproduce partCRC exactly, so a sealed
 // store can never be derived from a table that disagrees with the
 // payload it describes.
-func readPartMeta(key Key, p partRange, recShift *crcShift) (payloadCRC uint32, recCRCs []uint32, err error) {
+func readPartMeta(key Key, p partRange, recShift *crcShift) (partCRC uint32, recCRCs []uint32, err error) {
 	f, err := os.Open(p.path)
 	if err != nil {
 		return 0, nil, fmt.Errorf("snapshot: %w", err)
@@ -413,15 +419,7 @@ func MergeShards(dir string, key Key) (int, error) {
 	}
 
 	// Derive the sealed store's checksums from the tables alone.
-	total := uint32(0)
-	for i, p := range parts {
-		total = crc32Combine(total, partCRCs[i], int64(p.hi-p.lo)*recBytes)
-	}
-	shardCRCs := make([]uint32, ManifestShards(key.Users))
-	for u, rc := range recCRCs {
-		si := u / ManifestShardUsers
-		shardCRCs[si] = recShift.combine(shardCRCs[si], rc)
-	}
+	shardCRCs, total := foldRecordCRCs(recCRCs, recBytes)
 
 	// Pass 2: splice. The combined checksum is known up front, so the
 	// final header is written first and never patched.

@@ -99,11 +99,11 @@ func TestMergedShardsByteIdentical(t *testing.T) {
 	defer s.Close()
 	rf := key.Layout().RecordFloats()
 	for _, u := range []int{0, 39, 40, ManifestShardUsers, key.Users - 1} {
-		rec, err := OpenUser(mergedDir, key, u)
+		m, err := ReadUser(mergedDir, key, u)
 		if err != nil {
-			t.Fatalf("OpenUser(%d) on merged store: %v", u, err)
+			t.Fatalf("ReadUser(%d) on merged store: %v", u, err)
 		}
-		if rec.rec[3] != payload[u*rf+3] {
+		if m.Rows[0][3] != payload[u*rf+3] {
 			t.Fatalf("merged record %d diverges from payload", u)
 		}
 	}

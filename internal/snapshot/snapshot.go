@@ -4,7 +4,7 @@
 // matrices, per-(week, feature) sorted columns and per-day sorted
 // views — written once and mapped back as zero-copy []float64 views.
 //
-// Since PR 1–4 the matrices are a pure function of
+// The matrices are a pure function of
 // (seed, users, weeks, bin width, engine version): the store is
 // content-addressed by exactly that key (plus the remaining generator
 // knobs — start time, heavy fraction, weekly trend — so two configs
@@ -48,9 +48,11 @@ package snapshot
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -346,19 +348,83 @@ type Snapshot struct {
 }
 
 // Open maps the snapshot addressed by key under dir and fully
-// validates it: magic, header/engine versions, every key field, file
-// size, and the CRC-32C payload checksum. Any mismatch — a stale
-// engine, a truncated write, a flipped bit — returns an error and no
-// Snapshot; the caller regenerates instead.
+// validates it: the checks every reader shares (openSealed) and every
+// user's record against the manifest's record table (verifyRecords).
+// Any mismatch — a stale engine, a truncated write, a flipped bit, a
+// missing or damaged manifest — returns an error and no Snapshot; the
+// caller regenerates instead. A cold store (no store file) is
+// fs.ErrNotExist.
 //
-// The checksum pass reads the file through small buffers rather than
-// through the mapping: reading through the mapping would fault every
-// page into the process's resident set, while a buffered read leaves
-// the bytes in the (reclaimable) page cache and keeps the process's
-// peak RSS bounded — the property the sharded materializer exists to
-// provide. Mapped pages then fault in lazily, and only for the views
-// actually used. The pass uses every CPU: see payloadCRC.
+// The records are read through small buffers rather than through the
+// mapping: reading through the mapping would fault every page into
+// the process's resident set, while a buffered read leaves the bytes
+// in the (reclaimable) page cache and keeps the process's peak RSS
+// bounded — the property the sharded materializer exists to provide.
+// Mapped pages then fault in lazily, and only for the views actually
+// used.
 func Open(dir string, key Key) (*Snapshot, error) {
+	st, err := openSealed(dir, key)
+	if err != nil {
+		return nil, err
+	}
+	defer st.f.Close()
+	if err := st.verifyRecords(); err != nil {
+		return nil, err
+	}
+	data, unmap, err := mapFile(st.f.Name(), headerBytes+st.lay.PayloadFloats()*8)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
+	}
+	return &Snapshot{
+		key: key, lay: st.lay, data: data, unmap: unmap,
+		payload: bytesFloats(data[headerBytes:]),
+	}, nil
+}
+
+// ReadUser reads and verifies user u's record alone and returns its
+// matrix, without mapping the store or reading any other record. It
+// runs the checks every reader shares (openSealed), then checks the
+// one record against the manifest's record table. The matrix owns
+// its rows (they alias a heap copy of the whole record). An
+// out-of-range u is an error naming the store's geometry: u comes
+// from outside, as hidsd's -user.
+func ReadUser(dir string, key Key, u int) (*features.Matrix, error) {
+	st, err := openSealed(dir, key)
+	if err != nil {
+		return nil, err
+	}
+	defer st.f.Close()
+	if err := st.lay.userInRange(u); err != nil {
+		return nil, err
+	}
+	rec := make([]float64, st.lay.RecordFloats())
+	if err := st.readRecord(u, rec); err != nil {
+		return nil, err
+	}
+	return &features.Matrix{BinWidth: key.BinWidth, StartMicros: key.StartMicros, Rows: rowsView(rec, st.lay)}, nil
+}
+
+// sealedStore is an open store file that has passed openSealed: its
+// manifest's record table is known to agree with the shard table and
+// the header checksum, but no payload byte has been read yet.
+type sealedStore struct {
+	f       *os.File
+	lay     Layout
+	recCRCs []uint32 // the manifest's record table
+}
+
+// openSealed opens the store addressed by key under dir and runs the
+// checks every reader shares: the header against the key, the exact
+// file size, and the manifest, which must carry the record table. The
+// record table must fold (foldRecordCRCs) to the manifest's shard
+// table and to the header checksum, so a reader that then checks
+// records against it has checked every checksum the store carries.
+//
+// A missing store file is fs.ErrNotExist: the store is cold. A store
+// without its manifest is not: MergeShards was cut off between
+// renaming the store into place and writing the manifest, so the store
+// is unusable until a build re-merges it from the parts it left.
+func openSealed(dir string, key Key) (_ *sealedStore, err error) {
 	if err := key.validate(); err != nil {
 		return nil, err
 	}
@@ -368,14 +434,17 @@ func Open(dir string, key Key) (*Snapshot, error) {
 	if err != nil {
 		return nil, err // fs.ErrNotExist on a cold store
 	}
-	defer f.Close()
-	st, err := f.Stat()
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	fi, err := f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	wantSize := int64(headerBytes) + int64(lay.PayloadFloats())*8
-	if st.Size() != wantSize {
-		return nil, fmt.Errorf("snapshot: %s is %d bytes, want %d (truncated or foreign)", path, st.Size(), wantSize)
+	if want := int64(headerBytes) + int64(lay.PayloadFloats())*8; fi.Size() != want {
+		return nil, fmt.Errorf("snapshot: %s is %d bytes, want %d (truncated or foreign)", path, fi.Size(), want)
 	}
 	var hdr [headerBytes]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
@@ -388,78 +457,68 @@ func Open(dir string, key Key) (*Snapshot, error) {
 	if payloadFloats != lay.PayloadFloats() {
 		return nil, fmt.Errorf("snapshot: payload declares %d floats, layout needs %d", payloadFloats, lay.PayloadFloats())
 	}
-	crc, err := payloadCRC(f, headerBytes, wantSize-headerBytes)
+	shardCRCs, recCRCs, err := readManifest(path+manifestSuffix, key)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("snapshot: %s has no manifest (sealed without it; unusable until rebuilt)", path)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
+		return nil, err
 	}
-	if uint64(crc) != checksum {
-		return nil, fmt.Errorf("snapshot: payload checksum %08x != header %08x (corrupt)", crc, checksum)
+	folded, total := foldRecordCRCs(recCRCs, int64(lay.RecordFloats())*8)
+	if uint64(total) != checksum {
+		return nil, fmt.Errorf("snapshot: manifest record table folds to payload checksum %08x, header has %08x (corrupt)", total, checksum)
 	}
-	data, unmap, err := mapFile(path, int(wantSize))
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
+	for si, c := range folded {
+		if c != shardCRCs[si] {
+			return nil, fmt.Errorf("snapshot: manifest record table folds shard %d to %08x, shard table has %08x (corrupt)", si, c, shardCRCs[si])
+		}
 	}
-	return &Snapshot{
-		key: key, lay: lay, data: data, unmap: unmap,
-		payload: bytesFloats(data[headerBytes:]),
-	}, nil
+	return &sealedStore{f: f, lay: lay, recCRCs: recCRCs}, nil
 }
 
-// checksumMinRange is the smallest payload range payloadCRC hands a
-// CPU of its own: below it, the extra read and CRC combine cost more
-// than they save.
-const checksumMinRange = 4 << 20
-
-// checksumReadBuf is the size of each range's read buffer, so Open's
-// checksum pass holds at most GOMAXPROCS of them.
-const checksumReadBuf = 256 << 10
-
-// checksumRanges cuts n payload bytes into at most procs contiguous
-// ranges of at least checksumMinRange bytes each (a single range when
-// the payload is smaller), returning the range boundaries: range r is
-// [bounds[r], bounds[r+1]), bounds[0] = 0 and the last bound is n.
-func checksumRanges(n int64, procs int) []int64 {
-	k := min(int64(max(procs, 1)), max(n/checksumMinRange, 1))
-	bounds := make([]int64, k+1)
-	for r := range bounds {
-		bounds[r] = n * int64(r) / k
+// readRecord reads user u's record into rec (RecordFloats long) with
+// one ReadAt and checks it against the manifest's record table.
+func (s *sealedStore) readRecord(u int, rec []float64) error {
+	b := floatBytes(rec)
+	if n, err := s.f.ReadAt(b, int64(headerBytes)+int64(u)*int64(len(b))); n < len(b) {
+		if err == io.EOF { // the file shrank under us
+			err = io.ErrUnexpectedEOF
+		}
+		return fmt.Errorf("snapshot: user %d: %w", u, err)
 	}
-	return bounds
+	if got := crc32.Checksum(b, crcTable); got != s.recCRCs[u] {
+		return fmt.Errorf("snapshot: user %d record checksum %08x != manifest %08x (corrupt)", u, got, s.recCRCs[u])
+	}
+	return nil
 }
 
-// payloadCRC returns the CRC-32C of the n bytes of f starting at off.
-// The bytes are cut into one contiguous range per CPU
-// (checksumRanges); each range is read with ReadAt through its own
-// buffer and checksummed on its own worker, and the range CRCs are
-// folded in order with crc32Combine — exactly the CRC of one
-// sequential pass.
-func payloadCRC(f *os.File, off, n int64) (uint32, error) {
-	bounds := checksumRanges(n, runtime.GOMAXPROCS(0))
-	crcs := make([]uint32, len(bounds)-1)
-	err := par.ForEachErr(len(crcs), 0, func(r int) error {
-		lo, hi := off+bounds[r], off+bounds[r+1]
-		buf := make([]byte, min(hi-lo, checksumReadBuf))
-		for lo < hi {
-			chunk := buf[:min(hi-lo, int64(len(buf)))]
-			if got, err := f.ReadAt(chunk, lo); got < len(chunk) {
-				if err == io.EOF { // the file shrank under us
-					err = io.ErrUnexpectedEOF
-				}
+// verifyRecords checks every user's record against the manifest's
+// record table, one contiguous user range per CPU (userRanges), each
+// read through one record-sized buffer. The error names the first
+// corrupt user of the lowest failing range.
+func (s *sealedStore) verifyRecords() error {
+	bounds := userRanges(s.lay.Users, runtime.GOMAXPROCS(0))
+	return par.ForEachErr(len(bounds)-1, 0, func(r int) error {
+		rec := make([]float64, s.lay.RecordFloats())
+		for u := bounds[r]; u < bounds[r+1]; u++ {
+			if err := s.readRecord(u, rec); err != nil {
 				return err
 			}
-			crcs[r] = crc32.Update(crcs[r], crcTable, chunk)
-			lo += int64(len(chunk))
 		}
 		return nil
 	})
-	if err != nil {
-		return 0, err
+}
+
+// userRanges cuts users into at most procs contiguous non-empty
+// ranges, returning their boundaries: range r is
+// [bounds[r], bounds[r+1]), bounds[0] = 0 and the last bound is users.
+func userRanges(users, procs int) []int {
+	k := max(min(procs, users), 1)
+	bounds := make([]int, k+1)
+	for r := range bounds {
+		bounds[r] = users * r / k
 	}
-	crc := crcs[0]
-	for r := 1; r < len(crcs); r++ {
-		crc = crc32Combine(crc, crcs[r], bounds[r+1]-bounds[r])
-	}
-	return crc, nil
+	return bounds
 }
 
 // Layout returns the payload geometry.
@@ -471,10 +530,19 @@ func (s *Snapshot) Layout() Layout { return s.lay }
 // record arithmetic (a hidsd -user beyond the store's population used
 // to die exactly that way).
 func (l Layout) checkUser(u int) {
-	if u < 0 || u >= l.Users {
-		panic(fmt.Sprintf("snapshot: user %d outside store population [0, %d) (weeks=%d binsPerWeek=%d)",
-			u, l.Users, l.Weeks, l.BinsPerWeek))
+	if err := l.userInRange(u); err != nil {
+		panic(err.Error())
 	}
+}
+
+// userInRange is checkUser's test as an error, for user indices that
+// come from outside (ReadUser).
+func (l Layout) userInRange(u int) error {
+	if u < 0 || u >= l.Users {
+		return fmt.Errorf("snapshot: user %d outside store population [0, %d) (weeks=%d binsPerWeek=%d)",
+			u, l.Users, l.Weeks, l.BinsPerWeek)
+	}
+	return nil
 }
 
 // checkWeekFeature validates (week, feature) coordinates against the

@@ -167,14 +167,14 @@ func TestOpenRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestOpenChecksumRangesRejectBitFlips pins the parallel checksum: one
-// flipped bit at the first or last payload byte, or on either side of
-// any range boundary, is rejected with the checksum error however
-// GOMAXPROCS cuts the ranges, and the intact store opens.
+// TestOpenChecksumRangesRejectBitFlips pins the parallel record
+// verifier: one flipped bit at the first or last payload byte, on
+// either side of any worker's user-range boundary, or at either edge
+// of a record, is rejected with an error naming the user that holds
+// it however GOMAXPROCS cuts the ranges, and the intact store opens.
 func TestOpenChecksumRangesRejectBitFlips(t *testing.T) {
-	key := testKey(1, 1, 15*time.Minute)
-	recBytes := key.Layout().RecordFloats() * 8
-	key.Users = (4*checksumMinRange+checksumMinRange/2)/recBytes + 1 // four ranges and a ragged half
+	key := testKey(11, 1, 15*time.Minute) // four ranges of 2–3 users at GOMAXPROCS 4
+	recBytes := int64(key.Layout().RecordFloats()) * 8
 	dir := t.TempDir()
 	fillTestRecords(t, dir, key)
 	f, err := os.OpenFile(key.Path(dir), os.O_RDWR, 0)
@@ -193,22 +193,23 @@ func TestOpenChecksumRangesRejectBitFlips(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n := int64(key.Layout().PayloadFloats()) * 8
+	n := int64(key.Users) * recBytes
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			bounds := checksumRanges(n, procs)
+			bounds := userRanges(key.Users, procs)
 			if got := len(bounds) - 1; got != procs {
-				t.Fatalf("%d checksum ranges, want %d", got, procs)
+				t.Fatalf("%d user ranges, want %d", got, procs)
 			}
-			offsets := []int64{0, n - 1}
+			offsets := []int64{0, n - 1, 5 * recBytes, 6*recBytes - 1} // payload ends, user 5's edges
 			for _, b := range bounds[1 : len(bounds)-1] {
-				offsets = append(offsets, b-1, b)
+				offsets = append(offsets, int64(b)*recBytes-1, int64(b)*recBytes)
 			}
 			for _, off := range offsets {
 				flip(off)
-				if _, err := Open(dir, key); err == nil || !strings.Contains(err.Error(), "payload checksum") {
-					t.Fatalf("bit flip at payload byte %d: err = %v", off, err)
+				want := fmt.Sprintf("user %d record checksum", off/recBytes)
+				if _, err := Open(dir, key); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("bit flip at payload byte %d: err = %v, want %q", off, err, want)
 				}
 				flip(off)
 			}

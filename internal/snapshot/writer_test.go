@@ -137,9 +137,9 @@ func (w *Writer) Finish() error {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	// The manifest seals after the snapshot so a reader can never see
-	// a manifest without its store. A failed manifest write degrades
-	// the store to manifest-less (OpenUser errors, full Open still
-	// works), which is strictly better than no snapshot at all.
+	// a manifest without its store. A failed manifest write leaves a
+	// store every reader refuses as unusable (not absent), as a merge
+	// cut off between its two renames does.
 	if err := writeManifest(w.final+manifestSuffix, w.key, w.shardCRCs, w.recCRCs); err != nil {
 		return fmt.Errorf("snapshot: manifest: %w", err)
 	}

@@ -62,8 +62,8 @@ func TestEnterpriseSnapshotColdWarmMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A sealed store is exactly the snapshot plus its manifest
-	// sidecar (the per-shard integrity index OpenUser reads) — no
-	// temp files, no leftover parts.
+	// sidecar (the record CRC table every reader checks) — no temp
+	// files, no leftover parts.
 	if len(ents) != 2 || filepath.Ext(ents[0].Name()) != ".snap" ||
 		ents[1].Name() != ents[0].Name()+".manifest" {
 		t.Fatalf("cold materialize left %v in the store, want one sealed .snap plus its .manifest", ents)
